@@ -168,13 +168,16 @@ def _match_phase(turns: float, declared, tol: float) -> ExactPhase:
         f"recovered eigenphase {turns:.12f} turns matches no declared phase")
 
 
-def ccs_of_module(m: FredholmModule, declared,
-                  tol: float = 1e-9) -> CCSClass:
+def ccs_of_module(m: FredholmModule, declared, tol: float = 1e-9,
+                  index: VirtualRep | None = None) -> CCSClass:
     """Class of the index of an even module, signs from the virtual rep.
 
     The numerically recovered eigenphases of the index action must each
     match a declared exact phase to `tol` (in turns); the class is then
-    assembled exactly from the matched symbols.
+    assembled exactly from the matched symbols.  A caller that already
+    holds the module's `pi_index`, localized at the frame base
+    `m.rep.frame.base`, passes it as `index` instead of having it
+    computed again.
     """
     declared = list(declared)
     if not declared:
@@ -189,7 +192,8 @@ def ccs_of_module(m: FredholmModule, declared,
     if len(pres.generators) != 1 or pres.relators:
         raise NotInfiniteCyclic(
             f"module route needs one free generator, got {pres}")
-    idx = pi_index(equivariant_cycle(localize(m, m.rep.frame.base)))
+    idx = index if index is not None else pi_index(
+        equivariant_cycle(localize(m, m.rep.frame.base)))
     total = ExactPhase(Fraction(0), (), basis)
     for sign, blocks in ((1, idx.plus), (-1, idx.minus)):
         for b in blocks:

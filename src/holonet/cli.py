@@ -272,8 +272,9 @@ def cmd_shift_demo(doc: InputDocument, opt) -> tuple[dict, bool]:
         u = _unitary_from_phases(declared)
     m = build_shift_module(doc.poset, doc.pres, doc.frame, {1: u}, tol=tol)
     report = validate_module(m, tol)
+    # doc.frame is built at doc.base, so idx is the index ccs_of_module needs
     idx = pi_index(equivariant_cycle(localize(m, doc.base)))
-    c = ccs_of_module(m, declared)
+    c = ccs_of_module(m, declared, index=idx)
     results = {"module": _report_summary(report),
                "index": _virtual_summary(idx),
                "declared": [encode_phase(p) for p in declared],
@@ -295,7 +296,8 @@ def cmd_sector_demo(doc: InputDocument, opt) -> tuple[dict, bool]:
                      "index": _virtual_summary(idx),
                      "character": encode_complex(idx.character((1,)))}
     if doc.rep_phases and 1 in doc.rep_phases:
-        results["ccs"] = _ccs_summary(ccs_of_module(m, doc.rep_phases[1]))
+        results["ccs"] = _ccs_summary(
+            ccs_of_module(m, doc.rep_phases[1], index=idx))
     return results, report.ok
 
 

@@ -505,36 +505,47 @@ def _shift_grading_split(g: ShiftOp) -> tuple[list[int], list[int]]:
             [i for i in range(len(d)) if d[i] < 0])
 
 
-def _kernel_window(op: ShiftOp, window: int, sv_tol: float) -> np.ndarray:
+def _dense_window(op: ShiftOp, window: int) -> np.ndarray:
+    """Dense block of the first `window` columns of the operator, with
+    every row they reach: the stripes push column s down to row s + k,
+    and the finite part may reach further."""
     up = max((k for k, _ in op.stripes if k > 0), default=0)
-    rows = max(window + up, op.finite_extent, window)
-    return null_space(op.materialize(rows, window), sv_tol)
+    return op.materialize(max(window + up, op.finite_extent), window)
+
+
+def _kernel_window(op: ShiftOp, window: int, sv_tol: float) -> np.ndarray:
+    return null_space(_dense_window(op, window), sv_tol)
 
 
 def windowed_kernel(op: ShiftOp, sv_tol: float = DENSE_KERNEL_TOL) -> tuple[np.ndarray, int]:
     """Kernel basis of a shift-class operator on its stabilization window.
 
-    The window is the finite-part support plus the maximal shift power
-    plus one; two enlarged probe windows must report the same dimension,
-    otherwise the operator is not Fredholm in this class.
+    The window w0 is the finite-part support plus the maximal shift power
+    plus one.  One SVD with singular vectors gives the kernel basis at
+    w0; the probe windows w0 + 1 and w0 + 2 only count the singular values
+    above `sv_tol` (the same absolute rule as the kernel), and all three
+    kernel dimensions must agree, otherwise the operator is not Fredholm
+    in this class.
     """
     if not op.stripes:
         raise NotFredholm("no shift part: every window has a kernel beyond it")
     w0 = op.max_abs_shift + op.finite_extent + 1
-    dims = []
-    for w in (w0, w0 + 1, w0 + 2):
-        dims.append(_kernel_window(op, w, sv_tol).shape[1])
+    kernel = _kernel_window(op, w0, sv_tol)
+    dims = [kernel.shape[1]]
+    for w in (w0 + 1, w0 + 2):
+        a = _dense_window(op, w)
+        s = np.linalg.svd(a, compute_uv=False)
+        dims.append(a.shape[1] - int(np.sum(s > sv_tol)))
     if dims[0] != dims[1] or dims[1] != dims[2]:
         raise NotFredholm(f"kernel window does not stabilize: dims {dims}")
-    return _kernel_window(op, w0, sv_tol), w0
+    return kernel, w0
 
 
 def _restrict_action(u_corner: ShiftOp, kernel: np.ndarray, window: int,
                      tol: float, side: str) -> np.ndarray:
-    up = max((k for k, _ in u_corner.stripes if k > 0), default=0)
-    rows = max(window + up, u_corner.finite_extent, window)
-    uk = u_corner.materialize(rows, window) @ kernel
-    pad = np.zeros((rows * u_corner.d_out - kernel.shape[0], kernel.shape[1]))
+    u_win = _dense_window(u_corner, window)
+    uk = u_win @ kernel
+    pad = np.zeros((u_win.shape[0] - kernel.shape[0], kernel.shape[1]))
     k_pad = np.vstack([kernel, pad])
     m = dagger(k_pad) @ uk
     if opnorm(uk - k_pad @ m) > tol:
@@ -573,10 +584,7 @@ def pi_index(cycle: EquivariantCycle, pres: GroupPresentation | None = None,
             for g, v in cycle.v_images.items():
                 leak = color_corner(v, rows_c, cols_c)
                 if not is_exactly_zero(leak):
-                    rows = max(window + max((k for k, _ in leak.stripes if k > 0),
-                                            default=0),
-                               leak.finite_extent, window)
-                    if opnorm(leak.materialize(rows, window) @ kernel) > tol:
+                    if opnorm(_dense_window(leak, window) @ kernel) > tol:
                         raise KernelNotInvariant(
                             f"holonomy pushes the {side} kernel across the grading")
                 images[g] = _restrict_action(color_corner(v, cols_c, cols_c),
@@ -708,7 +716,17 @@ def dual_net_membership(m: FredholmModule, t: ShiftOp,
 
 
 def algebra_dimension(mats: list[np.ndarray], tol: float = 1e-9) -> int:
-    """Linear dimension of the unital *-algebra generated by the matrices."""
+    """Linear dimension of the unital *-algebra generated by the matrices.
+
+    Span closure over the seeds 1, M and M* for each matrix M: keep an
+    orthonormal basis of the flattened elements found so far, multiply
+    only the newest basis elements by the seeds, and add what is left of
+    the products after projecting out the basis (singular values above
+    `tol` relative to the largest product norm, at least 1).  The span is
+    closed once a round adds nothing.  The basis never exceeds d^2
+    elements for d x d matrices and each element is multiplied once, so
+    there are at most d^2 * (2 * len(mats) + 1) products in all.
+    """
     if not mats:
         raise ValueError("need at least one matrix")
     d = mats[0].shape[0]
@@ -716,20 +734,20 @@ def algebra_dimension(mats: list[np.ndarray], tol: float = 1e-9) -> int:
     for m in mats:
         seeds.append(np.asarray(m, dtype=complex))
         seeds.append(dagger(m))
-
-    def rank_of(vecs: list[np.ndarray]) -> int:
-        stack = np.stack([v.reshape(-1) for v in vecs])
-        s = np.linalg.svd(stack, compute_uv=False)
-        return int(np.sum(s > tol * max(1.0, s[0])))
-
-    basis = list(seeds)
-    r = rank_of(basis)
-    while True:
-        grown = basis + [a @ b for a in basis for b in seeds]
-        r2 = rank_of(grown)
-        if r2 == r:
-            return r
-        basis, r = grown, r2
+    seeds = np.stack(seeds)
+    basis = np.zeros((0, d * d), dtype=complex)
+    new = seeds.reshape(len(seeds), d * d)
+    while len(new):
+        # classical Gram-Schmidt against the basis, twice for stability
+        scale = max(1.0, float(np.max(np.linalg.norm(new, axis=1))))
+        for _ in range(2):
+            new = new - (new @ dagger(basis)) @ basis
+        _, s, vh = np.linalg.svd(new, full_matrices=False)
+        new = vh[:int(np.sum(s > tol * scale))]
+        basis = np.vstack([basis, new])
+        products = new.reshape(-1, 1, d, d) @ seeds
+        new = products.reshape(-1, d * d)
+    return len(basis)
 
 
 def _pinned_shift(w_index: int) -> ShiftOp:

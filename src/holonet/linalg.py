@@ -1,7 +1,9 @@
-"""Small dense linear algebra helpers shared across modules.
+"""Dense linear algebra helpers shared across modules.
 
-Everything here is desk scale (matrix dimensions well below 100), so
-plain numpy SVD/eigendecompositions are used throughout.
+Plain numpy SVD/eigendecompositions are used throughout.  Colour and
+fiber matrices are small, but the dense kernel windows of shift-class
+operators have a few hundred rows and columns once a finite part sits
+far out (about 400 at a sector's `w_index=128`).
 """
 
 from __future__ import annotations

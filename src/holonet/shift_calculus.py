@@ -133,12 +133,12 @@ class ShiftOp:
             cols = rows
         out = self._finite_dense(rows, cols)
         for (k, c), m in self.stripes.items():
-            for row in range(max(0, k), rows):
+            for row in range(max(0, k), min(rows, cols + k)):
                 col = row - k
-                if 0 <= col < cols:
-                    out[row * self.d_out:(row + 1) * self.d_out,
-                        col * self.d_in:(col + 1) * self.d_in] += _scale(
-                            cispi_frac(c * row), m)
+                # an unmodulated stripe adds m itself, as _scale(1.0, m) would
+                out[row * self.d_out:(row + 1) * self.d_out,
+                    col * self.d_in:(col + 1) * self.d_in] += (
+                        m if c == 0 else _scale(cispi_frac(c * row), m))
         return out
 
     def __repr__(self) -> str:

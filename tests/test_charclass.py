@@ -35,8 +35,11 @@ from holonet.fredholm import (
     VirtualRep,
     build_sector_module,
     build_shift_module,
+    equivariant_cycle,
     extend_localized,
     from_cycle,
+    localize,
+    pi_index,
 )
 from holonet.homotopy import GroupPresentation, Word
 from holonet.standard import chain_poset
@@ -246,6 +249,13 @@ def test_module_class_composition_randomized(basis, hexagon_pfp):
         m = shift_module_with_phases(
             hexagon_pfp, [p.float_value() for p in declared])
         assert ccs_of_module(m, declared) == ccs_of_rep(declared, pres)
+
+
+def test_module_class_from_a_given_index(basis, hexagon_pfp):
+    declared = [phase(basis, 0, a1=1), phase(basis, 0, a2=1)]
+    m = shift_module_with_phases(hexagon_pfp, [GOLDEN, LOG2])
+    idx = pi_index(equivariant_cycle(localize(m, m.rep.frame.base)))
+    assert ccs_of_module(m, declared, index=idx) == ccs_of_module(m, declared)
 
 
 def test_module_class_recovery_tolerance(basis, hexagon_pfp):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import holonet.charclass
+import holonet.cli
 from holonet.cli import main
 from holonet.errors import InputReferenceError, InputSyntaxError, SchemaError
 from holonet.iodoc import load_document, parse_document, print_document
@@ -291,3 +293,21 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["verdict"] == "Trivial"
     assert "elapsed_ms=" in proc.stderr
+
+
+@pytest.mark.parametrize("command, path", [("shift-demo", HEXAGON),
+                                           ("sector-demo", SECTOR)])
+def test_demos_compute_the_index_once(capsys, monkeypatch, command, path):
+    calls = []
+    real = holonet.cli.pi_index
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(holonet.cli, "pi_index", counted)
+    monkeypatch.setattr(holonet.charclass, "pi_index", counted)
+    code, report, _ = run_json(capsys, command, "--input", path)
+    assert code == 0
+    assert "ccs" in report["results"]
+    assert len(calls) == 1

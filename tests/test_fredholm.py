@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from holonet.errors import (
     UnknownElement,
 )
 from holonet.fredholm import (
+    _kernel_window,
     EquivariantCycle,
     ExtensionObstruction,
     FredholmModule,
@@ -515,6 +518,31 @@ def test_windowed_kernel_of_identity_plus_finite():
         assert kernel.shape[1] == expected
 
 
+def test_windowed_kernel_probes_agree_with_kernel_window():
+    for seed in range(10):
+        rng = rng_for(600 + seed)
+        blocks = {}
+        for _ in range(int(rng.integers(1, 4))):
+            r, s = int(rng.integers(4)), int(rng.integers(4))
+            blocks[(r, s)] = rng.standard_normal((2, 2)) \
+                + 1j * rng.standard_normal((2, 2))
+        op = stripe_op(-1, np.eye(2), Fraction(1, 3)) + finite_op(blocks, 2)
+        kernel, w0 = windowed_kernel(op)
+        assert kernel.shape[1] > 0
+        for extra in (1, 2):
+            assert _kernel_window(op, w0 + extra, 1e-8).shape[1] == kernel.shape[1]
+        assert np.array_equal(kernel, _kernel_window(op, w0, 1e-8))
+
+
+def test_windowed_kernel_rejects_growing_kernels():
+    # a projection stripe has a kernel on every site, so each probe window
+    # finds more of it
+    for c in (Fraction(0), Fraction(1, 3)):
+        op = stripe_op(0, np.diag([1.0, 0.0]), c) + finite_op({(1, 0): np.eye(2)}, 2)
+        with pytest.raises(NotFredholm, match="does not stabilize"):
+            windowed_kernel(op)
+
+
 # ------------------------------------------------------- shift construction
 
 def test_build_shift_module_checks_relators():
@@ -640,6 +668,61 @@ def test_sector_rejects_bad_shapes(hexagon_pfp):
         build_sector_module(poset, pres, frame, (1, 1),
                             {1: np.eye(2, dtype=complex)},
                             pi_samples={"one": (identity_op(1),)})
+
+
+def closure_dimension(mats):
+    """Dimension of the unital *-algebra by breadth-first search over
+    words in 1, M, M*, keeping a word only when it raises the rank."""
+    d = mats[0].shape[0]
+    seeds = [np.eye(d, dtype=complex)] + list(mats) + [dagger(m) for m in mats]
+    words, frontier = [], [np.eye(d, dtype=complex)]
+    while frontier:
+        fresh = []
+        for w in frontier:
+            for s in seeds:
+                x = w @ s
+                stack = np.array([v.reshape(-1) for v in words + [x]])
+                if np.linalg.matrix_rank(stack) > len(words):
+                    words.append(x)
+                    fresh.append(x)
+        frontier = fresh
+    return len(words)
+
+
+def algebra_families(rng):
+    for d in range(1, 6):
+        yield [random_unitary(rng, d)]
+        yield [random_unitary(rng, d), random_unitary(rng, d)]
+        q = random_unitary(rng, d)
+        yield [q @ np.diag(np.exp(2j * np.pi * rng.integers(0, 3, d) / 3))
+               @ dagger(q) for _ in range(2)]
+        yield [np.diag(np.ones(d - 1), 1).astype(complex)]
+        yield [np.roll(np.eye(d), 1, axis=0).astype(complex)]
+        for a in range(1, d):
+            u = np.zeros((d, d), dtype=complex)
+            u[:a, :a] = random_unitary(rng, a)
+            u[a:, a:] = random_unitary(rng, d - a)
+            yield [q @ u @ dagger(q)]
+        if d % 2 == 0:
+            yield [np.kron(np.eye(2), random_unitary(rng, d // 2))]
+
+
+def test_algebra_dimension_matches_brute_force_closure():
+    rng = rng_for(700)
+    count = 0
+    for mats in algebra_families(rng):
+        assert algebra_dimension(mats) == closure_dimension(mats)
+        count += 1
+    assert count >= 30
+
+
+def test_algebra_dimension_generic_and_cyclic():
+    rng = rng_for(701)
+    assert algebra_dimension([random_unitary(rng, 5), random_unitary(rng, 5)]) == 25
+    cyc = np.roll(np.eye(16), 1, axis=0).astype(complex)
+    assert algebra_dimension([cyc]) == 16
+    q = random_unitary(rng, 16)
+    assert algebra_dimension([q @ cyc @ dagger(q)]) == 16
 
 
 def test_algebra_dimension_examples():

@@ -6,6 +6,7 @@ import pytest
 from holonet.errors import FiberMismatch
 from holonet.shift_calculus import (
     ShiftOp,
+    _scale,
     cispi_frac,
     color_corner,
     constant_diag_op,
@@ -278,3 +279,39 @@ def test_constant_diag_and_projection():
     p = site_projection_op(2, 1)
     assert op_equal(p @ p, p)
     assert op_equal(p.H, p)
+
+
+def materialize_per_row(op, rows, cols):
+    """Window by the per-row rule: every stripe block, unmodulated ones
+    included, is scaled by cispi_frac(c * row), after the finite part."""
+    out = np.zeros((rows * op.d_out, cols * op.d_in), dtype=complex)
+    for (r, s), m in op.finite.items():
+        if r < rows and s < cols:
+            out[r * op.d_out:(r + 1) * op.d_out,
+                s * op.d_in:(s + 1) * op.d_in] += m
+    for (k, c), m in op.stripes.items():
+        for row in range(max(0, k), rows):
+            col = row - k
+            if 0 <= col < cols:
+                out[row * op.d_out:(row + 1) * op.d_out,
+                    col * op.d_in:(col + 1) * op.d_in] += _scale(
+                        cispi_frac(c * row), m)
+    return out
+
+
+def test_materialize_bitwise_matches_per_row_phases():
+    rng = np.random.default_rng(23)
+
+    def color():
+        return rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+
+    stripes = {(0, F(0)): color(), (-2, F(0)): color(), (1, F(0)): color(),
+               (0, F(1, 3)): color(), (1, F(1, 4)): color(),
+               (-1, F(2, 5)): color(), (3, F(5, 7)): color()}
+    finite = {(0, 0): color(), (2, 1): color(), (4, 6): color()}
+    op = ShiftOp(2, 3, stripes, finite)
+    for rows, cols in [(0, 0), (1, 1), (5, 5), (9, 4), (3, 8), (12, 12)]:
+        got = op.materialize(rows, cols)
+        want = materialize_per_row(op, rows, cols)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
