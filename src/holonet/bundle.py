@@ -26,7 +26,13 @@ from .errors import (
     RelatorNotSatisfied,
     UnknownElement,
 )
-from .homotopy import GroupPresentation, PathFrame, Word, edge_loop_word
+from .homotopy import (
+    GroupPresentation,
+    PathFrame,
+    Word,
+    edge_loop_word,
+    frame_transports,
+)
 from .linalg import dagger, is_unitary, joint_fixed_space, opnorm
 from .poset import (
     Path,
@@ -167,6 +173,20 @@ def make_cstar_bundle(poset: Poset, sizes: tuple[int, ...],
     return b
 
 
+def transport_rule(b: HilbertNetBundle | CStarNetBundle):
+    """The evaluation along the empty path, and the step (T, s) -> T
+    followed by the segment s (up into its support, then down to the
+    other face)."""
+    if isinstance(b, HilbertNetBundle):
+        return (np.eye(b.dim, dtype=complex),
+                lambda t, s: dagger(b.u(s.face0, s.support))
+                @ b.u(s.face1, s.support) @ t)
+    return (identity_iso(b.sizes),
+            lambda t, s: compose_iso(
+                compose_iso(inverse_iso(b.iso(s.face0, s.support)),
+                            b.iso(s.face1, s.support)), t))
+
+
 def evaluate_path(b: HilbertNetBundle | CStarNetBundle, p: Path):
     """Evaluate the bundle along a path.
 
@@ -176,17 +196,9 @@ def evaluate_path(b: HilbertNetBundle | CStarNetBundle, p: Path):
     """
     for s in p.simplices:
         check_simplex(b.poset, s)
-    if isinstance(b, HilbertNetBundle):
-        out = np.eye(b.dim, dtype=complex)
-        for s in p.simplices:
-            seg = dagger(b.u(s.face0, s.support)) @ b.u(s.face1, s.support)
-            out = seg @ out
-        return out
-    out = identity_iso(b.sizes)
+    out, step = transport_rule(b)
     for s in p.simplices:
-        seg = compose_iso(inverse_iso(b.iso(s.face0, s.support)),
-                          b.iso(s.face1, s.support))
-        out = compose_iso(seg, out)
+        out = step(out, s)
     return out
 
 
@@ -292,21 +304,22 @@ def compute_sections(b: HilbertNetBundle | CStarNetBundle,
     if isinstance(b, HilbertNetBundle):
         mats = list(hol.values()) or [np.eye(b.dim, dtype=complex)]
         basis = joint_fixed_space(mats, tol)
+        t = frame_transports(b.poset, frame, *transport_rule(b))
         out = []
         for i in range(basis.shape[1]):
             x = basis[:, i]
-            values = {o: evaluate_path(b, frame.to(o)) @ x for o in b.poset.elements}
+            values = {o: t[o] @ x for o in b.poset.elements}
             out.append(Section(values))
         return out
     # C* case: fixed points of the iso action on the vectorized block space
     n = sum(k * k for k in b.sizes)
     mats = [iso_matrix(iso, b.sizes) for iso in hol.values()] or [np.eye(n, dtype=complex)]
     basis = joint_fixed_space(mats, tol)
+    t = frame_transports(b.poset, frame, *transport_rule(b))
     out = []
     for i in range(basis.shape[1]):
         x = unvectorize(basis[:, i], b.sizes)
-        values = {o: apply_iso(evaluate_path(b, frame.to(o)), x)
-                  for o in b.poset.elements}
+        values = {o: apply_iso(t[o], x) for o in b.poset.elements}
         out.append(Section(values))
     return out
 
@@ -330,10 +343,9 @@ def roundtrip_iso(b: HilbertNetBundle, pres: GroupPresentation,
     """
     images = holonomy_rep(b, pres, frame)
     rebuilt = bundle_from_rep(b.poset, pres, frame, images, b.dim)
-    inter = {}
-    for o in b.poset.elements:
-        inter[o] = evaluate_path(b, frame.to(o)) @ dagger(
-            evaluate_path(rebuilt, frame.to(o)))
+    t = frame_transports(b.poset, frame, *transport_rule(b))
+    t_rebuilt = frame_transports(b.poset, frame, *transport_rule(rebuilt))
+    inter = {o: t[o] @ dagger(t_rebuilt[o]) for o in b.poset.elements}
     worst = 0.0
     for o, o1 in b.poset.strict_pairs():
         worst = max(worst, opnorm(inter[o1] @ rebuilt.u(o, o1) - b.u(o, o1) @ inter[o]))

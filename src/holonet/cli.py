@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -29,7 +30,6 @@ from .charclass import ccs_of_module, ccs_of_rep
 from .errors import (
     HolonetError,
     InputReferenceError,
-    InputSyntaxError,
     SchemaError,
     UnknownCommand,
 )
@@ -74,9 +74,14 @@ def _tol(opt) -> float:
 
 
 def _report_summary(report) -> dict:
-    return {"checks": len(report.entries),
-            "violations": [str(e) for e in report.violations],
-            "max_defect": float(report.max_defect)}
+    out = {"checks": len(report.entries),
+           "violations": [str(e) for e in report.violations],
+           "max_defect": float(report.max_defect)}
+    if not math.isfinite(out["max_defect"]):
+        # a missing entry has an infinite defect, which JSON cannot carry
+        out["max_defect"] = None
+        out["max_defect_nonfinite"] = True
+    return out
 
 
 def _need(doc: InputDocument, attr: str, section: str, command: str):
@@ -390,7 +395,8 @@ def _text_lines(value, prefix: str, out: list[str]) -> None:
 
 def emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2,
+                                    allow_nan=False) + "\n")
         return
     lines: list[str] = []
     _text_lines(report, "", lines)
@@ -435,7 +441,7 @@ def main(argv=None) -> int:
             f"{', '.join(sorted(COMMANDS))}"), 2)
     try:
         doc = load_document(opt.input)
-    except (InputSyntaxError, SchemaError, InputReferenceError) as exc:
+    except HolonetError as exc:
         return fail(exc, 2)
     try:
         results, passed = COMMANDS[opt.command](doc, opt)

@@ -29,7 +29,12 @@ from .errors import (
     RelatorNotSatisfied,
     UnknownElement,
 )
-from .homotopy import GroupPresentation, PathFrame, edge_loop_word
+from .homotopy import (
+    GroupPresentation,
+    PathFrame,
+    edge_loop_word,
+    frame_transports,
+)
 from .linalg import dagger, null_space, opnorm
 from .operators import (
     adj,
@@ -91,13 +96,17 @@ class SampledRep:
             raise UnknownElement(f"no edge operator for {o!r} <= {o1!r}")
         return self.u_incl[(o, o1)]
 
+    def step(self, t, s):
+        """The transport t followed by the segment s (up into its
+        support, then down to the other face)."""
+        return adj(self.u(s.face0, s.support)) @ self.u(s.face1, s.support) @ t
+
 
 def evaluate_rep_path(rep: SampledRep, p: Path):
     """Evaluate the edge unitaries along a path, like a bundle."""
     out = rep.ident
     for s in p.simplices:
-        seg = adj(rep.u(s.face0, s.support)) @ rep.u(s.face1, s.support)
-        out = seg @ out
+        out = rep.step(out, s)
     return out
 
 
@@ -329,12 +338,12 @@ def extend_localized(loc: LocalizedModule,
         d = zero_defect(w @ loc.f @ adj(w) - loc.f)
         if d > tol:
             return ExtensionObstruction(g, d)
-    back = evaluate_rep_path(rep, rep.frame.to(loc.at))
+    t = frame_transports(rep.poset, rep.frame, rep.ident, rep.step)
+    back = t[loc.at]
     f_base = loc.f if loc.at == rep.frame.base else adj(back) @ loc.f @ back
     F = {}
     for o in rep.poset.elements:
-        w = evaluate_rep_path(rep, rep.frame.to(o))
-        F[o] = loc.f if o == loc.at else w @ f_base @ adj(w)
+        F[o] = loc.f if o == loc.at else t[o] @ f_base @ adj(t[o])
     return FredholmModule(rep, F, loc.parity)
 
 

@@ -11,17 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import NotALoopAtBase, NotComparable, NotConnected, UnknownElement
 from .poset import (
     Path,
     Poset,
     check_connected,
+    check_simplex,
     comparability_adjacency,
-    compose_paths,
     edge_simplex,
-    make_path,
-    opposite_path,
 )
 
 Edge = tuple[str, str]  # strict comparability pair, stored as (lower, upper)
@@ -80,7 +79,11 @@ def _free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PathFrame:
-    """A base element with a tree path p_o : base -> o for every o."""
+    """A base element with a tree path p_o : base -> o for every o.
+
+    Each p_o is the path to o's tree parent followed by one hop, and
+    `paths` lists every parent before its children.
+    """
 
     base: str
     paths: dict[str, Path]
@@ -104,7 +107,7 @@ class GroupPresentation:
     relators: tuple[Word, ...]
     tree_edges: frozenset[Edge] = frozenset()
 
-    @property
+    @cached_property
     def gen_index(self) -> dict[Edge, int]:
         return {e: i + 1 for i, e in enumerate(self.generators)}
 
@@ -143,24 +146,38 @@ def _spanning_tree(poset: Poset, base: str) -> tuple[frozenset[Edge], dict[str, 
 
 
 def build_path_frame(poset: Poset, base: str) -> PathFrame:
-    """Tree paths base -> o along the spanning tree, as 1-simplex chains."""
+    """Tree paths base -> o along the spanning tree, as 1-simplex chains.
+
+    Each path extends its parent's path by the hop parent -> o, which
+    starts where that path ends, so no path is validated twice.
+    """
     poset.require(base)
     if not check_connected(poset):
         raise NotConnected("comparability graph is not connected")
     _, parent = _spanning_tree(poset, base)
-    paths: dict[str, Path] = {base: make_path(poset, [], at=base)}
-
-    def path_to(o: str) -> Path:
-        if o in paths:
-            return paths[o]
-        prefix = path_to(parent[o])
-        hop = make_path(poset, [edge_simplex(poset, parent[o], o)])
-        paths[o] = compose_paths(poset, hop, prefix)
-        return paths[o]
-
-    for o in poset.elements:
-        path_to(o)
+    paths: dict[str, Path] = {base: Path((), base, base)}
+    for o, p in parent.items():  # breadth-first: p already has its path
+        hop = edge_simplex(poset, p, o)
+        paths[o] = Path(paths[p].simplices + (hop,), base, o)
     return PathFrame(base, paths)
+
+
+def frame_transports(poset: Poset, frame: PathFrame, start, step) -> dict[str, object]:
+    """Transport along every frame path, one step per element.
+
+    frame.to(o) is the path to o's parent followed by a hop s out of the
+    parent, so T[o] = step(T[parent], s), from T[base] = start.  Folding
+    `step` over the segments of frame.to(o) from `start` takes the same
+    steps in the same order, so T[o] is that evaluation bit for bit.
+    Each hop is checked against the poset once.
+    """
+    out = {frame.base: start}
+    for o, p in frame.paths.items():
+        if p.simplices:
+            s = p.simplices[-1]
+            check_simplex(poset, s)
+            out[o] = step(out[s.face1], s)
+    return out
 
 
 def fundamental_presentation(poset: Poset, base: str) -> GroupPresentation:
@@ -218,14 +235,23 @@ def path_to_word(pres: GroupPresentation, poset: Poset, p: Path) -> Word:
 
 def edge_loop_word(pres: GroupPresentation, poset: Poset, frame: PathFrame,
                    o: str, o1: str) -> Word:
-    """Word of the loop (frame to o1)^-1 * hop(o -> o1) * (frame to o)."""
+    """Word of the loop (frame to o1)^-1 * hop(o -> o1) * (frame to o).
+
+    The frame paths run along spanning-tree edges only, and tree edges
+    contribute no letter, so the word is that of the hop alone: empty
+    for a tree edge, the generator of (o, o1) or its inverse otherwise
+    (relative to a maximal tree every non-tree edge is its own
+    generator; Spanier, Algebraic Topology, 3.6).  This holds when the
+    frame and the presentation share their base, hence their tree.
+    """
     poset.require(o, o1)
     if o == o1:
         return Word(())
-    hop = make_path(poset, [edge_simplex(poset, o, o1)])
-    out = compose_paths(poset, hop, frame.to(o))
-    loop = compose_paths(poset, opposite_path(frame.to(o1)), out)
-    return path_to_word(pres, poset, loop)
+    letters = _hop_letters(pres, poset, o, o1)
+    if frame.base != pres.base:
+        raise NotALoopAtBase(
+            f"frame at {frame.base!r} gives no loops at {pres.base!r}")
+    return Word(letters)
 
 
 # abelianization helpers

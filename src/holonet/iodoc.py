@@ -10,6 +10,7 @@ so printing a parsed document and reparsing gives an equal document.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -160,9 +161,23 @@ class InputDocument:
         return isinstance(other, InputDocument) and self.raw == other.raw
 
 
+def _reject_constant(name: str):
+    raise InputSyntaxError(f"non-finite number {name} is not allowed")
+
+
+def _finite(convert):
+    """JSON number hook rejecting numbers beyond the float range."""
+    def parse(text: str):
+        if not math.isfinite(float(text)):
+            raise InputSyntaxError(f"number out of the float range: {text[:32]}")
+        return convert(text)
+    return parse
+
+
 def parse_document(text: str) -> InputDocument:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant,
+                          parse_float=_finite(float), parse_int=_finite(int))
     except json.JSONDecodeError as exc:
         raise InputSyntaxError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None

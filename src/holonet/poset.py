@@ -9,6 +9,7 @@ composed so that the rightmost factor is traversed first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -44,9 +45,13 @@ class Poset:
         """Elements x with x <= s, sorted by id."""
         return sorted(x for x in self.elements if self.leq(x, s))
 
+    @cached_property
+    def _members(self) -> frozenset[str]:
+        return frozenset(self.elements)
+
     def require(self, *xs: str) -> None:
         for x in xs:
-            if x not in self.elements:
+            if x not in self._members:
                 raise UnknownElement(f"element {x!r} is not in the poset")
 
     def strict_pairs(self) -> list[tuple[str, str]]:

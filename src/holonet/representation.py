@@ -125,15 +125,6 @@ def iso_from_hom(h: BlockHom) -> StarIso:
     return StarIso(h.dst_sizes, tuple(src), h.units)
 
 
-def hom_defect(a: BlockHom, b: BlockHom) -> float:
-    """Distance of the maps on the matrix-unit basis."""
-    worst = 0.0
-    for t in basis_elements(a.src_sizes):
-        ya, yb = apply_hom(a, t), apply_hom(b, t)
-        worst = max(worst, max(opnorm(p - q) for p, q in zip(ya, yb)))
-    return worst
-
-
 @dataclass(frozen=True)
 class NetOfAlgebras:
     """Fiber block sizes per element, inclusion hom per strict pair."""

@@ -16,6 +16,7 @@ from holonet.bundle import (
     make_hilbert_bundle,
     roundtrip_iso,
     section_defect,
+    transport_rule,
     validate_bundle,
 )
 from holonet.cstar import (
@@ -32,7 +33,7 @@ from holonet.cstar import (
     iso_matrix,
 )
 from holonet.errors import InvalidBundle, RelatorNotSatisfied, UnknownElement
-from holonet.homotopy import Word
+from holonet.homotopy import Word, frame_transports
 from holonet.linalg import dagger, random_unitary
 from holonet.randomgen import (
     homotopic_variant,
@@ -193,6 +194,33 @@ def test_path_evaluation_is_homotopy_invariant():
         if loop.simplices != variant.simplices:
             hits += 1
     assert hits > 20
+
+
+def same_bits(a, b) -> bool:
+    if isinstance(a, StarIso):
+        return (a.sizes == b.sizes and a.src == b.src
+                and all(same_bits(x, y) for x, y in zip(a.units, b.units)))
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_frame_transports_match_path_evaluation_bitwise():
+    # generic bundles: a random unitary (or *-isomorphism) on every edge,
+    # so no frame transport is the identity
+    for seed in range(6):
+        rng = np.random.default_rng(seed + 90)
+        poset, pres, frame = random_poset_with_frame(rng, 14)
+        hilbert = HilbertNetBundle(poset, 3, {e: random_unitary(rng, 3)
+                                              for e in poset.strict_pairs()})
+        sizes = (1, 1, 2)
+        cstar = CStarNetBundle(poset, sizes, {
+            e: StarIso(sizes, tuple(rng.permutation(2)) + (2,),
+                       tuple(random_unitary(rng, k) for k in sizes))
+            for e in poset.strict_pairs()})
+        for b in (hilbert, cstar):
+            t = frame_transports(poset, frame, *transport_rule(b))
+            assert set(t) == set(poset.elements)
+            for o in poset.elements:
+                assert same_bits(t[o], evaluate_path(b, frame.to(o)))
 
 
 # ------------------------------------------------- holonomy and roundtrip

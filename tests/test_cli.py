@@ -11,7 +11,13 @@ import pytest
 import holonet.charclass
 import holonet.cli
 from holonet.cli import main
-from holonet.errors import InputReferenceError, InputSyntaxError, SchemaError
+from holonet.errors import (
+    CycleInOrder,
+    InputReferenceError,
+    InputSyntaxError,
+    NotConnected,
+    SchemaError,
+)
 from holonet.iodoc import load_document, parse_document, print_document
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,9 +32,14 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def run_json(capsys, *argv):
+    """Run the CLI and parse stdout strictly: NaN and Infinity fail."""
     code, out, err = run(capsys, *argv)
-    return code, json.loads(out), err
+    return code, json.loads(out, parse_constant=_no_constant), err
 
 
 # ---------------------------------------------------------------- parsing
@@ -86,6 +97,31 @@ def test_generator_keys_are_range_checked():
     })
     with pytest.raises(InputReferenceError):
         parse_document(text)
+
+
+CYCLIC = {"poset": {"elements": ["a", "b"], "pairs": [["a", "b"], ["b", "a"]]}}
+DISCONNECTED = {"poset": {"elements": ["a", "b", "c"], "pairs": [["a", "b"]]}}
+
+
+def test_poset_errors_raise_at_parse_time():
+    with pytest.raises(CycleInOrder):
+        parse_document(json.dumps(CYCLIC))
+    with pytest.raises(NotConnected):
+        parse_document(json.dumps(DISCONNECTED))
+
+
+def _hexagon_with_first_entry(value: str) -> str:
+    data = json.loads(Path(HEXAGON).read_text())
+    data["bundle"]["edges"]["V12<U1"][0][0][0] = 12345.5
+    return json.dumps(data).replace("12345.5", value)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999",
+                                   "1" + "0" * 400],
+                         ids=["NaN", "Infinity", "-Infinity", "1e999", "10^400"])
+def test_non_finite_numbers_are_rejected(value):
+    with pytest.raises(InputSyntaxError):
+        parse_document(_hexagon_with_first_entry(value))
 
 
 def test_golden_files_parse():
@@ -225,6 +261,47 @@ def test_unreadable_and_malformed_inputs_exit_2(capsys, tmp_path):
     code, report, _ = run_json(capsys, "pi1", "--input", str(bad))
     assert code == 2
     assert report["error"]["type"] == "InputSyntaxError"
+
+
+@pytest.mark.parametrize("doc, error", [(CYCLIC, "CycleInOrder"),
+                                        (DISCONNECTED, "NotConnected")])
+def test_bad_poset_exits_2(capsys, tmp_path, doc, error):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run_json(capsys, "pi1", "--input", str(path))
+    assert code == 2
+    assert report["error"]["type"] == error
+    assert report["pass"] is False
+
+
+@pytest.mark.parametrize("command", ["holonomy", "sections", "roundtrip"])
+def test_nan_in_a_bundle_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "nan.json"
+    path.write_text(_hexagon_with_first_entry("NaN"))
+    code, report, _ = run_json(capsys, command, "--input", str(path))
+    assert code == 2
+    assert report["error"]["type"] == "InputSyntaxError"
+
+
+@pytest.mark.parametrize("command", ["holonomy", "sections"])
+def test_missing_edge_reports_null_max_defect(capsys, tmp_path, command):
+    data = json.loads(Path(HEXAGON).read_text())
+    del data["bundle"]["edges"]["V12<U1"]
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(data))
+    code, report, _ = run_json(capsys, command, "--input", str(path))
+    assert code == 1
+    summary = report["results"]["bundle"]
+    assert summary["max_defect"] is None
+    assert summary["max_defect_nonfinite"] is True
+    assert any("inclusion-coverage" in v for v in summary["violations"])
+
+
+def test_finite_max_defect_has_no_flag(capsys):
+    code, report, _ = run_json(capsys, "holonomy", "--input", HEXAGON)
+    assert code == 0
+    assert isinstance(report["results"]["bundle"]["max_defect"], float)
+    assert "max_defect_nonfinite" not in report["results"]["bundle"]
 
 
 def test_missing_section_exits_2(capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,7 @@ from holonet.fredholm import (
     virtual_reps_match,
     windowed_kernel,
 )
+from holonet.homotopy import frame_transports
 from holonet.linalg import dagger, eigenphase_multiset_match, opnorm, random_unitary
 from holonet.operators import adj, commutator
 from holonet.poset import edge_simplex, make_path, opposite_path
@@ -59,6 +61,7 @@ from holonet.shift_calculus import (
     shift_op,
     stripe_op,
 )
+from holonet.randomgen import random_poset_with_frame, random_representation
 from holonet.standard import chain_poset, hexagon_poset, with_top
 
 
@@ -100,6 +103,44 @@ def test_holonomy_images_recover_inputs(hexagon_pfp):
     rep = flat_rep(poset, pres, frame, u, np.eye(3, dtype=complex), {})
     got = holonomy_images(rep)
     assert np.array_equal(got[1], u[1])
+
+
+def same_bits(a, b) -> bool:
+    def bits(x):
+        return {k: m.tobytes() for k, m in x.items()}
+    return ((a.d_out, a.d_in) == (b.d_out, b.d_in)
+            and bits(a.stripes) == bits(b.stripes)
+            and bits(a.finite) == bits(b.finite))
+
+
+def test_frame_transports_of_a_shift_module_match_path_evaluation():
+    # gauge the flat shift module by a color unitary per element, so that
+    # tree edges do not act as the identity
+    checked = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed + 300)
+        poset, pres, frame = random_poset_with_frame(rng, 10)
+        images = random_representation(pres, 2, rng)
+        if not images:
+            continue
+        m = build_shift_module(poset, pres, frame, images)
+        gauge = {o: stripe_op(0, random_unitary(rng, 4)) for o in poset.elements}
+        rep = replace(m.rep, u_incl={e: gauge[e[1]] @ u @ gauge[e[0]].H
+                                     for e, u in m.rep.u_incl.items()})
+        t = frame_transports(poset, frame, rep.ident, rep.step)
+        for o in poset.elements:
+            assert same_bits(t[o], evaluate_rep_path(rep, frame.to(o)))
+        # extend_localized spreads F along the same transports
+        at = max(poset.elements)
+        f = gauge[at] @ m.F[at] @ gauge[at].H
+        ext = extend_localized(LocalizedModule(rep, at, f, "even"))
+        back = evaluate_rep_path(rep, frame.to(at))
+        f_base = adj(back) @ f @ back
+        for o in poset.elements:
+            w = evaluate_rep_path(rep, frame.to(o))
+            assert same_bits(ext.F[o], f if o == at else w @ f_base @ adj(w))
+        checked += 1
+    assert checked > 10
 
 
 # -------------------------------------------------------------- validation

@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holonet.bundle import evaluate_word
-from holonet.errors import NotALoopAtBase, NotConnected
+from holonet.bundle import edge_loop_path, evaluate_word
+from holonet.errors import (
+    NotALoopAtBase,
+    NotComparable,
+    NotConnected,
+    UnknownElement,
+)
 from holonet.homotopy import (
     GroupPresentation,
     Word,
@@ -192,6 +197,51 @@ def test_edge_loop_word_of_generator_edge(hexagon_pfp):
     assert edge_loop_word(pres, poset, frame, "U1", "U1").is_empty
     for e in pres.tree_edges:
         assert edge_loop_word(pres, poset, frame, e[0], e[1]).is_empty
+
+
+def _posets_with_frames():
+    for seed in range(50):
+        yield random_poset_with_frame(np.random.default_rng(seed + 700), 12)
+    for n in (2, 3, 8):
+        yield pfp(circle_poset(n))
+
+
+def test_edge_loop_word_is_the_word_of_the_edge_loop():
+    for poset, pres, frame in _posets_with_frames():
+        for o, o1 in poset.strict_pairs():
+            for a, b in ((o, o1), (o1, o)):
+                w = edge_loop_word(pres, poset, frame, a, b)
+                ref = path_to_word(pres, poset, edge_loop_path(poset, frame, a, b))
+                assert w == ref and len(w) <= 1
+
+
+def test_frame_paths_extend_their_parent_path():
+    # each frame path is the validated composite of its parent's path and
+    # one hop, as a path built by compose_paths would be
+    for poset, pres, frame in _posets_with_frames():
+        assert frame.to(frame.base) == make_path(poset, [], at=frame.base)
+        seen = {frame.base}
+        for o, p in frame.paths.items():
+            if o == frame.base:
+                continue
+            hop = p.simplices[-1]
+            assert hop.face1 in seen  # parents come first
+            seen.add(o)
+            prefix = frame.to(hop.face1)
+            assert p == compose_paths(
+                poset, make_path(poset, [edge_simplex(poset, hop.face1, o)]), prefix)
+        assert seen == set(poset.elements)
+
+
+def test_edge_loop_word_rejects_bad_input(hexagon_pfp):
+    poset, pres, frame = hexagon_pfp
+    with pytest.raises(UnknownElement):
+        edge_loop_word(pres, poset, frame, "U1", "nowhere")
+    with pytest.raises(NotComparable):
+        edge_loop_word(pres, poset, frame, "U1", "U2")
+    other = build_path_frame(poset, "V23")
+    with pytest.raises(NotALoopAtBase):
+        edge_loop_word(pres, poset, other, "V12", "U1")
 
 
 def test_simplify_commutator_presentation_nontrivial():
