@@ -452,7 +452,11 @@ def main(argv=None) -> int:
     report = dict(base)
     report["results"] = results
     report["pass"] = bool(passed)
-    emit(report, opt.format)
+    try:
+        emit(report, opt.format)
+    except ValueError as exc:
+        # a result overflowed to inf or nan, which JSON cannot carry
+        return fail(exc, 1)
     return finish(0 if passed else 1)
 
 

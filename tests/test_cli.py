@@ -304,6 +304,18 @@ def test_finite_max_defect_has_no_flag(capsys):
     assert "max_defect_nonfinite" not in report["results"]["bundle"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_result_exits_1_with_an_error_object(capsys, tmp_path):
+    data = json.loads(Path(HEXAGON).read_text())
+    data["representation"]["images"] = {"1": [[[1e200, 0.0]]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    code, report, _ = run_json(capsys, "rep-check", "--input", str(path))
+    assert code == 1
+    assert report["pass"] is False
+    assert report["error"]["type"] == "ValueError"
+
+
 def test_missing_section_exits_2(capsys):
     code, report, _ = run_json(capsys, "sector-demo", "--input", CHAIN)
     assert code == 2
