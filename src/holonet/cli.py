@@ -2,8 +2,9 @@
 
 Reports are deterministic for a fixed input file and seed; wall-clock
 timing goes to stderr so stdout stays byte-identical across runs.
-Exit codes: 0 all verdicts pass, 1 a verdict failed or a computation
-rejected the data, 2 the input could not be used at all.
+Exit codes: 0 all verdicts pass, 1 a verdict failed, a computation
+rejected the data or the program failed (an "internal" error object),
+2 the input could not be used at all.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -428,9 +430,11 @@ def main(argv=None) -> int:
     base = {"command": opt.command, "input": opt.input, "seed": opt.seed,
             "tolerance": _tol(opt)}
 
-    def fail(exc: Exception, code: int) -> int:
+    def fail(exc: Exception, code: int, internal: bool = False) -> int:
         report = dict(base)
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        name = type(exc).__name__
+        report["error"] = ({"type": "internal", "message": f"{name}: {exc}"}
+                           if internal else {"type": name, "message": str(exc)})
         report["pass"] = False
         emit(report, opt.format)
         return finish(code)
@@ -449,6 +453,11 @@ def main(argv=None) -> int:
         return fail(exc, 2)
     except HolonetError as exc:
         return fail(exc, 1)
+    except Exception as exc:
+        # a fault of the program, not of the input: keep the contract of
+        # one JSON object on stdout, put the traceback on stderr
+        traceback.print_exc(file=sys.stderr)
+        return fail(exc, 1, internal=True)
     report = dict(base)
     report["results"] = results
     report["pass"] = bool(passed)

@@ -38,15 +38,24 @@ from .homotopy import (
 from .linalg import dagger, null_space, opnorm
 from .operators import (
     adj,
+    anticommutator_defect,
+    coherence_defect,
     commutator,
+    commutator_compact_defect,
+    commutator_defect,
     compact_defect,
     evaluate_word_ops,
     identity_like,
+    intertwining_defect,
+    involution_defect,
     is_exactly_zero,
+    selfadjoint_defect,
+    square_compact_defect,
+    unitarity_defect,
     zero_defect,
 )
 from .poset import Path, Poset, opposite_path
-from .reports import ValidationReport
+from .reports import ValidationReport, relation_memo
 from .shift_calculus import (
     ShiftOp,
     color_corner,
@@ -171,15 +180,15 @@ class LocalizedModule:
     origin: tuple[Path, "LocalizedModule"] | None = None
 
 
-def _check_grading_at(rep_out: ValidationReport, g, f, samples: dict,
+def _check_grading_at(rep_out: ValidationReport, defect, g, f, samples: dict,
                       where: str, tol: float) -> None:
-    rep_out.add("grading-selfadjoint", where, zero_defect(g - adj(g)), tol)
-    rep_out.add("grading-involution", where,
-                zero_defect(g @ g - identity_like(g)), tol)
-    rep_out.add("grading-anticommutes", where, zero_defect(g @ f + f @ g), tol)
+    rep_out.add("grading-selfadjoint", where, defect(selfadjoint_defect, g), tol)
+    rep_out.add("grading-involution", where, defect(involution_defect, g), tol)
+    rep_out.add("grading-anticommutes", where,
+                defect(anticommutator_defect, g, f), tol)
     for label, t in sorted(samples.items()):
         rep_out.add("grading-commutes-with-samples", f"{where}:{label}",
-                    zero_defect(commutator(g, t)), tol)
+                    defect(commutator_defect, g, t), tol)
 
 
 def validate_module(m: FredholmModule, tol: float = CHECK_TOL,
@@ -189,28 +198,33 @@ def validate_module(m: FredholmModule, tol: float = CHECK_TOL,
     Equalities (self-adjointness, transport, grading) are measured in
     norm against `tol`; compactness conditions (F squared minus one,
     commutators with observables) against `compact_tol`.
+
+    A relation whose operands are the very same objects at several
+    locations (one F, grading and set of observables shared by every
+    fiber, the one identity on every tree edge) is evaluated once and
+    reported at each of those locations.
     """
     out = ValidationReport()
+    defect = relation_memo()
     rep = m.rep
     for o in rep.poset.elements:
         if o not in m.F:
             out.add("F-coverage", o, float("inf"), tol)
             continue
         f = m.F[o]
-        out.add("F-selfadjoint", o, zero_defect(f - adj(f)), tol)
-        out.add("F-square-compact", o,
-                compact_defect(f @ f - identity_like(f)), compact_tol)
+        out.add("F-selfadjoint", o, defect(selfadjoint_defect, f), tol)
+        out.add("F-square-compact", o, defect(square_compact_defect, f),
+                compact_tol)
         for label, t in sorted(rep.samples.get(o, {}).items()):
             out.add("F-commutes-with-samples", f"{o}:{label}",
-                    compact_defect(commutator(f, t)), compact_tol)
+                    defect(commutator_compact_defect, f, t), compact_tol)
     for e in sorted(rep.u_incl):
         o, o1 = e
         u = rep.u_incl[e]
-        out.add("edge-unitarity", f"{e}",
-                zero_defect(adj(u) @ u - identity_like(u)), tol)
+        out.add("edge-unitarity", f"{e}", defect(unitarity_defect, u), tol)
         if o in m.F and o1 in m.F:
             out.add("F-transport", f"{e}",
-                    zero_defect(u @ m.F[o] - m.F[o1] @ u), tol)
+                    defect(intertwining_defect, u, m.F[o], m.F[o1]), tol)
         for label, t in sorted(rep.samples.get(o, {}).items()):
             if rep.transported is not None:
                 target = rep.transported.get((e, label))
@@ -221,11 +235,12 @@ def validate_module(m: FredholmModule, tol: float = CHECK_TOL,
                         float("inf"), tol)
                 continue
             out.add("sample-covariance", f"{e}:{label}",
-                    zero_defect(u @ t - target @ u), tol)
+                    defect(intertwining_defect, u, t, target), tol)
     for o, o1, o2 in rep.poset.two_chains():
         if all((x, y) in rep.u_incl for x, y in [(o, o2), (o1, o2), (o, o1)]):
             out.add("chain-coherence", f"{o}<{o1}<{o2}",
-                    zero_defect(rep.u(o, o2) - rep.u(o1, o2) @ rep.u(o, o1)),
+                    defect(coherence_defect, rep.u(o, o2), rep.u(o1, o2),
+                           rep.u(o, o1)),
                     tol)
     if m.parity == "even":
         if rep.grading is None:
@@ -236,14 +251,14 @@ def validate_module(m: FredholmModule, tol: float = CHECK_TOL,
                     out.add("grading-coverage", o, float("inf"), tol)
                     continue
                 if o in m.F:
-                    _check_grading_at(out, rep.grading[o], m.F[o],
+                    _check_grading_at(out, defect, rep.grading[o], m.F[o],
                                       rep.samples.get(o, {}), o, tol)
             for e in sorted(rep.u_incl):
                 o, o1 = e
                 if o in (rep.grading or {}) and o1 in rep.grading:
                     out.add("grading-transport", f"{e}",
-                            zero_defect(rep.u_incl[e] @ rep.grading[o]
-                                        - rep.grading[o1] @ rep.u_incl[e]),
+                            defect(intertwining_defect, rep.u_incl[e],
+                                   rep.grading[o], rep.grading[o1]),
                             tol)
     elif rep.grading is not None:
         out.add("parity-grading", "-", float("inf"), tol)
@@ -255,15 +270,15 @@ def validate_localized(loc: LocalizedModule, tol: float = CHECK_TOL,
     """Relations at one fiber: everything holds only up to compacts,
     including the holonomy action on F itself."""
     out = ValidationReport()
+    defect = relation_memo()
     rep = loc.rep
     f = loc.f
-    out.add("F-selfadjoint", loc.at, zero_defect(f - adj(f)), tol)
-    out.add("F-square-compact", loc.at,
-            compact_defect(f @ f - identity_like(f)), compact_tol)
+    out.add("F-selfadjoint", loc.at, selfadjoint_defect(f), tol)
+    out.add("F-square-compact", loc.at, square_compact_defect(f), compact_tol)
     samples = rep.samples.get(loc.at, {})
     for label, t in sorted(samples.items()):
         out.add("F-commutes-with-samples", f"{loc.at}:{label}",
-                compact_defect(commutator(f, t)), compact_tol)
+                commutator_compact_defect(f, t), compact_tol)
     for g, w in sorted(_loop_images_at(rep, loc.at).items()):
         out.add("F-holonomy-compact", f"g{g}",
                 compact_defect(w @ f @ adj(w) - f), compact_tol)
@@ -275,7 +290,7 @@ def validate_localized(loc: LocalizedModule, tol: float = CHECK_TOL,
         if rep.grading is None or loc.at not in rep.grading:
             out.add("grading-coverage", loc.at, float("inf"), tol)
         else:
-            _check_grading_at(out, rep.grading[loc.at], f, samples,
+            _check_grading_at(out, defect, rep.grading[loc.at], f, samples,
                               loc.at, tol)
     return out
 

@@ -165,11 +165,22 @@ def _reject_constant(name: str):
     raise InputSyntaxError(f"non-finite number {name} is not allowed")
 
 
-def _finite(convert):
-    """JSON number hook rejecting numbers beyond the float range."""
+MAX_MAGNITUDE = 1e100
+"""Largest accepted absolute value of a JSON number.  Squares of such
+entries, and sums of d x d matrix products of them, stay finite in
+double precision, so checks on accepted data cannot overflow."""
+
+
+def _bounded(convert):
+    """JSON number hook rejecting numbers beyond the float range or
+    beyond MAX_MAGNITUDE."""
     def parse(text: str):
-        if not math.isfinite(float(text)):
+        x = float(text)
+        if not math.isfinite(x):
             raise InputSyntaxError(f"number out of the float range: {text[:32]}")
+        if abs(x) > MAX_MAGNITUDE:
+            raise InputSyntaxError(
+                f"number beyond the magnitude bound {MAX_MAGNITUDE:g}: {text[:32]}")
         return convert(text)
     return parse
 
@@ -177,10 +188,12 @@ def _finite(convert):
 def parse_document(text: str) -> InputDocument:
     try:
         data = json.loads(text, parse_constant=_reject_constant,
-                          parse_float=_finite(float), parse_int=_finite(int))
+                          parse_float=_bounded(float), parse_int=_bounded(int))
     except json.JSONDecodeError as exc:
         raise InputSyntaxError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise InputSyntaxError("document is nested too deeply") from None
     _require(isinstance(data, dict), "document", "top level must be an object")
     unknown = sorted(set(data) - set(TOP_KEYS))
     _require(not unknown, "document", f"unknown sections {unknown}")
@@ -364,7 +377,7 @@ def load_document(path: str) -> InputDocument:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputSyntaxError(f"cannot read {path!r}: {exc}") from None
     return parse_document(text)
 

@@ -55,6 +55,49 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
+# Relation defects.  Each is a pure function of its operands, so a
+# validator may evaluate it once per distinct tuple of operand objects
+# (see `reports.relation_memo`).
+
+def selfadjoint_defect(x) -> float:
+    return zero_defect(x - adj(x))
+
+
+def unitarity_defect(u) -> float:
+    return zero_defect(adj(u) @ u - identity_like(u))
+
+
+def involution_defect(g) -> float:
+    return zero_defect(g @ g - identity_like(g))
+
+
+def square_compact_defect(f) -> float:
+    """How far f squared is from the identity, modulo compacts."""
+    return compact_defect(f @ f - identity_like(f))
+
+
+def commutator_defect(a, b) -> float:
+    return zero_defect(commutator(a, b))
+
+
+def commutator_compact_defect(a, b) -> float:
+    return compact_defect(commutator(a, b))
+
+
+def anticommutator_defect(a, b) -> float:
+    return zero_defect(a @ b + b @ a)
+
+
+def intertwining_defect(u, a, b) -> float:
+    """Defect of u a = b u: u carries a to b."""
+    return zero_defect(u @ a - b @ u)
+
+
+def coherence_defect(u02, u12, u01) -> float:
+    """Defect of u02 = u12 u01 along a 2-chain."""
+    return zero_defect(u02 - u12 @ u01)
+
+
 def is_exactly_zero(x) -> bool:
     if isinstance(x, ShiftOp):
         return not x.stripes and not x.finite

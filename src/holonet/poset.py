@@ -60,12 +60,12 @@ class Poset:
 
     def two_chains(self) -> list[tuple[str, str, str]]:
         """All chains x < y < z, sorted."""
-        out = []
-        for x, y in self.strict_pairs():
-            for z in self.elements:
-                if self.lt(y, z):
-                    out.append((x, y, z))
-        return sorted(out)
+        above: dict[str, list[str]] = {}
+        for y, z in self.relation:
+            if y != z:
+                above.setdefault(y, []).append(z)
+        return sorted((x, y, z) for x, y in self.relation if x != y
+                      for z in above.get(y, ()))
 
 
 def build_poset(elements: list[str], pairs: list[tuple[str, str]]) -> Poset:

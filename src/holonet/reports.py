@@ -5,6 +5,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def relation_memo():
+    """A per-call memo of relation defects keyed on operand identity.
+
+    `defect(check, *ops)` returns `check(*ops)`, evaluated once for each
+    distinct tuple of operand objects and reused afterwards.  Keys hold
+    the `id` of each operand, so the memo must not outlive them: make one
+    per validator call, over operands that the validated object keeps
+    alive, and never pass a temporary.
+    """
+    seen: dict = {}
+
+    def defect(check, *ops) -> float:
+        key = (check, *map(id, ops))
+        if key not in seen:
+            seen[key] = check(*ops)
+        return seen[key]
+
+    return defect
+
+
 @dataclass
 class CheckEntry:
     check: str

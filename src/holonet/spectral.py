@@ -21,9 +21,15 @@ import numpy as np
 from .errors import FiberMismatch, NotInvariant, NotSelfAdjoint
 from .fredholm import CHECK_TOL, SampledRep, flat_rep, holonomy_images
 from .homotopy import GroupPresentation, PathFrame
-from .operators import adj, zero_defect
+from .operators import (
+    adj,
+    anticommutator_defect,
+    intertwining_defect,
+    selfadjoint_defect,
+    zero_defect,
+)
 from .poset import Poset
-from .reports import ValidationReport
+from .reports import ValidationReport, relation_memo
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,18 @@ def _fiber_units(dim: int):
             yield e
 
 
+def _superderivation_covariance_defect(u, d, d1, g, g1) -> float:
+    """Worst covariance defect of the superderivation over the matrix-unit
+    basis of the source fiber."""
+    worst = 0.0
+    for unit in _fiber_units(d.shape[0]):
+        moved = u @ unit @ adj(u)
+        lhs = superderivation(d1, g1, moved)
+        rhs = u @ superderivation(d, g, unit) @ adj(u)
+        worst = max(worst, zero_defect(lhs - rhs))
+    return worst
+
+
 def validate_triple(t: NetSpectralTriple, tol: float = CHECK_TOL) -> ValidationReport:
     """Defect report for a net of spectral triples.
 
@@ -70,20 +88,25 @@ def validate_triple(t: NetSpectralTriple, tol: float = CHECK_TOL) -> ValidationR
     automatic, recorded as zero-defect entries.  Per edge: one-sided
     transport covariance of D and covariance of the superderivation on
     the matrix-unit basis of the source fiber.
+
+    A relation whose operands are the very same objects at several
+    locations (one D and grading shared by every fiber, the one identity
+    on every tree edge) is evaluated once and reported at each of them.
     """
     rep = t.rep
     report = ValidationReport()
+    defect = relation_memo()
     for o in sorted(rep.poset.elements):
         d = t.D.get(o)
         if d is None:
             report.add("D-coverage", o, float("inf"), tol)
             continue
-        report.add("D-selfadjoint", o, zero_defect(d - adj(d)), tol)
+        report.add("D-selfadjoint", o, defect(selfadjoint_defect, d), tol)
         g = (rep.grading or {}).get(o)
         if g is None:
             report.add("grading-coverage", o, float("inf"), tol)
         else:
-            report.add("D-odd", o, zero_defect(g @ d + d @ g), tol)
+            report.add("D-odd", o, defect(anticommutator_defect, g, d), tol)
         report.add("theta-summable", o, 0.0, tol)
         report.add("superderivation-domain", o, 0.0, tol)
     for e in sorted(rep.poset.strict_pairs()):
@@ -93,18 +116,14 @@ def validate_triple(t: NetSpectralTriple, tol: float = CHECK_TOL) -> ValidationR
             continue
         u = rep.u(o, o1)
         report.add("D-transport", f"{o}<{o1}",
-                   zero_defect(u @ d - d1 @ u), tol)
+                   defect(intertwining_defect, u, d, d1), tol)
         g = (rep.grading or {}).get(o)
         g1 = (rep.grading or {}).get(o1)
         if g is None or g1 is None:
             continue
-        worst = 0.0
-        for unit in _fiber_units(d.shape[0]):
-            moved = u @ unit @ adj(u)
-            lhs = superderivation(d1, g1, moved)
-            rhs = u @ superderivation(d, g, unit) @ adj(u)
-            worst = max(worst, zero_defect(lhs - rhs))
-        report.add("superderivation-covariance", f"{o}<{o1}", worst, tol)
+        report.add("superderivation-covariance", f"{o}<{o1}",
+                   defect(_superderivation_covariance_defect, u, d, d1, g, g1),
+                   tol)
     return report
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import holonet.charclass
@@ -18,7 +19,12 @@ from holonet.errors import (
     NotConnected,
     SchemaError,
 )
-from holonet.iodoc import load_document, parse_document, print_document
+from holonet.iodoc import (
+    MAX_MAGNITUDE,
+    load_document,
+    parse_document,
+    print_document,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 HEXAGON = str(ROOT / "sample_inputs" / "hexagon.json")
@@ -304,16 +310,72 @@ def test_finite_max_defect_has_no_flag(capsys):
     assert "max_defect_nonfinite" not in report["results"]["bundle"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_overflowing_result_exits_1_with_an_error_object(capsys, tmp_path):
-    data = json.loads(Path(HEXAGON).read_text())
-    data["representation"]["images"] = {"1": [[[1e200, 0.0]]]}
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(data))
-    code, report, _ = run_json(capsys, "rep-check", "--input", str(path))
+def test_overflowing_result_exits_1_with_an_error_object(capsys, monkeypatch):
+    # input magnitudes are bounded at parse time, so a result that is not
+    # finite is forced here instead of being provoked by huge input data
+    monkeypatch.setitem(holonet.cli.COMMANDS, "rep-check",
+                        lambda doc, opt: ({"defect": float("inf")}, True))
+    code, report, _ = run_json(capsys, "rep-check", "--input", HEXAGON)
     assert code == 1
     assert report["pass"] is False
     assert report["error"]["type"] == "ValueError"
+
+
+def test_huge_magnitudes_are_rejected_at_parse_time(capsys, tmp_path):
+    data = json.loads(Path(HEXAGON).read_text())
+    data["representation"]["images"] = {"1": [[[1e200, 0.0]]]}
+    with pytest.raises(InputSyntaxError, match="magnitude bound"):
+        parse_document(json.dumps(data))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    for command in ("rep-check", "index"):
+        code, report, _ = run_json(capsys, command, "--input", str(path))
+        assert code == 2
+        assert report["error"]["type"] == "InputSyntaxError"
+        assert report["pass"] is False
+
+
+@pytest.mark.parametrize("value, accepted", [("1e100", True), ("-1e100", True),
+                                             ("1.0000001e100", False),
+                                             ("-1e101", False),
+                                             ("1" + "0" * 101, False)])
+def test_magnitude_bound_is_inclusive(value, accepted):
+    assert MAX_MAGNITUDE == 1e100
+    text = _hexagon_with_first_entry(value)
+    if accepted:
+        parse_document(text)
+    else:
+        with pytest.raises(InputSyntaxError):
+            parse_document(text)
+
+
+def test_hostile_files_exit_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for path in (deep, binary):
+        code, report, _ = run_json(capsys, "pi1", "--input", str(path))
+        assert code == 2
+        assert report["error"]["type"] == "InputSyntaxError"
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"),
+                                 np.linalg.LinAlgError("SVD did not converge"),
+                                 KeyError("U9")])
+def test_program_faults_exit_1_with_an_internal_error_object(capsys, monkeypatch,
+                                                             exc):
+    def broken(doc, opt):
+        raise exc
+
+    monkeypatch.setitem(holonet.cli.COMMANDS, "pi1", broken)
+    code, out, err = run(capsys, "pi1", "--input", HEXAGON)
+    assert code == 1
+    report = json.loads(out, parse_constant=_no_constant)
+    assert report["pass"] is False
+    assert report["error"] == {"type": "internal",
+                               "message": f"{type(exc).__name__}: {exc}"}
+    assert "Traceback" in err and "Traceback" not in out
 
 
 def test_missing_section_exits_2(capsys):

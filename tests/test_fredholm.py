@@ -50,9 +50,17 @@ from holonet.fredholm import (
 )
 from holonet.homotopy import frame_transports
 from holonet.linalg import dagger, eigenphase_multiset_match, opnorm, random_unitary
-from holonet.operators import adj, commutator
+from holonet.operators import (
+    adj,
+    commutator,
+    compact_defect,
+    identity_like,
+    zero_defect,
+)
+from holonet.reports import ValidationReport
 from holonet.poset import edge_simplex, make_path, opposite_path
 from holonet.shift_calculus import (
+    ShiftOp,
     constant_diag_op,
     finite_op,
     identity_op,
@@ -62,7 +70,7 @@ from holonet.shift_calculus import (
     stripe_op,
 )
 from holonet.randomgen import random_poset_with_frame, random_representation
-from holonet.standard import chain_poset, hexagon_poset, with_top
+from holonet.standard import chain_poset, circle_poset, hexagon_poset, with_top
 
 
 def checks(report, name):
@@ -803,3 +811,161 @@ def test_bounded_transform_rejects_nonselfadjoint():
         bounded_transform(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotSelfAdjoint):
         bounded_transform(np.zeros((2, 3)))
+
+
+# ------------------------------------- validate_module against the loop
+
+def reference_validate_module(m, tol=1e-10, compact_tol=1e-9):
+    """The per-location loop: every relation recomputed at every element,
+    edge and 2-chain, whether or not its operands are shared."""
+    out = ValidationReport()
+    rep = m.rep
+
+    def grading_at(g, f, samples, where):
+        out.add("grading-selfadjoint", where, zero_defect(g - adj(g)), tol)
+        out.add("grading-involution", where,
+                zero_defect(g @ g - identity_like(g)), tol)
+        out.add("grading-anticommutes", where, zero_defect(g @ f + f @ g), tol)
+        for label, t in sorted(samples.items()):
+            out.add("grading-commutes-with-samples", f"{where}:{label}",
+                    zero_defect(commutator(g, t)), tol)
+
+    for o in rep.poset.elements:
+        if o not in m.F:
+            out.add("F-coverage", o, float("inf"), tol)
+            continue
+        f = m.F[o]
+        out.add("F-selfadjoint", o, zero_defect(f - adj(f)), tol)
+        out.add("F-square-compact", o,
+                compact_defect(f @ f - identity_like(f)), compact_tol)
+        for label, t in sorted(rep.samples.get(o, {}).items()):
+            out.add("F-commutes-with-samples", f"{o}:{label}",
+                    compact_defect(commutator(f, t)), compact_tol)
+    for e in sorted(rep.u_incl):
+        o, o1 = e
+        u = rep.u_incl[e]
+        out.add("edge-unitarity", f"{e}",
+                zero_defect(adj(u) @ u - identity_like(u)), tol)
+        if o in m.F and o1 in m.F:
+            out.add("F-transport", f"{e}",
+                    zero_defect(u @ m.F[o] - m.F[o1] @ u), tol)
+        for label, t in sorted(rep.samples.get(o, {}).items()):
+            if rep.transported is not None:
+                target = rep.transported.get((e, label))
+            else:
+                target = rep.samples.get(o1, {}).get(label)
+            if target is None:
+                out.add("sample-covariance", f"{e}:{label}", float("inf"), tol)
+                continue
+            out.add("sample-covariance", f"{e}:{label}",
+                    zero_defect(u @ t - target @ u), tol)
+    for o, o1, o2 in rep.poset.two_chains():
+        if all((x, y) in rep.u_incl for x, y in [(o, o2), (o1, o2), (o, o1)]):
+            out.add("chain-coherence", f"{o}<{o1}<{o2}",
+                    zero_defect(rep.u(o, o2) - rep.u(o1, o2) @ rep.u(o, o1)),
+                    tol)
+    if m.parity == "even":
+        if rep.grading is None:
+            out.add("grading-coverage", "-", float("inf"), tol)
+        else:
+            for o in rep.poset.elements:
+                if o not in rep.grading:
+                    out.add("grading-coverage", o, float("inf"), tol)
+                    continue
+                if o in m.F:
+                    grading_at(rep.grading[o], m.F[o], rep.samples.get(o, {}), o)
+            for e in sorted(rep.u_incl):
+                o, o1 = e
+                if o in rep.grading and o1 in rep.grading:
+                    out.add("grading-transport", f"{e}",
+                            zero_defect(rep.u_incl[e] @ rep.grading[o]
+                                        - rep.grading[o1] @ rep.u_incl[e]),
+                            tol)
+    elif rep.grading is not None:
+        out.add("parity-grading", "-", float("inf"), tol)
+    return out
+
+
+def entry_bits(report):
+    return [(e.check, e.location, float(e.defect).hex(), e.tolerance)
+            for e in report.entries]
+
+
+def circle_shift_module(n_arcs, seed=0, d=2):
+    poset, pres, frame = pfp(circle_poset(n_arcs))
+    return build_shift_module(poset, pres, frame,
+                              {1: random_unitary(rng_for(seed), d)})
+
+
+def shared_fiber_variants():
+    """Modules whose fibers share one operator, and ones where they don't."""
+    m = circle_shift_module(16, seed=40)
+    elements = sorted(m.rep.poset.elements)
+    yield "shift", m
+    yield "extended", extend_localized(localize(m, elements[len(elements) // 2]))
+    poset, pres, frame = pfp(hexagon_poset())
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[:2, :2] = random_unitary(rng_for(41), 2)
+    rho[2, 2] = np.exp(0.7j)
+    yield "sector", build_sector_module(poset, pres, frame, (2, 1), {1: rho},
+                                        w_index=6).module
+    bad = dict(m.F)
+    bad[elements[5]] = m.F[elements[5]] + finite_op({(0, 1): 0.1 * np.eye(4)}, 4)
+    yield "perturbed", FredholmModule(m.rep, bad, m.parity)
+    transported = {(e, label): t for e in m.rep.u_incl
+                   for label, t in m.rep.samples[e[0]].items()}
+    del transported[sorted(transported)[len(transported) // 2]]
+    yield "missing", FredholmModule(replace(m.rep, transported=transported),
+                                    m.F, m.parity)
+
+
+@pytest.mark.parametrize("name", ["shift", "extended", "sector", "perturbed",
+                                  "missing"])
+def test_validate_module_matches_the_per_location_loop(name):
+    m = dict(shared_fiber_variants())[name]
+    got, want = validate_module(m), reference_validate_module(m)
+    assert entry_bits(got) == entry_bits(want)
+    assert [str(e) for e in got.violations] == [str(e) for e in want.violations]
+
+
+def test_validate_module_fiber_sharing_is_what_the_reuse_relies_on():
+    m = circle_shift_module(16, seed=40)
+    assert len({id(f) for f in m.F.values()}) == 1
+    assert len({id(g) for g in m.rep.grading.values()}) == 1
+    assert sum(u is m.rep.ident for u in m.rep.u_incl.values()) == \
+        len(m.rep.u_incl) - 1
+    ext = dict(shared_fiber_variants())["extended"]
+    assert len({id(f) for f in ext.F.values()}) == len(ext.F)
+
+
+def test_validate_module_reports_a_perturbed_fiber_only_where_it_sits():
+    variants = dict(shared_fiber_variants())
+    m = variants["perturbed"]
+    at = sorted(m.rep.poset.elements)[5]
+    bad = validate_module(m).violations
+    assert {e.check for e in bad} == {"F-selfadjoint", "F-transport",
+                                      "grading-anticommutes"}
+    assert all(at in e.location for e in bad)
+    missing = validate_module(variants["missing"]).violations
+    assert [(e.check, e.defect) for e in missing] == \
+        [("sample-covariance", float("inf"))]
+
+
+def test_validate_module_cost_does_not_grow_with_the_circle(monkeypatch):
+    calls = []
+    matmul = ShiftOp.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    counts = []
+    for n_arcs in (8, 64):
+        m = circle_shift_module(n_arcs, seed=42)
+        monkeypatch.setattr(ShiftOp, "__matmul__", counting)
+        calls.clear()
+        report = validate_module(m)
+        monkeypatch.setattr(ShiftOp, "__matmul__", matmul)
+        assert report.ok
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

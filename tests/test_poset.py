@@ -202,3 +202,13 @@ def test_standard_posets_connected():
     assert check_connected(chain_poset(5))
     assert check_connected(circle_poset(5))
     assert check_connected(with_top(hexagon_poset()))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_two_chains_match_the_triple_filter(seed):
+    p = random_connected_poset(np.random.default_rng(300 + seed), 14)
+    for poset in (p, with_top(p)):
+        els = poset.elements
+        want = sorted((x, y, z) for x in els for y in els for z in els
+                      if poset.lt(x, y) and poset.lt(y, z))
+        assert poset.two_chains() == want

@@ -1,13 +1,17 @@
 """Nets of spectral triples: fiberwise validation, the equivariant
 correspondence with exact round trips, and the heat trace."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import rng_for
+from conftest import pfp, rng_for
 from holonet.errors import FiberMismatch, NotInvariant, NotSelfAdjoint
 from holonet.fredholm import flat_rep
-from holonet.linalg import random_unitary
+from holonet.linalg import dagger, random_unitary
+from holonet.operators import adj, zero_defect
+from holonet.reports import ValidationReport
 from holonet.spectral import (
     EquivariantTriple,
     NetSpectralTriple,
@@ -17,6 +21,7 @@ from holonet.spectral import (
     to_equivariant,
     validate_triple,
 )
+from holonet.standard import circle_poset
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -198,3 +203,85 @@ def test_theta_trace_input_guards():
         theta_trace(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
     with pytest.raises(ValueError):
         theta_trace(np.zeros((2, 2)), 0.0)
+
+
+# ------------------------------------- validate_triple against the loop
+
+def reference_validate_triple(t, tol=1e-10):
+    """The per-location loop: every relation recomputed at every fiber
+    and edge, whether or not its operands are shared."""
+    rep = t.rep
+    report = ValidationReport()
+    for o in sorted(rep.poset.elements):
+        d = t.D.get(o)
+        if d is None:
+            report.add("D-coverage", o, float("inf"), tol)
+            continue
+        report.add("D-selfadjoint", o, zero_defect(d - adj(d)), tol)
+        g = (rep.grading or {}).get(o)
+        if g is None:
+            report.add("grading-coverage", o, float("inf"), tol)
+        else:
+            report.add("D-odd", o, zero_defect(g @ d + d @ g), tol)
+        report.add("theta-summable", o, 0.0, tol)
+        report.add("superderivation-domain", o, 0.0, tol)
+    for o, o1 in sorted(rep.poset.strict_pairs()):
+        d, d1 = t.D.get(o), t.D.get(o1)
+        if d is None or d1 is None:
+            continue
+        u = rep.u(o, o1)
+        report.add("D-transport", f"{o}<{o1}", zero_defect(u @ d - d1 @ u), tol)
+        g = (rep.grading or {}).get(o)
+        g1 = (rep.grading or {}).get(o1)
+        if g is None or g1 is None:
+            continue
+        worst = 0.0
+        for i in range(d.shape[0]):
+            for j in range(d.shape[0]):
+                unit = np.zeros_like(d)
+                unit[i, j] = 1.0
+                lhs = superderivation(d1, g1, u @ unit @ adj(u))
+                rhs = u @ superderivation(d, g, unit) @ adj(u)
+                worst = max(worst, zero_defect(lhs - rhs))
+        report.add("superderivation-covariance", f"{o}<{o1}", worst, tol)
+    return report
+
+
+def triple_variants():
+    """A constant triple, whose fibers and tree edges share operators, and
+    variants that break the sharing or the relations at one place."""
+    poset, pres, frame = pfp(circle_poset(6))
+    v = np.roll(np.eye(3, dtype=complex), 1, axis=0)
+    e = EquivariantTriple(np.kron(SZ, np.eye(3)), {1: np.kron(np.eye(2), v)},
+                          {"one": np.eye(6, dtype=complex)},
+                          np.kron(SX, 0.7 * (v + v.T) + 0.3 * np.eye(3)), pres)
+    t = from_equivariant(e, poset, pres, frame)
+    elements = sorted(poset.elements)
+    yield "shared", t
+    yield "copies", NetSpectralTriple(t.rep, {o: d.copy() for o, d in t.D.items()})
+    rng = rng_for(43)
+    bent = dict(t.D)
+    bent[elements[4]] = bent[elements[4]] + 0.01 * np.kron(SX, rng.random((3, 3)))
+    yield "perturbed", NetSpectralTriple(t.rep, bent)
+    yield "missing", NetSpectralTriple(
+        t.rep, {o: d for o, d in t.D.items() if o != elements[2]})
+    gauge = {o: np.kron(np.diag([1.0, 0.0]), random_unitary(rng, 3))
+             + np.kron(np.diag([0.0, 1.0]), random_unitary(rng, 3))
+             for o in elements}
+    u_incl = {(o, o1): gauge[o1] @ u @ dagger(gauge[o])
+              for (o, o1), u in t.rep.u_incl.items()}
+    yield "gauged", NetSpectralTriple(
+        replace(t.rep, u_incl=u_incl),
+        {o: gauge[o] @ d @ dagger(gauge[o]) for o, d in t.D.items()})
+
+
+@pytest.mark.parametrize("name", ["shared", "copies", "perturbed", "missing",
+                                  "gauged"])
+def test_validate_triple_matches_the_per_location_loop(name):
+    t = dict(triple_variants())[name]
+    got, want = validate_triple(t), reference_validate_triple(t)
+    assert [(e.check, e.location, float(e.defect).hex(), e.tolerance)
+            for e in got.entries] == \
+        [(e.check, e.location, float(e.defect).hex(), e.tolerance)
+         for e in want.entries]
+    assert got.ok == (name in ("shared", "copies", "gauged"))
