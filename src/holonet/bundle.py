@@ -7,15 +7,14 @@ bundles and representations of the loop group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .cstar import (
     StarIso,
     apply_iso,
-    compose_iso,
     identity_iso,
-    inverse_iso,
     iso_map_defect,
     iso_matrix,
     unvectorize,
@@ -29,11 +28,11 @@ from .errors import (
 from .homotopy import (
     GroupPresentation,
     PathFrame,
-    Word,
     edge_loop_word,
     frame_transports,
 )
 from .linalg import dagger, is_unitary, joint_fixed_space, opnorm
+from .operators import evaluate_word_ops, require_relators, transport_step
 from .poset import (
     Path,
     Poset,
@@ -43,12 +42,9 @@ from .poset import (
     make_path,
     opposite_path,
 )
-from .reports import ValidationReport
+from .reports import CHECK_TOL, CONSTRUCTION_TOL, ValidationReport
 
 Edge = tuple[str, str]
-
-CONSTRUCTION_TOL = 1e-12
-CHECK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,9 +61,14 @@ class HilbertNetBundle:
     incl: dict[Edge, np.ndarray]
     grading: dict[str, np.ndarray] | None = None
 
+    @property
+    def ident(self) -> np.ndarray:
+        """The identity on a fiber."""
+        return np.eye(self.dim, dtype=complex)
+
     def u(self, o: str, o1: str) -> np.ndarray:
         if o == o1:
-            return np.eye(self.dim, dtype=complex)
+            return self.ident
         if (o, o1) not in self.incl:
             raise UnknownElement(f"no inclusion stored for {o!r} <= {o1!r}")
         return self.incl[(o, o1)]
@@ -81,9 +82,14 @@ class CStarNetBundle:
     sizes: tuple[int, ...]
     incl: dict[Edge, StarIso]
 
-    def iso(self, o: str, o1: str) -> StarIso:
+    @property
+    def ident(self) -> StarIso:
+        """The identity on a fiber."""
+        return identity_iso(self.sizes)
+
+    def u(self, o: str, o1: str) -> StarIso:
         if o == o1:
-            return identity_iso(self.sizes)
+            return self.ident
         if (o, o1) not in self.incl:
             raise UnknownElement(f"no inclusion stored for {o!r} <= {o1!r}")
         return self.incl[(o, o1)]
@@ -146,8 +152,7 @@ def validate_bundle(b: HilbertNetBundle | CStarNetBundle,
             if any((x, y) not in b.incl or b.incl[(x, y)].sizes != b.sizes
                    for x, y in [(o, o2), (o1, o2), (o, o1)]):
                 continue
-            d = iso_map_defect(b.iso(o, o2),
-                               compose_iso(b.iso(o1, o2), b.iso(o, o1)), b.sizes)
+            d = iso_map_defect(b.u(o, o2), b.u(o1, o2) @ b.u(o, o1), b.sizes)
             rep.add("chain-coherence", f"{o}<{o1}<{o2}", d, tol)
     return rep
 
@@ -173,32 +178,21 @@ def make_cstar_bundle(poset: Poset, sizes: tuple[int, ...],
     return b
 
 
-def transport_rule(b: HilbertNetBundle | CStarNetBundle):
-    """The evaluation along the empty path, and the step (T, s) -> T
-    followed by the segment s (up into its support, then down to the
-    other face)."""
-    if isinstance(b, HilbertNetBundle):
-        return (np.eye(b.dim, dtype=complex),
-                lambda t, s: dagger(b.u(s.face0, s.support))
-                @ b.u(s.face1, s.support) @ t)
-    return (identity_iso(b.sizes),
-            lambda t, s: compose_iso(
-                compose_iso(inverse_iso(b.iso(s.face0, s.support)),
-                            b.iso(s.face1, s.support)), t))
+def evaluate_path(x, p: Path):
+    """Evaluate edge operators along a path.
 
-
-def evaluate_path(b: HilbertNetBundle | CStarNetBundle, p: Path):
-    """Evaluate the bundle along a path.
-
-    Each segment contributes (up into the support, then down to the
-    other face); segments compose in traversal order.  Returns a d x d
-    unitary for Hilbert bundles, a StarIso for C*-bundles.
+    `x` is anything holding edge operators: a Hilbert or C* net bundle,
+    or a sampled representation (`fredholm.SampledRep`); each answers
+    `x.u(o, o1)` and `x.ident`.  Every segment is checked against the
+    poset, then contributes one transport step (up into the support,
+    then down to the other face); segments compose in traversal order.
+    Returns a unitary, a ShiftOp or a StarIso, like the edge operators.
     """
     for s in p.simplices:
-        check_simplex(b.poset, s)
-    out, step = transport_rule(b)
+        check_simplex(x.poset, s)
+    out = x.ident
     for s in p.simplices:
-        out = step(out, s)
+        out = transport_step(x, out, s)
     return out
 
 
@@ -209,6 +203,12 @@ def edge_loop_path(poset: Poset, frame: PathFrame, o: str, o1: str) -> Path:
     return compose_paths(poset, opposite_path(frame.to(o1)), out)
 
 
+def holonomy_images(x, pres: GroupPresentation, frame: PathFrame) -> dict:
+    """Generator index -> evaluation of its edge loop at the frame base."""
+    return {idx: evaluate_path(x, edge_loop_path(x.poset, frame, e[0], e[1]))
+            for e, idx in pres.gen_index.items()}
+
+
 def holonomy_rep(b: HilbertNetBundle | CStarNetBundle, pres: GroupPresentation,
                  frame: PathFrame, tol: float = CHECK_TOL):
     """Images of the presentation generators under the holonomy.
@@ -216,37 +216,9 @@ def holonomy_rep(b: HilbertNetBundle | CStarNetBundle, pres: GroupPresentation,
     Returns {generator index: unitary} (Hilbert) or {index: StarIso} (C*).
     Relators are verified to evaluate to the identity.
     """
-    images = {}
-    for e, idx in pres.gen_index.items():
-        loop = edge_loop_path(b.poset, frame, e[0], e[1])
-        images[idx] = evaluate_path(b, loop)
-    for r in pres.relators:
-        if isinstance(b, HilbertNetBundle):
-            d = opnorm(evaluate_word(r, images, b.dim) - np.eye(b.dim))
-        else:
-            d = iso_map_defect(evaluate_word_iso(r, images, b.sizes),
-                               identity_iso(b.sizes), b.sizes)
-        if d > tol:
-            raise RelatorNotSatisfied(f"relator {r} has holonomy defect {d:.3e}")
+    images = holonomy_images(b, pres, frame)
+    require_relators(pres, images, b.ident, tol, RelatorNotSatisfied)
     return images
-
-
-def evaluate_word(w: Word, images: dict[int, np.ndarray], dim: int) -> np.ndarray:
-    """Product of generator images, letters applied left to right."""
-    out = np.eye(dim, dtype=complex)
-    for l in reversed(w.letters):
-        m = images[abs(l)]
-        out = (m if l > 0 else dagger(m)) @ out
-    return out
-
-
-def evaluate_word_iso(w: Word, images: dict[int, StarIso],
-                      sizes: tuple[int, ...]) -> StarIso:
-    out = identity_iso(sizes)
-    for l in reversed(w.letters):
-        m = images[abs(l)]
-        out = compose_iso(m if l > 0 else inverse_iso(m), out)
-    return out
 
 
 def bundle_from_rep(poset: Poset, pres: GroupPresentation, frame: PathFrame,
@@ -261,14 +233,12 @@ def bundle_from_rep(poset: Poset, pres: GroupPresentation, frame: PathFrame,
     for idx, m in images.items():
         if not is_unitary(m, tol):
             raise InvalidRepresentation(f"generator {idx} image is not unitary")
-    for r in pres.relators:
-        d = opnorm(evaluate_word(r, images, dim) - np.eye(dim))
-        if d > tol:
-            raise RelatorNotSatisfied(f"relator {r} has defect {d:.3e}")
+    require_relators(pres, images, np.eye(dim, dtype=complex), tol,
+                     RelatorNotSatisfied)
     incl = {}
     for e in poset.strict_pairs():
         w = edge_loop_word(pres, poset, frame, e[0], e[1])
-        incl[e] = evaluate_word(w, images, dim)
+        incl[e] = evaluate_word_ops(w.letters, images, np.eye(dim, dtype=complex))
     return HilbertNetBundle(poset, dim, incl)
 
 
@@ -286,7 +256,7 @@ def section_defect(b, s: Section) -> float:
         if isinstance(b, HilbertNetBundle):
             worst = max(worst, opnorm(b.u(o, o1) @ s.values[o] - s.values[o1]))
         else:
-            moved = apply_iso(b.iso(o, o1), s.values[o])
+            moved = apply_iso(b.u(o, o1), s.values[o])
             worst = max(worst, max(
                 (opnorm(x - y) for x, y in zip(moved, s.values[o1])), default=0.0))
     return worst
@@ -301,10 +271,10 @@ def compute_sections(b: HilbertNetBundle | CStarNetBundle,
     transported along the frame paths.
     """
     hol = holonomy_rep(b, pres, frame)
+    t = frame_transports(b.poset, frame, b.ident, partial(transport_step, b))
     if isinstance(b, HilbertNetBundle):
         mats = list(hol.values()) or [np.eye(b.dim, dtype=complex)]
         basis = joint_fixed_space(mats, tol)
-        t = frame_transports(b.poset, frame, *transport_rule(b))
         out = []
         for i in range(basis.shape[1]):
             x = basis[:, i]
@@ -315,7 +285,6 @@ def compute_sections(b: HilbertNetBundle | CStarNetBundle,
     n = sum(k * k for k in b.sizes)
     mats = [iso_matrix(iso, b.sizes) for iso in hol.values()] or [np.eye(n, dtype=complex)]
     basis = joint_fixed_space(mats, tol)
-    t = frame_transports(b.poset, frame, *transport_rule(b))
     out = []
     for i in range(basis.shape[1]):
         x = unvectorize(basis[:, i], b.sizes)
@@ -343,8 +312,9 @@ def roundtrip_iso(b: HilbertNetBundle, pres: GroupPresentation,
     """
     images = holonomy_rep(b, pres, frame)
     rebuilt = bundle_from_rep(b.poset, pres, frame, images, b.dim)
-    t = frame_transports(b.poset, frame, *transport_rule(b))
-    t_rebuilt = frame_transports(b.poset, frame, *transport_rule(rebuilt))
+    t = frame_transports(b.poset, frame, b.ident, partial(transport_step, b))
+    t_rebuilt = frame_transports(b.poset, frame, rebuilt.ident,
+                                 partial(transport_step, rebuilt))
     inter = {o: t[o] @ dagger(t_rebuilt[o]) for o in b.poset.elements}
     worst = 0.0
     for o, o1 in b.poset.strict_pairs():

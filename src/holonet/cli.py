@@ -21,7 +21,6 @@ import numpy as np
 from .bundle import (
     HilbertNetBundle,
     compute_sections,
-    evaluate_word,
     hilbert_section_dimension_oracle,
     holonomy_rep,
     roundtrip_iso,
@@ -36,7 +35,6 @@ from .errors import (
     UnknownCommand,
 )
 from .fredholm import (
-    CHECK_TOL,
     INDEX_TOL,
     ExtensionObstruction,
     build_sector_module,
@@ -60,10 +58,10 @@ from .iodoc import (
     print_document,
 )
 from .linalg import eigenphases
-from .operators import adj, operators_equal_exact, zero_defect
+from .operators import adj, evaluate_word_ops, operators_equal_exact, zero_defect
+from .reports import CHECK_TOL
 from .spectral import (
     EquivariantTriple,
-    NetSpectralTriple,
     from_equivariant,
     theta_trace,
     to_equivariant,
@@ -195,7 +193,8 @@ def cmd_rep_check(doc: InputDocument, opt) -> tuple[dict, bool]:
         dim = next(iter(images.values())).shape[0] if images else 1
         for r in doc.pres.relators:
             relator_defects.append(float(zero_defect(
-                evaluate_word(r, images, dim) - np.eye(dim))))
+                evaluate_word_ops(r.letters, images, np.eye(dim, dtype=complex))
+                - np.eye(dim))))
         results["relator_defects"] = relator_defects
         passed = passed and all(d <= tol for d in relator_defects)
     else:

@@ -83,6 +83,15 @@ class StarIso:
             if self.units[k].shape != (self.sizes[k], self.sizes[k]):
                 raise FiberMismatch(f"unit {k} has wrong shape")
 
+    def __matmul__(self, inner: "StarIso") -> "StarIso":
+        """self after inner."""
+        return compose_iso(self, inner)
+
+    @property
+    def H(self) -> "StarIso":
+        """The inverse *-isomorphism."""
+        return inverse_iso(self)
+
 
 def identity_iso(sizes: tuple[int, ...]) -> StarIso:
     return StarIso(sizes, tuple(range(len(sizes))),

@@ -13,9 +13,11 @@ the two kernels of the off-diagonal corner of F.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .bundle import evaluate_path, holonomy_images
 from .errors import (
     CentralityViolated,
     FiberMismatch,
@@ -49,13 +51,15 @@ from .operators import (
     intertwining_defect,
     involution_defect,
     is_exactly_zero,
+    require_relators,
     selfadjoint_defect,
     square_compact_defect,
+    transport_step,
     unitarity_defect,
     zero_defect,
 )
 from .poset import Path, Poset, opposite_path
-from .reports import ValidationReport, relation_memo
+from .reports import CHECK_TOL, ValidationReport, relation_memo
 from .shift_calculus import (
     ShiftOp,
     color_corner,
@@ -65,11 +69,8 @@ from .shift_calculus import (
     shift_op,
     stripe_op,
 )
-from .bundle import edge_loop_path
-
 Edge = tuple[str, str]
 
-CHECK_TOL = 1e-10
 COMPACT_TOL = 1e-9
 INDEX_TOL = 1e-9
 DENSE_KERNEL_TOL = 1e-8
@@ -104,26 +105,6 @@ class SampledRep:
         if (o, o1) not in self.u_incl:
             raise UnknownElement(f"no edge operator for {o!r} <= {o1!r}")
         return self.u_incl[(o, o1)]
-
-    def step(self, t, s):
-        """The transport t followed by the segment s (up into its
-        support, then down to the other face)."""
-        return adj(self.u(s.face0, s.support)) @ self.u(s.face1, s.support) @ t
-
-
-def evaluate_rep_path(rep: SampledRep, p: Path):
-    """Evaluate the edge unitaries along a path, like a bundle."""
-    out = rep.ident
-    for s in p.simplices:
-        out = rep.step(out, s)
-    return out
-
-
-def holonomy_images(rep: SampledRep) -> dict[int, object]:
-    """Generator index -> edge-loop holonomy at the frame base."""
-    return {idx: evaluate_rep_path(rep, edge_loop_path(rep.poset, rep.frame,
-                                                       e[0], e[1]))
-            for e, idx in rep.pres.gen_index.items()}
 
 
 def flat_rep(poset: Poset, pres: GroupPresentation, frame: PathFrame,
@@ -297,10 +278,10 @@ def validate_localized(loc: LocalizedModule, tol: float = CHECK_TOL,
 
 def _loop_images_at(rep: SampledRep, at: str) -> dict[int, object]:
     """Holonomy of the generator loops conjugated to base point `at`."""
-    images = holonomy_images(rep)
+    images = holonomy_images(rep, rep.pres, rep.frame)
     if at == rep.frame.base:
         return images
-    w = evaluate_rep_path(rep, rep.frame.to(at))
+    w = evaluate_path(rep, rep.frame.to(at))
     return {g: w @ v @ adj(w) for g, v in images.items()}
 
 
@@ -326,7 +307,7 @@ def transport(loc: LocalizedModule, e: str, p: Path) -> LocalizedModule:
         prev_path, prev = loc.origin
         if prev.at == e and p == opposite_path(prev_path):
             return prev
-    w = evaluate_rep_path(loc.rep, p)
+    w = evaluate_path(loc.rep, p)
     return LocalizedModule(loc.rep, e, w @ loc.f @ adj(w), loc.parity,
                            origin=(p, loc))
 
@@ -353,7 +334,8 @@ def extend_localized(loc: LocalizedModule,
         d = zero_defect(w @ loc.f @ adj(w) - loc.f)
         if d > tol:
             return ExtensionObstruction(g, d)
-    t = frame_transports(rep.poset, rep.frame, rep.ident, rep.step)
+    t = frame_transports(rep.poset, rep.frame, rep.ident,
+                         partial(transport_step, rep))
     back = t[loc.at]
     f_base = loc.f if loc.at == rep.frame.base else adj(back) @ loc.f @ back
     F = {}
@@ -413,10 +395,7 @@ def from_cycle(samples: dict[str, object], v_images: dict[int, object],
         d = zero_defect(adj(v) @ v - identity_like(v))
         if d > tol:
             raise NotCovariant(f"generator {g} image is not unitary ({d:.3e})")
-    for r in pres.relators:
-        d = zero_defect(evaluate_word_ops(r.letters, v_images, ident) - ident)
-        if d > tol:
-            raise NotCovariant(f"relator {r} has defect {d:.3e}")
+    require_relators(pres, v_images, ident, tol, NotCovariant)
     for label, t in sorted(samples.items()):
         checks = [
             ("symmetry", (phi - adj(phi)) @ t),
@@ -683,11 +662,8 @@ def _check_unitary_images(images: dict[int, np.ndarray], dim: int,
             raise FiberMismatch(f"generator {g} image has shape {m.shape}")
         if opnorm(adj(m) @ m - np.eye(dim)) > tol:
             raise InvalidRepresentation(f"generator {g} image is not unitary")
-    eye = np.eye(dim, dtype=complex)
-    for r in pres.relators:
-        d = opnorm(evaluate_word_ops(r.letters, images, eye) - eye)
-        if d > tol:
-            raise RelatorNotSatisfied(f"relator {r} has defect {d:.3e}")
+    require_relators(pres, images, np.eye(dim, dtype=complex), tol,
+                     RelatorNotSatisfied)
 
 
 def build_shift_module(poset: Poset, pres: GroupPresentation,

@@ -10,7 +10,6 @@ of loops are represented as freely reduced words in the generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotALoopAtBase, NotComparable, NotConnected, UnknownElement
@@ -269,29 +268,14 @@ def relator_exponent_matrix(pres: GroupPresentation) -> list[list[int]]:
     return rows
 
 
-def _rational_rank(rows: list[list[int]]) -> int:
-    """Exact rank over Q by fraction Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    col = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def smith_diagonal(rows: list[list[int]]) -> list[int]:
-    """Nonnegative diagonal of the Smith normal form of an integer matrix."""
+    """Diagonal of an integer matrix brought to diagonal form by unimodular
+    row and column operations.
+
+    Every entry is a positive pivot, so the length is the rank and the
+    cokernel is the product of the cyclic groups Z/d; the entries need
+    not divide each other.
+    """
     m = [row[:] for row in rows]
     if not m or not m[0]:
         return []
@@ -343,10 +327,7 @@ def smith_diagonal(rows: list[list[int]]) -> list[int]:
 
 def abelianization_rank(pres: GroupPresentation) -> int:
     """Free rank of the abelianized group (exact)."""
-    rows = relator_exponent_matrix(pres)
-    if not rows:
-        return len(pres.generators)
-    return len(pres.generators) - _rational_rank(rows)
+    return len(pres.generators) - len(smith_diagonal(relator_exponent_matrix(pres)))
 
 
 def simplify_presentation(pres: GroupPresentation) -> tuple[GroupPresentation, str]:
@@ -411,9 +392,7 @@ def simplify_presentation(pres: GroupPresentation) -> tuple[GroupPresentation, s
 
     if not out.generators:
         return out, "Trivial"
-    rows = relator_exponent_matrix(out)
-    if abelianization_rank(out) > 0:
-        return out, "Nontrivial"
-    if rows and any(d not in (0, 1) for d in smith_diagonal(rows)):
+    diag = smith_diagonal(relator_exponent_matrix(out))
+    if len(diag) < len(out.generators) or any(d != 1 for d in diag):
         return out, "Nontrivial"
     return out, "Unknown"

@@ -1,16 +1,19 @@
-"""Uniform operations over dense matrices and shift-type operators.
+"""Uniform operations over dense matrices, shift-type operators and
+*-isomorphisms, and the one layer of word and path products built on them.
 
 Fredholm modules come in two flavors: finite rank fibers (plain numpy
-arrays) and shift-type fibers (ShiftOp).  The helpers here let the
-verification code treat both the same way.  In finite dimensions every
-operator is compact, so the compactness defect of a dense operator is
-zero by definition.
+arrays) and shift-type fibers (ShiftOp); C* net bundles carry StarIso
+fibers.  All three compose with `@` and take adjoints with `adj`, so the
+verification code, the word product and the transport step treat them
+the same way.  In finite dimensions every operator is compact, so the
+compactness defect of a dense operator is zero by definition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .cstar import StarIso, iso_map_defect
 from .linalg import dagger, opnorm
 from .shift_calculus import ShiftOp, identity_op, op_equal
 
@@ -18,9 +21,10 @@ Operator = "np.ndarray | ShiftOp"
 
 
 def adj(x):
-    if isinstance(x, ShiftOp):
-        return x.H
-    return dagger(x)
+    """Adjoint of a matrix or ShiftOp; inverse of a StarIso."""
+    if isinstance(x, np.ndarray):
+        return dagger(x)
+    return x.H
 
 
 def identity_like(x):
@@ -119,3 +123,23 @@ def evaluate_word_ops(letters, images: dict, ident):
         m = images[abs(l)]
         out = (m if l > 0 else adj(m)) @ out
     return out
+
+
+def require_relators(pres, images: dict, ident, tol: float, error) -> None:
+    """Raise `error` unless every relator of `pres` evaluates on the
+    generator images to `ident` within `tol`."""
+    for r in pres.relators:
+        w = evaluate_word_ops(r.letters, images, ident)
+        if isinstance(w, StarIso):
+            d = iso_map_defect(w, ident, ident.sizes)
+        else:
+            d = zero_defect(w - ident)
+        if d > tol:
+            raise error(f"relator {r} has defect {d:.3e}")
+
+
+def transport_step(x, t, s):
+    """The transport t followed by the segment s of a path (up from
+    s.face1 into the support, then down to s.face0), through the edge
+    operators x.u of a bundle or a sampled representation."""
+    return adj(x.u(s.face0, s.support)) @ x.u(s.face1, s.support) @ t

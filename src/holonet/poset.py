@@ -118,10 +118,6 @@ class OneSimplex:
     def opposite(self) -> "OneSimplex":
         return OneSimplex(self.support, self.face1, self.face0)
 
-    @property
-    def degenerate(self) -> bool:
-        return self.face0 == self.face1
-
     def __str__(self) -> str:
         return f"({self.support}; {self.face0}, {self.face1})"
 
@@ -227,17 +223,30 @@ def comparability_adjacency(poset: Poset) -> dict[str, list[str]]:
         adj[y].add(x)
     return {e: sorted(ns) for e, ns in adj.items()}
 
+
+def components(poset: Poset) -> list[list[str]]:
+    """Components of the comparability graph, each sorted, in the order
+    of their first element in `poset.elements`."""
+    adj = comparability_adjacency(poset)
+    seen: set[str] = set()
+    comps = []
+    for e in poset.elements:
+        if e in seen:
+            continue
+        comp = [e]
+        seen.add(e)
+        stack = [e]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
 def check_connected(poset: Poset) -> bool:
     """Whether the comparability graph is connected (pathwise connectivity)."""
-    if not poset.elements:
-        return True
-    adj = comparability_adjacency(poset)
-    seen = {poset.elements[0]}
-    stack = [poset.elements[0]]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(poset.elements)
+    return len(components(poset)) <= 1

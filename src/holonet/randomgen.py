@@ -28,6 +28,7 @@ from .poset import (
     Poset,
     build_poset,
     check_connected,
+    components,
     make_path,
 )
 
@@ -45,34 +46,11 @@ def random_connected_poset(rng: np.random.Generator, max_elements: int = 12) -> 
         if check_connected(poset):
             return poset
         # deterministically stitch the components together
-        comps = _components(poset)
+        comps = components(poset)
         extra = [(min(comps[k]), min(comps[k + 1])) for k in range(len(comps) - 1)]
         poset = build_poset(els, pairs + sorted(extra))
         if check_connected(poset):
             return poset
-
-
-def _components(poset: Poset) -> list[list[str]]:
-    from .poset import comparability_adjacency
-
-    adj = comparability_adjacency(poset)
-    seen: set[str] = set()
-    comps = []
-    for e in poset.elements:
-        if e in seen:
-            continue
-        comp = [e]
-        seen.add(e)
-        stack = [e]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(sorted(comp))
-    return comps
 
 
 def _rational_kernel(rows: list[list[int]]) -> list[list[int]]:

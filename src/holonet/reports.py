@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+CONSTRUCTION_TOL = 1e-12  # validating data handed to a constructor
+CHECK_TOL = 1e-10  # relations of computed objects (holonomy, modules, triples)
+
 
 def relation_memo():
     """A per-call memo of relation defects keyed on operand identity.

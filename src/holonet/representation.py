@@ -20,9 +20,8 @@ from .bundle import (
     CStarNetBundle,
     HilbertNetBundle,
     bundle_from_rep,
-    edge_loop_path,
     evaluate_path,
-    evaluate_word_iso,
+    holonomy_images,
     holonomy_rep,
 )
 from .cstar import (
@@ -32,7 +31,6 @@ from .cstar import (
     basis_elements,
     block_diag,
     identity_iso,
-    iso_map_defect,
 )
 from .errors import (
     FiberMismatch,
@@ -45,13 +43,11 @@ from .errors import (
 )
 from .homotopy import GroupPresentation, PathFrame, build_path_frame, edge_loop_word
 from .linalg import dagger, opnorm
+from .operators import evaluate_word_ops, require_relators
 from .poset import Path, Poset
-from .reports import ValidationReport
+from .reports import CHECK_TOL, CONSTRUCTION_TOL, ValidationReport
 
 Edge = tuple[str, str]
-
-CONSTRUCTION_TOL = 1e-12
-CHECK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -283,9 +279,7 @@ def covariantize(r: NetRepresentation, pres: GroupPresentation,
         frame = build_path_frame(r.net.poset, pres.base)
     images = holonomy_rep(r.target, pres, frame)
     pi_base = r.pi[pres.base]
-    for e, idx in pres.gen_index.items():
-        loop = edge_loop_path(r.net.poset, frame, e[0], e[1])
-        act = evaluate_path(cb, loop)
+    for idx, act in holonomy_images(cb, pres, frame).items():
         u = images[idx]
         for t in basis_elements(r.net.fibers[pres.base]):
             lhs = apply_hom(pi_base, apply_iso(act, t))[0]
@@ -317,11 +311,7 @@ def netify(eta: BlockHom, v_images: dict[int, np.ndarray], poset: Poset,
         action = {idx: identity_iso(sizes) for idx in v_images}
     if set(action) != set(v_images):
         raise NotCovariant("action and V must cover the same generators")
-    for r in pres.relators:
-        iso = evaluate_word_iso(r, action, sizes)
-        d = iso_map_defect(iso, identity_iso(sizes), sizes)
-        if d > tol:
-            raise RelatorNotSatisfied(f"action breaks relator {r} by {d:.3e}")
+    require_relators(pres, action, identity_iso(sizes), tol, RelatorNotSatisfied)
     for idx, u in v_images.items():
         for t in basis_elements(sizes):
             lhs = apply_hom(eta, apply_iso(action[idx], t))[0]
@@ -334,7 +324,8 @@ def netify(eta: BlockHom, v_images: dict[int, np.ndarray], poset: Poset,
     incl = {}
     for e in poset.strict_pairs():
         w = edge_loop_word(pres, poset, frame, e[0], e[1])
-        incl[e] = hom_from_iso(evaluate_word_iso(w, action, sizes))
+        incl[e] = hom_from_iso(evaluate_word_ops(w.letters, action,
+                                                 identity_iso(sizes)))
     net = NetOfAlgebras(poset, {o: sizes for o in poset.elements}, incl)
     pi = {o: eta for o in poset.elements}
     return NetRepresentation(net, target, pi)

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bundle import holonomy_images
 from .errors import FiberMismatch, NotInvariant, NotSelfAdjoint
-from .fredholm import CHECK_TOL, SampledRep, flat_rep, holonomy_images
+from .fredholm import SampledRep, flat_rep
 from .homotopy import GroupPresentation, PathFrame
 from .operators import (
     adj,
@@ -29,7 +30,7 @@ from .operators import (
     zero_defect,
 )
 from .poset import Poset
-from .reports import ValidationReport, relation_memo
+from .reports import CHECK_TOL, ValidationReport, relation_memo
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def to_equivariant(t: NetSpectralTriple, tol: float = CHECK_TOL) -> EquivariantT
         raise FiberMismatch("need a grading at the base fiber")
     if base not in t.D:
         raise FiberMismatch("no operator at the base fiber")
-    e = EquivariantTriple(rep.grading[base], holonomy_images(rep),
+    e = EquivariantTriple(rep.grading[base], holonomy_images(rep, rep.pres, rep.frame),
                           dict(rep.samples.get(base, {})), t.D[base],
                           rep.pres)
     _require_equivariant(e, tol)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,12 @@ from holonet.bundle import (
     compute_sections,
     edge_loop_path,
     evaluate_path,
-    evaluate_word,
     hilbert_section_dimension_oracle,
     holonomy_rep,
     make_cstar_bundle,
     make_hilbert_bundle,
     roundtrip_iso,
     section_defect,
-    transport_rule,
     validate_bundle,
 )
 from holonet.cstar import (
@@ -35,6 +35,7 @@ from holonet.cstar import (
 from holonet.errors import InvalidBundle, RelatorNotSatisfied, UnknownElement
 from holonet.homotopy import Word, frame_transports
 from holonet.linalg import dagger, random_unitary
+from holonet.operators import adj, evaluate_word_ops, transport_step
 from holonet.randomgen import (
     homotopic_variant,
     random_hilbert_bundle,
@@ -69,6 +70,38 @@ def test_iso_compose_inverse_roundtrip():
                                      random_unitary(rng, 1)))
     both = compose_iso(inverse_iso(iso), iso)
     assert iso_map_defect(both, identity_iso(sizes), sizes) < 1e-14
+
+
+def word_iso_reference(letters, images, sizes):
+    """The word product over *-isomorphisms spelled out with
+    compose_iso and inverse_iso, last letter first."""
+    out = identity_iso(sizes)
+    for l in reversed(letters):
+        m = images[abs(l)]
+        out = compose_iso(m if l > 0 else inverse_iso(m), out)
+    return out
+
+
+def test_star_iso_protocol_matches_compose_and_inverse():
+    rng = np.random.default_rng(7)
+    sizes = (2, 2, 1)
+
+    def random_iso():
+        return StarIso(sizes, tuple(int(i) for i in rng.permutation(2)) + (2,),
+                       tuple(random_unitary(rng, k) for k in sizes))
+
+    for _ in range(10):
+        a, b = random_iso(), random_iso()
+        assert same_bits(a @ b, compose_iso(a, b))
+        assert same_bits(adj(a), inverse_iso(a))
+        assert same_bits(a.H, inverse_iso(a))
+    images = {1: random_iso(), 2: random_iso(), 3: random_iso()}
+    for _ in range(20):
+        letters = tuple(int(g) * int(s) for g, s in
+                        zip(rng.integers(1, 4, size=rng.integers(0, 7)),
+                            rng.choice([-1, 1], size=7)))
+        assert same_bits(evaluate_word_ops(letters, images, identity_iso(sizes)),
+                         word_iso_reference(letters, images, sizes))
 
 
 def test_apply_iso_is_star_homomorphism():
@@ -173,11 +206,12 @@ def test_evaluate_word_conventions():
     a, b = random_unitary(rng, 3), random_unitary(rng, 3)
     images = {1: a, 2: b}
     # letters[-1] acts first: (1, 2) evaluates to a b
-    got = evaluate_word(Word((1, 2)), images, 3)
+    eye = np.eye(3, dtype=complex)
+    got = evaluate_word_ops(Word((1, 2)).letters, images, eye)
     assert np.linalg.norm(got - a @ b) < 1e-14
-    got = evaluate_word(Word((-2, 1)), images, 3)
+    got = evaluate_word_ops(Word((-2, 1)).letters, images, eye)
     assert np.linalg.norm(got - dagger(b) @ a) < 1e-14
-    assert np.array_equal(evaluate_word(Word(()), images, 3), np.eye(3))
+    assert np.array_equal(evaluate_word_ops(Word(()).letters, images, eye), np.eye(3))
 
 
 def test_path_evaluation_is_homotopy_invariant():
@@ -203,6 +237,12 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def cstar_step_reference(b):
+    """The C* transport step spelled out with compose_iso and inverse_iso."""
+    return lambda t, s: compose_iso(
+        compose_iso(inverse_iso(b.u(s.face0, s.support)), b.u(s.face1, s.support)), t)
+
+
 def test_frame_transports_match_path_evaluation_bitwise():
     # generic bundles: a random unitary (or *-isomorphism) on every edge,
     # so no frame transport is the identity
@@ -217,10 +257,17 @@ def test_frame_transports_match_path_evaluation_bitwise():
                        tuple(random_unitary(rng, k) for k in sizes))
             for e in poset.strict_pairs()})
         for b in (hilbert, cstar):
-            t = frame_transports(poset, frame, *transport_rule(b))
+            t = frame_transports(poset, frame, b.ident, partial(transport_step, b))
             assert set(t) == set(poset.elements)
             for o in poset.elements:
                 assert same_bits(t[o], evaluate_path(b, frame.to(o)))
+        step = cstar_step_reference(cstar)
+        loops = [edge_loop_path(poset, frame, *e) for e in pres.generators]
+        for p in [frame.to(o) for o in poset.elements] + loops:
+            want = identity_iso(sizes)
+            for s in p.simplices:
+                want = step(want, s)
+            assert same_bits(evaluate_path(cstar, p), want)
 
 
 # ------------------------------------------------- holonomy and roundtrip
@@ -239,6 +286,22 @@ def test_rep_to_bundle_to_holonomy_is_exact():
         assert set(back) == set(images)
         for idx in images:
             assert np.array_equal(back[idx], images[idx])
+
+
+def test_holonomy_rep_rejects_broken_relators():
+    # random edge operators on a 3-chain break its one relator
+    poset, pres, frame = pfp(chain_poset(3))
+    assert len(pres.relators) == 1
+    rng = np.random.default_rng(19)
+    sizes = (1, 2)
+    hilbert = HilbertNetBundle(poset, 2, {e: random_unitary(rng, 2)
+                                          for e in poset.strict_pairs()})
+    cstar = CStarNetBundle(poset, sizes, {
+        e: StarIso(sizes, (0, 1), tuple(random_unitary(rng, k) for k in sizes))
+        for e in poset.strict_pairs()})
+    for b in (hilbert, cstar):
+        with pytest.raises(RelatorNotSatisfied, match="has defect"):
+            holonomy_rep(b, pres, frame)
 
 
 def test_bundle_from_rep_rejects_nonunitary_and_broken_relators(hexagon_pfp):

@@ -1,11 +1,13 @@
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 from conftest import pfp, rng_for
 
+from holonet.bundle import edge_loop_path, evaluate_path, holonomy_images
 from holonet.errors import (
     CentralityViolated,
     FiberMismatch,
@@ -34,11 +36,9 @@ from holonet.fredholm import (
     build_shift_module,
     dual_net_membership,
     equivariant_cycle,
-    evaluate_rep_path,
     extend_localized,
     flat_rep,
     from_cycle,
-    holonomy_images,
     localize,
     pi_index,
     sample_words,
@@ -55,6 +55,7 @@ from holonet.operators import (
     commutator,
     compact_defect,
     identity_like,
+    transport_step,
     zero_defect,
 )
 from holonet.reports import ValidationReport
@@ -101,7 +102,7 @@ def test_frame_paths_evaluate_to_identity(hexagon_pfp):
     u = {1: random_unitary(rng_for(4), 3)}
     rep = flat_rep(poset, pres, frame, u, np.eye(3, dtype=complex), {})
     for o in poset.elements:
-        got = evaluate_rep_path(rep, frame.to(o))
+        got = evaluate_path(rep, frame.to(o))
         assert np.array_equal(got, np.eye(3))
 
 
@@ -109,7 +110,7 @@ def test_holonomy_images_recover_inputs(hexagon_pfp):
     poset, pres, frame = hexagon_pfp
     u = {1: random_unitary(rng_for(5), 3)}
     rep = flat_rep(poset, pres, frame, u, np.eye(3, dtype=complex), {})
-    got = holonomy_images(rep)
+    got = holonomy_images(rep, pres, frame)
     assert np.array_equal(got[1], u[1])
 
 
@@ -119,6 +120,14 @@ def same_bits(a, b) -> bool:
     return ((a.d_out, a.d_in) == (b.d_out, b.d_in)
             and bits(a.stripes) == bits(b.stripes)
             and bits(a.finite) == bits(b.finite))
+
+
+def rep_path_reference(rep, p):
+    """Edge operators of a sampled representation folded along a path."""
+    out = rep.ident
+    for s in p.simplices:
+        out = adj(rep.u(s.face0, s.support)) @ rep.u(s.face1, s.support) @ out
+    return out
 
 
 def test_frame_transports_of_a_shift_module_match_path_evaluation():
@@ -135,17 +144,20 @@ def test_frame_transports_of_a_shift_module_match_path_evaluation():
         gauge = {o: stripe_op(0, random_unitary(rng, 4)) for o in poset.elements}
         rep = replace(m.rep, u_incl={e: gauge[e[1]] @ u @ gauge[e[0]].H
                                      for e, u in m.rep.u_incl.items()})
-        t = frame_transports(poset, frame, rep.ident, rep.step)
+        t = frame_transports(poset, frame, rep.ident, partial(transport_step, rep))
+        loops = [edge_loop_path(poset, frame, *e) for e in pres.generators]
+        for p in [frame.to(o) for o in poset.elements] + loops:
+            assert same_bits(evaluate_path(rep, p), rep_path_reference(rep, p))
         for o in poset.elements:
-            assert same_bits(t[o], evaluate_rep_path(rep, frame.to(o)))
+            assert same_bits(t[o], evaluate_path(rep, frame.to(o)))
         # extend_localized spreads F along the same transports
         at = max(poset.elements)
         f = gauge[at] @ m.F[at] @ gauge[at].H
         ext = extend_localized(LocalizedModule(rep, at, f, "even"))
-        back = evaluate_rep_path(rep, frame.to(at))
+        back = evaluate_path(rep, frame.to(at))
         f_base = adj(back) @ f @ back
         for o in poset.elements:
-            w = evaluate_rep_path(rep, frame.to(o))
+            w = evaluate_path(rep, frame.to(o))
             assert same_bits(ext.F[o], f if o == at else w @ f_base @ adj(w))
         checked += 1
     assert checked > 10
@@ -274,8 +286,8 @@ def test_transport_nonhomotopic_paths_differ_by_holonomy(hexagon_pfp):
     f_short = transport(loc, "U2", short).f
     f_long = transport(loc, "U2", long).f
     # the two transports are conjugate by the holonomy of the loop
-    w_short = evaluate_rep_path(rep, short)
-    v_loop = evaluate_rep_path(
+    w_short = evaluate_path(rep, short)
+    v_loop = evaluate_path(
         rep, make_path(poset, list(opposite_path(short).simplices)
                        + list(long.simplices)))
     expected = w_short @ v_loop @ f @ dagger(v_loop) @ dagger(w_short)

@@ -12,6 +12,7 @@ from holonet.poset import (
     OneSimplex,
     build_poset,
     check_connected,
+    components,
     compose_paths,
     degenerate_simplex,
     edge_simplex,
@@ -50,6 +51,29 @@ def union_find_connected(poset):
         parent[find(x)] = find(y)
     roots = {find(e) for e in poset.elements}
     return len(roots) <= 1
+
+
+def components_reference(poset):
+    """Comparability components by depth-first search, each sorted, in
+    the order of their first element."""
+    adj = {e: set() for e in poset.elements}
+    for x, y in poset.strict_pairs():
+        adj[x].add(y)
+        adj[y].add(x)
+    seen, comps = set(), []
+    for e in poset.elements:
+        if e in seen:
+            continue
+        comp, stack = [e], [e]
+        seen.add(e)
+        while stack:
+            for y in sorted(adj[stack.pop()]):
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        comps.append(sorted(comp))
+    return comps
 
 
 def test_build_poset_closure_and_order():
@@ -195,6 +219,7 @@ def test_connectivity_matches_union_find(seed):
                 pairs.append((els[i], els[j]))
     p = build_poset(els, pairs)
     assert check_connected(p) == union_find_connected(p)
+    assert components(p) == components_reference(p)
 
 
 def test_standard_posets_connected():

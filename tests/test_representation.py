@@ -245,7 +245,7 @@ def test_netify_with_nontrivial_action(hexagon_pfp):
     assert validate_representation(r).ok
     for e in poset.strict_pairs():
         if e not in pres.tree_edges:
-            assert as_net_bundle(r.net).iso(*e).src == (1, 0)
+            assert as_net_bundle(r.net).u(*e).src == (1, 0)
 
 
 def test_netify_rejects_noncovariant(hexagon_pfp):
