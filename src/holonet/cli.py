@@ -35,7 +35,6 @@ from .errors import (
     UnknownCommand,
 )
 from .fredholm import (
-    INDEX_TOL,
     ExtensionObstruction,
     build_sector_module,
     build_shift_module,
@@ -59,7 +58,7 @@ from .iodoc import (
 )
 from .linalg import eigenphases
 from .operators import adj, evaluate_word_ops, operators_equal_exact, zero_defect
-from .reports import CHECK_TOL
+from .reports import CHECK_TOL, INDEX_TOL
 from .spectral import (
     EquivariantTriple,
     from_equivariant,

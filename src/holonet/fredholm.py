@@ -59,21 +59,25 @@ from .operators import (
     zero_defect,
 )
 from .poset import Path, Poset, opposite_path
-from .reports import CHECK_TOL, ValidationReport, relation_memo
+from .reports import (
+    CHECK_TOL,
+    COMPACT_TOL,
+    DENSE_KERNEL_TOL,
+    INDEX_TOL,
+    ValidationReport,
+    relation_memo,
+)
 from .shift_calculus import (
     ShiftOp,
     color_corner,
     finite_op,
     identity_op,
     map_color,
+    scalar_color_factor,
     shift_op,
     stripe_op,
 )
 Edge = tuple[str, str]
-
-COMPACT_TOL = 1e-9
-INDEX_TOL = 1e-9
-DENSE_KERNEL_TOL = 1e-8
 
 
 # --------------------------------------------------------------- net reps
@@ -520,19 +524,37 @@ def _kernel_window(op: ShiftOp, window: int, sv_tol: float) -> np.ndarray:
     return null_space(_dense_window(op, window), sv_tol)
 
 
+def stabilization_window(op: ShiftOp) -> int:
+    """The window w0 of `windowed_kernel`: the finite-part support plus
+    the maximal shift power plus one."""
+    return op.max_abs_shift + op.finite_extent + 1
+
+
 def windowed_kernel(op: ShiftOp, sv_tol: float = DENSE_KERNEL_TOL) -> tuple[np.ndarray, int]:
     """Kernel basis of a shift-class operator on its stabilization window.
 
-    The window w0 is the finite-part support plus the maximal shift power
-    plus one.  One SVD with singular vectors gives the kernel basis at
-    w0; the probe windows w0 + 1 and w0 + 2 only count the singular values
-    above `sv_tol` (the same absolute rule as the kernel), and all three
-    kernel dimensions must agree, otherwise the operator is not Fredholm
-    in this class.
+    The window is w0 = `stabilization_window(op)`.  One SVD with
+    singular vectors gives the kernel basis at w0; the probe windows
+    w0 + 1 and w0 + 2 only count the singular values above `sv_tol` (the
+    same absolute rule as the kernel), and all three kernel dimensions
+    must agree, otherwise the operator is not Fredholm in this class.
+
+    A scalar-colour operator S tensor I_d (d > 1, see
+    `scalar_color_factor`) has every window equal to the window of S
+    tensor I_d, with the same singular values d times over, so its
+    kernel is ker S tensor C^d.  The three windows are then taken on S,
+    d times narrower, and the kernel basis of S is lifted by
+    `np.kron(., I_d)`; `materialize` puts the colour index fastest
+    (column site * d + colour), so the lifted columns are orthonormal
+    and span the kernel of the full window at the same w0.
     """
     if not op.stripes:
         raise NotFredholm("no shift part: every window has a kernel beyond it")
-    w0 = op.max_abs_shift + op.finite_extent + 1
+    lift = 1
+    factor = scalar_color_factor(op)
+    if factor is not None:
+        op, lift = factor, op.d_in
+    w0 = stabilization_window(op)
     kernel = _kernel_window(op, w0, sv_tol)
     dims = [kernel.shape[1]]
     for w in (w0 + 1, w0 + 2):
@@ -540,7 +562,10 @@ def windowed_kernel(op: ShiftOp, sv_tol: float = DENSE_KERNEL_TOL) -> tuple[np.n
         s = np.linalg.svd(a, compute_uv=False)
         dims.append(a.shape[1] - int(np.sum(s > sv_tol)))
     if dims[0] != dims[1] or dims[1] != dims[2]:
-        raise NotFredholm(f"kernel window does not stabilize: dims {dims}")
+        raise NotFredholm(f"kernel window does not stabilize: "
+                          f"dims {[lift * n for n in dims]}")
+    if lift > 1:
+        kernel = np.kron(kernel, np.eye(lift))
     return kernel, w0
 
 
@@ -563,9 +588,14 @@ def pi_index(cycle: EquivariantCycle, pres: GroupPresentation | None = None,
     action restricted to both kernels.
 
     Dense fibers use a singular value threshold; shift-class fibers use
-    the exact windowed kernel.  Raises NotFredholm when the window does
-    not stabilize and KernelNotInvariant when the holonomy leaks out of
-    a kernel.
+    `windowed_kernel`, the kernel of a finite window whose dimension must
+    not grow on the two next wider windows.  That stabilization is a
+    necessary check, not a proof: a kernel of infinite support escapes
+    every window.  Known false negative: for
+    `stripe_op(-1, I_2, 1/3) + stripe_op(1, 0.25 I_2, 2/5)` (index 2, a
+    kernel decaying like 0.25^n) both windowed kernels come out empty.
+    Raises NotFredholm when the window does not stabilize and
+    KernelNotInvariant when the holonomy leaks out of a kernel.
     """
     if cycle.parity != "even" or cycle.grading is None:
         raise ValueError("the index needs an even cycle with a grading")
@@ -762,6 +792,13 @@ def _pinned_shift(w_index: int) -> ShiftOp:
     p = identity_op(1) + finite_op({(0, 0): -one, (w_index, w_index): -one,
                                     (0, w_index): one, (w_index, 0): one}, 1)
     return p @ s @ p
+
+
+def sector_window_columns(w_index: int, total: int) -> int:
+    """Columns of the widest window `pi_index` probes on a sector module
+    with cyclic vector at `w_index` and `total` colours: the w0 + 2 probe
+    of `windowed_kernel` on the odd corner, in every colour."""
+    return (stabilization_window(_pinned_shift(w_index)) + 2) * total
 
 
 def _sector_blocks(sector_dims: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .charclass import ExactPhase, IrrationalBasis, irrational_basis, phase
 from .errors import InputReferenceError, InputSyntaxError, SchemaError
+from .fredholm import sector_window_columns
 from .homotopy import (
     GroupPresentation,
     PathFrame,
@@ -169,6 +170,12 @@ MAX_MAGNITUDE = 1e100
 """Largest accepted absolute value of a JSON number.  Squares of such
 entries, and sums of d x d matrix products of them, stay finite in
 double precision, so checks on accepted data cannot overflow."""
+
+
+MAX_WINDOW_COLUMNS = 2048
+"""Largest accepted `fredholm.sector_window_columns` of a sector module.
+`pi_index` builds dense windows of that many columns, so the declared
+`w_index` and `dims` bound its memory and time."""
 
 
 def _bounded(convert):
@@ -331,6 +338,10 @@ def parse_document(text: str) -> InputDocument:
             w = sec.get("w_index", 0)
             _require(isinstance(w, int) and w >= 0, "module.w_index",
                      f"expected a nonnegative integer, got {w!r}")
+            cols = sector_window_columns(w, sum(dims))
+            _require(cols <= MAX_WINDOW_COLUMNS, "module",
+                     f"w_index {w} and dims {dims} need kernel windows of "
+                     f"{cols} columns, beyond the limit {MAX_WINDOW_COLUMNS}")
             mod["dims"] = tuple(dims)
             mod["w_index"] = w
             raw_mod["dims"] = list(dims)

@@ -6,6 +6,9 @@ from dataclasses import dataclass, field
 
 CONSTRUCTION_TOL = 1e-12  # validating data handed to a constructor
 CHECK_TOL = 1e-10  # relations of computed objects (holonomy, modules, triples)
+COMPACT_TOL = 1e-9  # stripe weight of a module relation that must be compact
+INDEX_TOL = 1e-9  # holonomy invariance: extension, index kernels, characters
+DENSE_KERNEL_TOL = 1e-8  # singular values at or below this span a kernel
 
 
 def relation_memo():

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from holonet.homotopy import build_path_frame, fundamental_presentation
+from holonet.shift_calculus import finite_op, stripe_op
 from holonet.standard import chain_poset, hexagon_poset, with_top
 
 
@@ -34,3 +37,25 @@ def pfp(poset):
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+def random_scalar_color_op(rng, d):
+    """A ShiftOp on d colours whose colour matrices are all multiples of
+    I_d: a unit-modulus co-shift stripe (offset -1 or -2), up to two
+    smaller stripes with offsets -2..2, rational phases throughout, and
+    up to three finite blocks c * I_d on the first four sites."""
+    eye = np.eye(d, dtype=complex)
+
+    def scalar(scale=1.0):
+        return scale * complex(rng.standard_normal(), rng.standard_normal())
+
+    def phase():
+        return Fraction(int(rng.integers(0, 6)), int(rng.integers(1, 7)))
+
+    op = stripe_op(-int(rng.integers(1, 3)), np.exp(2j * np.pi * rng.random()) * eye,
+                   phase())
+    for _ in range(int(rng.integers(0, 3))):
+        op = op + stripe_op(int(rng.integers(-2, 3)), scalar(0.2) * eye, phase())
+    blocks = {(int(rng.integers(4)), int(rng.integers(4))): scalar() * eye
+              for _ in range(int(rng.integers(0, 4)))}
+    return op + finite_op(blocks, d)

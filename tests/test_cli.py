@@ -1,6 +1,7 @@
 """Input document parsing, command dispatch, exit codes, and report
 determinism for the command line front end."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from holonet.errors import (
 )
 from holonet.iodoc import (
     MAX_MAGNITUDE,
+    MAX_WINDOW_COLUMNS,
     load_document,
     parse_document,
     print_document,
@@ -184,6 +186,25 @@ def test_reports_are_byte_identical(capsys):
     assert out != runs[0]  # sampled characters move with the seed
 
 
+def test_sample_reports_match_the_golden_table(capsys, monkeypatch):
+    """Exit code and stdout sha256 of every (command, sample) pair.
+
+    `cli_golden.json` holds, per pair, what `python -m holonet.cli
+    COMMAND --input sample_inputs/FILE` gives when run from the
+    repository root.  A change that moves a stdout byte on purpose
+    regenerates the table and names the bytes it moved.
+    """
+    golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+    samples = sorted(p.name for p in (ROOT / "sample_inputs").glob("*.json"))
+    pairs = [f"{c} {s}" for c in sorted(holonet.cli.COMMANDS) for s in samples]
+    assert sorted(golden) == sorted(pairs)
+    monkeypatch.chdir(ROOT)
+    for pair in pairs:
+        command, sample = pair.split()
+        code, out, _ = run(capsys, command, "--input", f"sample_inputs/{sample}")
+        assert [code, hashlib.sha256(out.encode()).hexdigest()] == golden[pair], pair
+
+
 def test_timing_goes_to_stderr_only(capsys):
     code, out, err = run(capsys, "pi1", "--input", CHAIN)
     assert "elapsed_ms=" in err
@@ -333,6 +354,47 @@ def test_huge_magnitudes_are_rejected_at_parse_time(capsys, tmp_path):
         assert code == 2
         assert report["error"]["type"] == "InputSyntaxError"
         assert report["pass"] is False
+
+
+def _sector_doc(tmp_path, w_index, dims=None, images=None):
+    data = json.loads(Path(SECTOR).read_text())
+    data["module"]["w_index"] = w_index
+    if dims is not None:
+        data["module"]["dims"] = dims
+        data["module"]["images"] = images
+    path = tmp_path / f"sector-{w_index}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_huge_sector_windows_exit_2_at_parse_time(capsys, tmp_path):
+    path = _sector_doc(tmp_path, 10**9)
+    with pytest.raises(SchemaError, match="beyond the limit 2048"):
+        load_document(path)
+    code, out, _ = run(capsys, "sector-demo", "--input", path)
+    assert code == 2
+    report = json.loads(out, parse_constant=_no_constant)
+    assert report["pass"] is False
+    assert report["error"]["type"] == "SchemaError"
+
+
+def test_largest_accepted_sector_window_runs(capsys, tmp_path):
+    # the widest window is the w0 + 2 probe, w0 = w_index + 4, in 8 colours
+    assert MAX_WINDOW_COLUMNS == 2048
+    w_max = MAX_WINDOW_COLUMNS // 8 - 6
+    lam = np.exp(2j * np.pi * np.array([0.6180339887498949] * 4
+                                       + [0.6931471805599453] * 4))
+    images = {"1": [[[z.real, z.imag] if i == j else [0.0, 0.0]
+                     for j, z in enumerate(lam)] for i in range(8)]}
+    code, report, _ = run_json(capsys, "sector-demo", "--input",
+                               _sector_doc(tmp_path, w_max, [4, 4], images))
+    assert code == 0
+    assert report["results"]["index"]["dim"] == 8
+    assert report["results"]["ccs"] == {"rank": 8, "odd": {"a1": "4", "a2": "4"}}
+    code, report, _ = run_json(capsys, "sector-demo", "--input",
+                               _sector_doc(tmp_path, w_max + 1, [4, 4], images))
+    assert code == 2
+    assert report["error"]["type"] == "SchemaError"
 
 
 @pytest.mark.parametrize("value, accepted", [("1e100", True), ("-1e100", True),

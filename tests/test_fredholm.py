@@ -5,9 +5,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import pfp, rng_for
+from conftest import pfp, random_scalar_color_op, rng_for
 
+import holonet.fredholm
 from holonet.bundle import edge_loop_path, evaluate_path, holonomy_images
+from holonet.charclass import ccs_of_module, irrational_basis, phase
 from holonet.errors import (
     CentralityViolated,
     FiberMismatch,
@@ -67,6 +69,7 @@ from holonet.shift_calculus import (
     identity_op,
     modulation_op,
     op_equal,
+    scalar_color_factor,
     shift_op,
     stripe_op,
 )
@@ -588,11 +591,89 @@ def test_windowed_kernel_probes_agree_with_kernel_window():
             blocks[(r, s)] = rng.standard_normal((2, 2)) \
                 + 1j * rng.standard_normal((2, 2))
         op = stripe_op(-1, np.eye(2), Fraction(1, 3)) + finite_op(blocks, 2)
+        assert scalar_color_factor(op) is None
         kernel, w0 = windowed_kernel(op)
         assert kernel.shape[1] > 0
         for extra in (1, 2):
             assert _kernel_window(op, w0 + extra, 1e-8).shape[1] == kernel.shape[1]
         assert np.array_equal(kernel, _kernel_window(op, w0, 1e-8))
+
+
+def _unfactored(monkeypatch, call, *args):
+    """`call(*args)` with every kernel window taken on the full colour
+    space, as before colour factorization."""
+    with monkeypatch.context() as m:
+        m.setattr(holonet.fredholm, "scalar_color_factor", lambda op: None)
+        return call(*args)
+
+
+def _projector(basis):
+    return basis @ dagger(basis)
+
+
+def test_windowed_kernel_factors_scalar_colour_operators(monkeypatch):
+    found = 0
+    for seed in range(60):
+        rng = rng_for(700 + seed)
+        d = int(rng.integers(2, 5))
+        op = random_scalar_color_op(rng, d)
+        assert scalar_color_factor(op) is not None
+        kernel, w0 = windowed_kernel(op)
+        full = _kernel_window(op, w0, 1e-8)
+        assert _unfactored(monkeypatch, windowed_kernel, op)[1] == w0
+        assert kernel.shape == full.shape
+        assert opnorm(_projector(kernel) - _projector(full)) <= 1e-10
+        assert opnorm(dagger(kernel) @ kernel - np.eye(kernel.shape[1])) <= 1e-12
+        found += kernel.shape[1] > 0
+    assert found >= 20
+
+
+def test_windowed_kernel_scalar_colour_projection_is_not_fredholm():
+    # (1 + (-1)^m) / 2 projects onto the even sites: every window has
+    # more kernel than the last
+    for d in (2, 3):
+        op = 0.5 * (identity_op(d) + modulation_op(Fraction(1, 2), d))
+        assert scalar_color_factor(op) is not None
+        with pytest.raises(NotFredholm, match="does not stabilize"):
+            windowed_kernel(op)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "windowed_kernel misses kernels of infinite support: this operator has "
+    "index 2 (a co-isometry plus a perturbation of norm 0.25, kernel "
+    "decaying like 0.25^n) but both windowed kernels come out empty"))
+def test_windowed_kernel_sees_the_index_of_mixed_shift_stripes():
+    op = (stripe_op(-1, np.eye(2), Fraction(1, 3))
+          + stripe_op(1, 0.25 * np.eye(2), Fraction(2, 5)))
+    assert scalar_color_factor(op) is not None
+    try:
+        dims = windowed_kernel(op)[0].shape[1], windowed_kernel(op.H)[0].shape[1]
+    except NotFredholm:
+        return
+    assert dims[0] - dims[1] == 2
+
+
+def test_deep_sector_index_matches_the_unfactored_windows(hexagon_pfp, monkeypatch):
+    poset, pres, frame = hexagon_pfp
+    basis = irrational_basis(a1=0.6180339887498949, a2=0.6931471805599453)
+    declared = [phase(basis, Fraction(1, 12), a1=1), phase(basis, 0, a2=-1),
+                phase(basis, Fraction(5, 12), a1=1, a2=1)]
+    lam = np.exp(2j * np.pi * np.array([p.float_value() for p in declared]))
+    v = random_unitary(rng_for(17), 2)
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[:2, :2] = v @ np.diag(lam[:2]) @ dagger(v)
+    rho[2, 2] = lam[2]
+    sec = build_sector_module(poset, pres, frame, (2, 1), {1: rho}, w_index=128)
+    cycle = equivariant_cycle(localize(sec.module, frame.base))
+    idx = pi_index(cycle)
+    ref = _unfactored(monkeypatch, pi_index, cycle)
+    assert [b.dim for b in idx.plus] == [b.dim for b in ref.plus] == [3]
+    assert [b.dim for b in idx.minus] == [b.dim for b in ref.minus] == []
+    assert (ccs_of_module(sec.module, declared, index=idx)
+            == ccs_of_module(sec.module, declared, index=ref))
+    for w in sample_words(pres):
+        assert abs(idx.character(w) - ref.character(w)) <= 1e-12
+    assert abs(idx.character((1,)) - np.trace(rho)) <= 1e-9
 
 
 def test_windowed_kernel_rejects_growing_kernels():
