@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FiberMismatch
-from .linalg import dagger, opnorm
+from .linalg import dagger, opnorms
 
 BlockElement = tuple[np.ndarray, ...]
 
@@ -18,29 +18,35 @@ def identity_element(sizes: tuple[int, ...]) -> BlockElement:
     return tuple(np.eye(n, dtype=complex) for n in sizes)
 
 
-def basis_elements(sizes: tuple[int, ...]) -> list[BlockElement]:
-    """Matrix units of the block algebra, block by block."""
-    out = []
-    for k, n in enumerate(sizes):
-        for i in range(n):
-            for j in range(n):
-                blocks = [np.zeros((m, m), dtype=complex) for m in sizes]
-                blocks[k][i, j] = 1.0
-                out.append(tuple(blocks))
-    return out
+def basis_stack(sizes: tuple[int, ...]) -> BlockElement:
+    """Matrix units of the block algebra, block by block, as one stacked
+    element: unit t has block k equal to `out[k][t]`."""
+    total = sum(n * n for n in sizes)
+    out, at = [], 0
+    for n in sizes:
+        blocks = np.zeros((total, n, n), dtype=complex)
+        blocks[at:at + n * n] = np.eye(n * n).reshape(n * n, n, n)
+        out.append(blocks)
+        at += n * n
+    return tuple(out)
 
 
 def element_norm(x: BlockElement) -> float:
-    return max((opnorm(b) for b in x), default=0.0)
+    """Largest block norm of x, over every unit when x is stacked; NaN
+    when any norm is NaN."""
+    return float(np.max([opnorms(b.reshape((-1,) + b.shape[-2:])) for b in x],
+                        initial=0.0))
 
 
 def block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=complex)
+    """Block-diagonal matrix, or stack of them when the blocks carry a
+    leading stack axis."""
+    n = sum(b.shape[-1] for b in blocks)
+    out = np.zeros(blocks[0].shape[:-2] + (n, n), dtype=complex)
     at = 0
     for b in blocks:
-        k = b.shape[0]
-        out[at:at + k, at:at + k] = b
+        k = b.shape[-1]
+        out[..., at:at + k, at:at + k] = b
         at += k
     return out
 
@@ -50,7 +56,8 @@ def element_sub(x: BlockElement, y: BlockElement) -> BlockElement:
 
 
 def vectorize(x: BlockElement) -> np.ndarray:
-    return np.concatenate([b.ravel() for b in x])
+    """Concatenated blocks, one row per unit when x is stacked."""
+    return np.concatenate([b.reshape(b.shape[:-2] + (-1,)) for b in x], axis=-1)
 
 
 def unvectorize(v: np.ndarray, sizes: tuple[int, ...]) -> BlockElement:
@@ -122,14 +129,10 @@ def inverse_iso(iso: StarIso) -> StarIso:
 
 def iso_map_defect(a: StarIso, b: StarIso, sizes: tuple[int, ...]) -> float:
     """Distance between the maps, measured on the matrix-unit basis."""
-    worst = 0.0
-    for t in basis_elements(sizes):
-        worst = max(worst, element_norm(element_sub(apply_iso(a, t), apply_iso(b, t))))
-    return worst
+    t = basis_stack(sizes)
+    return element_norm(element_sub(apply_iso(a, t), apply_iso(b, t)))
 
 
 def iso_matrix(iso: StarIso, sizes: tuple[int, ...]) -> np.ndarray:
     """Matrix of the iso acting on the vectorized block space."""
-    basis = basis_elements(sizes)
-    cols = [vectorize(apply_iso(iso, t)) for t in basis]
-    return np.column_stack(cols)
+    return vectorize(apply_iso(iso, basis_stack(sizes))).T

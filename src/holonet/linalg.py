@@ -22,6 +22,23 @@ def opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def opnorms(stack: np.ndarray) -> np.ndarray:
+    """Operator norms of a stack of matrices, one per leading index.
+
+    One numpy call for the whole stack, bitwise equal to
+    `[opnorm(a) for a in stack]`; a slice with an infinite entry gets NaN.
+    """
+    if stack.size == 0:
+        return np.zeros(stack.shape[0])
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+def first_over(defects: np.ndarray, tol: float) -> int | None:
+    """Index of the first defect that is not within tol (NaN is not)."""
+    over = np.flatnonzero(~(defects <= tol))
+    return int(over[0]) if over.size else None
+
+
 def is_unitary(a: np.ndarray, tol: float) -> bool:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False

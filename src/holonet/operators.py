@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cstar import StarIso, iso_map_defect
-from .linalg import dagger, opnorm
+from .linalg import dagger, first_over, opnorm, opnorms
 from .shift_calculus import ShiftOp, identity_op, op_equal
 
 Operator = "np.ndarray | ShiftOp"
@@ -126,16 +126,19 @@ def evaluate_word_ops(letters, images: dict, ident):
 
 
 def require_relators(pres, images: dict, ident, tol: float, error) -> None:
-    """Raise `error` unless every relator of `pres` evaluates on the
-    generator images to `ident` within `tol`."""
-    for r in pres.relators:
-        w = evaluate_word_ops(r.letters, images, ident)
-        if isinstance(w, StarIso):
-            d = iso_map_defect(w, ident, ident.sizes)
-        else:
-            d = zero_defect(w - ident)
-        if d > tol:
-            raise error(f"relator {r} has defect {d:.3e}")
+    """Raise `error` on the first relator of `pres` that does not evaluate
+    on the generator images to `ident` within `tol`; dense relators are
+    measured in one stack."""
+    words = [evaluate_word_ops(r.letters, images, ident) for r in pres.relators]
+    if isinstance(ident, np.ndarray):
+        defects = opnorms(np.array(words).reshape((-1,) + ident.shape) - ident)
+    elif isinstance(ident, StarIso):
+        defects = np.array([iso_map_defect(w, ident, ident.sizes) for w in words])
+    else:
+        defects = np.array([zero_defect(w - ident) for w in words])
+    k = first_over(defects, tol)
+    if k is not None:
+        raise error(f"relator {pres.relators[k]} has defect {defects[k]:.3e}")
 
 
 def transport_step(x, t, s):

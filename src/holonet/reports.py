@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 CONSTRUCTION_TOL = 1e-12  # validating data handed to a constructor
 CHECK_TOL = 1e-10  # relations of computed objects (holonomy, modules, triples)
 COMPACT_TOL = 1e-9  # stripe weight of a module relation that must be compact
@@ -64,7 +66,8 @@ class ValidationReport:
 
     @property
     def max_defect(self) -> float:
-        return max((e.defect for e in self.entries), default=0.0)
+        """The largest defect, NaN when any defect is NaN."""
+        return float(np.max([e.defect for e in self.entries], initial=0.0))
 
     def __str__(self) -> str:
         if self.ok:

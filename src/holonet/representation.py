@@ -28,8 +28,10 @@ from .cstar import (
     BlockElement,
     StarIso,
     apply_iso,
-    basis_elements,
+    basis_stack,
     block_diag,
+    element_norm,
+    element_sub,
     identity_iso,
 )
 from .errors import (
@@ -42,7 +44,7 @@ from .errors import (
     RelatorNotSatisfied,
 )
 from .homotopy import GroupPresentation, PathFrame, build_path_frame, edge_loop_word
-from .linalg import dagger, opnorm
+from .linalg import dagger, first_over, opnorms
 from .operators import evaluate_word_ops, require_relators
 from .poset import Path, Poset
 from .reports import CHECK_TOL, CONSTRUCTION_TOL, ValidationReport
@@ -83,6 +85,7 @@ class BlockHom:
 
 
 def apply_hom(h: BlockHom, x: BlockElement) -> BlockElement:
+    """h applied to x, unit by unit when x is stacked."""
     out = []
     for i, u in enumerate(h.units):
         copies: list[np.ndarray] = []
@@ -164,12 +167,9 @@ def validate_net(net: NetOfAlgebras, tol: float = CONSTRUCTION_TOL) -> Validatio
         if direct.mult != composed_mult:
             rep.add("functoriality-mult", f"{o}<{o1}<{o2}", float("inf"), tol)
             continue
-        worst = 0.0
-        for t in basis_elements(net.fibers[o]):
-            lhs = apply_hom(direct, t)
-            rhs = apply_hom(outer, apply_hom(inner, t))
-            worst = max(worst, max(opnorm(p - q) for p, q in zip(lhs, rhs)))
-        rep.add("functoriality-action", f"{o}<{o1}<{o2}", worst, tol)
+        t = basis_stack(net.fibers[o])
+        gap = element_sub(apply_hom(direct, t), apply_hom(outer, apply_hom(inner, t)))
+        rep.add("functoriality-action", f"{o}<{o1}<{o2}", element_norm(gap), tol)
     return rep
 
 
@@ -217,6 +217,7 @@ class NetRepresentation:
     pi: dict[str, BlockHom]
 
     def pi_matrix(self, o: str, t: BlockElement) -> np.ndarray:
+        """pi at o applied to t, one matrix per unit when t is stacked."""
         return apply_hom(self.pi[o], t)[0]
 
 
@@ -233,15 +234,13 @@ def validate_representation(r: NetRepresentation,
             rep.add("pi-fibers", o, float("inf"), tol)
     if rep.violations:
         return rep
+    basis = {o: basis_stack(r.net.fibers[o]) for o in r.net.poset.elements}
+    images = {o: r.pi_matrix(o, t) for o, t in basis.items()}
     for o, o1 in sorted(r.net.poset.strict_pairs()):
         u = r.target.u(o, o1)
-        h = r.net.hom(o, o1)
-        worst = 0.0
-        for t in basis_elements(r.net.fibers[o]):
-            lhs = u @ r.pi_matrix(o, t) @ dagger(u)
-            rhs = r.pi_matrix(o1, apply_hom(h, t))
-            worst = max(worst, opnorm(lhs - rhs))
-        rep.add("morphism", f"{o}<{o1}", worst, tol)
+        rhs = r.pi_matrix(o1, apply_hom(r.net.hom(o, o1), basis[o]))
+        rep.add("morphism", f"{o}<{o1}",
+                opnorms(u @ images[o] @ dagger(u) - rhs).max(initial=0.0), tol)
     return rep
 
 
@@ -279,15 +278,15 @@ def covariantize(r: NetRepresentation, pres: GroupPresentation,
         frame = build_path_frame(r.net.poset, pres.base)
     images = holonomy_rep(r.target, pres, frame)
     pi_base = r.pi[pres.base]
+    t = basis_stack(r.net.fibers[pres.base])
+    pi_t = apply_hom(pi_base, t)[0]
     for idx, act in holonomy_images(cb, pres, frame).items():
         u = images[idx]
-        for t in basis_elements(r.net.fibers[pres.base]):
-            lhs = apply_hom(pi_base, apply_iso(act, t))[0]
-            rhs = u @ apply_hom(pi_base, t)[0] @ dagger(u)
-            if opnorm(lhs - rhs) > tol:
-                raise InvalidRepresentation(
-                    f"covariance fails on generator {idx} "
-                    f"(defect {opnorm(lhs - rhs):.3e})")
+        d = opnorms(apply_hom(pi_base, apply_iso(act, t))[0] - u @ pi_t @ dagger(u))
+        k = first_over(d, tol)
+        if k is not None:
+            raise InvalidRepresentation(
+                f"covariance fails on generator {idx} (defect {d[k]:.3e})")
     return pi_base, images
 
 
@@ -312,14 +311,14 @@ def netify(eta: BlockHom, v_images: dict[int, np.ndarray], poset: Poset,
     if set(action) != set(v_images):
         raise NotCovariant("action and V must cover the same generators")
     require_relators(pres, action, identity_iso(sizes), tol, RelatorNotSatisfied)
+    t = basis_stack(sizes)
+    eta_t = apply_hom(eta, t)[0]
     for idx, u in v_images.items():
-        for t in basis_elements(sizes):
-            lhs = apply_hom(eta, apply_iso(action[idx], t))[0]
-            rhs = u @ apply_hom(eta, t)[0] @ dagger(u)
-            if opnorm(lhs - rhs) > tol:
-                raise NotCovariant(
-                    f"eta does not intertwine generator {idx} "
-                    f"(defect {opnorm(lhs - rhs):.3e})")
+        d = opnorms(apply_hom(eta, apply_iso(action[idx], t))[0] - u @ eta_t @ dagger(u))
+        k = first_over(d, tol)
+        if k is not None:
+            raise NotCovariant(
+                f"eta does not intertwine generator {idx} (defect {d[k]:.3e})")
     target = bundle_from_rep(poset, pres, frame, v_images, dim, tol)
     incl = {}
     for e in poset.strict_pairs():
@@ -337,12 +336,9 @@ def check_path_compatibility(r: NetRepresentation, p: Path,
     cb = as_net_bundle(r.net)
     u = evaluate_path(r.target, p)
     jp = evaluate_path(cb, p)
-    worst = 0.0
-    for t in basis_elements(r.net.fibers[p.start]):
-        lhs = u @ r.pi_matrix(p.start, t) @ dagger(u)
-        rhs = r.pi_matrix(p.end, apply_iso(jp, t))
-        worst = max(worst, opnorm(lhs - rhs))
-    return worst
+    t = basis_stack(r.net.fibers[p.start])
+    lhs = u @ r.pi_matrix(p.start, t) @ dagger(u)
+    return float(opnorms(lhs - r.pi_matrix(p.end, apply_iso(jp, t))).max(initial=0.0))
 
 
 def enveloping_normal_form(b: HilbertNetBundle | CStarNetBundle, p: Path, t):

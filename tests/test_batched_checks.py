@@ -1,0 +1,445 @@
+"""Fiber-basis and relator checks measured in one stack per relation:
+bitwise equal to the per-unit loops they replace, NaN-propagating, and
+one linalg call per checked location instead of one per matrix unit."""
+
+import numpy as np
+import pytest
+
+from holonet.bundle import HilbertNetBundle, bundle_from_rep, evaluate_path, holonomy_images
+from holonet.cli import _report_summary
+from holonet.cstar import StarIso, apply_iso, block_diag, identity_iso, iso_map_defect
+from holonet.errors import (
+    HolonetError,
+    InvalidRepresentation,
+    NotCovariant,
+    RelatorNotSatisfied,
+)
+from holonet.homotopy import edge_loop_word
+from holonet.linalg import dagger, first_over, opnorm, opnorms, random_unitary
+from holonet.operators import evaluate_word_ops, require_relators, zero_defect
+from holonet.randomgen import (
+    random_hilbert_bundle,
+    random_path,
+    random_poset_with_frame,
+    random_representation,
+)
+from holonet.reports import CHECK_TOL, ValidationReport
+from holonet.representation import (
+    BlockHom,
+    NetOfAlgebras,
+    NetRepresentation,
+    apply_hom,
+    as_net_bundle,
+    check_path_compatibility,
+    constant_net,
+    covariantize,
+    hom_from_iso,
+    identity_representation,
+    netify,
+    validate_net,
+    validate_representation,
+)
+from holonet.spectral import EquivariantTriple, from_equivariant, validate_triple
+from holonet.standard import chain_poset
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+# --------------------------------------------- the per-unit reference loops
+
+def basis_elements(sizes):
+    """Matrix units of the block algebra, one block element each."""
+    out = []
+    for k, n in enumerate(sizes):
+        for i in range(n):
+            for j in range(n):
+                blocks = [np.zeros((m, m), dtype=complex) for m in sizes]
+                blocks[k][i, j] = 1.0
+                out.append(tuple(blocks))
+    return out
+
+
+def reference_iso_map_defect(a, b, sizes):
+    worst = 0.0
+    for t in basis_elements(sizes):
+        worst = max(worst, max((opnorm(x - y) for x, y in
+                                zip(apply_iso(a, t), apply_iso(b, t))), default=0.0))
+    return worst
+
+
+def reference_functoriality(net):
+    """(location, defect) of every 2-chain, as the action loop found it."""
+    out = []
+    for o, o1, o2 in net.poset.two_chains():
+        direct, outer, inner = net.hom(o, o2), net.hom(o1, o2), net.hom(o, o1)
+        worst = 0.0
+        for t in basis_elements(net.fibers[o]):
+            lhs = apply_hom(direct, t)
+            rhs = apply_hom(outer, apply_hom(inner, t))
+            worst = max(worst, max(opnorm(p - q) for p, q in zip(lhs, rhs)))
+        out.append((f"{o}<{o1}<{o2}", worst))
+    return out
+
+
+def reference_morphisms(r):
+    out = []
+    for o, o1 in sorted(r.net.poset.strict_pairs()):
+        u = r.target.u(o, o1)
+        h = r.net.hom(o, o1)
+        worst = 0.0
+        for t in basis_elements(r.net.fibers[o]):
+            lhs = u @ r.pi_matrix(o, t) @ dagger(u)
+            rhs = r.pi_matrix(o1, apply_hom(h, t))
+            worst = max(worst, opnorm(lhs - rhs))
+        out.append((f"{o}<{o1}", worst))
+    return out
+
+
+def reference_path_compatibility(r, p):
+    cb = as_net_bundle(r.net)
+    u = evaluate_path(r.target, p)
+    jp = evaluate_path(cb, p)
+    worst = 0.0
+    for t in basis_elements(r.net.fibers[p.start]):
+        lhs = u @ r.pi_matrix(p.start, t) @ dagger(u)
+        rhs = r.pi_matrix(p.end, apply_iso(jp, t))
+        worst = max(worst, opnorm(lhs - rhs))
+    return worst
+
+
+def reference_require_relators(pres, images, ident, tol, error):
+    for r in pres.relators:
+        w = evaluate_word_ops(r.letters, images, ident)
+        if isinstance(w, StarIso):
+            d = reference_iso_map_defect(w, ident, ident.sizes)
+        else:
+            d = zero_defect(w - ident)
+        if d > tol:
+            raise error(f"relator {r} has defect {d:.3e}")
+
+
+def reference_covariantize(r, pres, frame, tol):
+    """covariantize with its per-unit generator loop (validation itself is
+    compared with the loop in `test_validate_representation_matches_the_unit_loop`)."""
+    report = validate_representation(r, tol)
+    if not report.ok:
+        raise InvalidRepresentation(str(report))
+    cb = as_net_bundle(r.net)
+    images = holonomy_images(r.target, pres, frame)
+    reference_require_relators(pres, images, r.target.ident, CHECK_TOL, RelatorNotSatisfied)
+    pi_base = r.pi[pres.base]
+    for idx, act in holonomy_images(cb, pres, frame).items():
+        u = images[idx]
+        for t in basis_elements(r.net.fibers[pres.base]):
+            lhs = apply_hom(pi_base, apply_iso(act, t))[0]
+            rhs = u @ apply_hom(pi_base, t)[0] @ dagger(u)
+            if opnorm(lhs - rhs) > tol:
+                raise InvalidRepresentation(
+                    f"covariance fails on generator {idx} "
+                    f"(defect {opnorm(lhs - rhs):.3e})")
+    return pi_base, images
+
+
+def reference_netify(eta, v_images, poset, pres, frame, action, tol):
+    """netify with its per-unit loop and the relator loop."""
+    sizes = eta.src_sizes
+    reference_require_relators(pres, action, identity_iso(sizes), tol, RelatorNotSatisfied)
+    for idx, u in v_images.items():
+        for t in basis_elements(sizes):
+            lhs = apply_hom(eta, apply_iso(action[idx], t))[0]
+            rhs = u @ apply_hom(eta, t)[0] @ dagger(u)
+            if opnorm(lhs - rhs) > tol:
+                raise NotCovariant(
+                    f"eta does not intertwine generator {idx} "
+                    f"(defect {opnorm(lhs - rhs):.3e})")
+    target = bundle_from_rep(poset, pres, frame, v_images, eta.dst_sizes[0], tol)
+    incl = {e: hom_from_iso(evaluate_word_ops(
+        edge_loop_word(pres, poset, frame, *e).letters, action, identity_iso(sizes)))
+        for e in poset.strict_pairs()}
+    return NetRepresentation(NetOfAlgebras(poset, {o: sizes for o in poset.elements}, incl),
+                             target, {o: eta for o in poset.elements})
+
+
+def outcome(f, *args):
+    """None when f returns, else the error class name and message."""
+    try:
+        f(*args)
+    except HolonetError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def hexes(pairs):
+    return [(loc, float(d).hex()) for loc, d in pairs]
+
+
+# ------------------------------------------------------------ random inputs
+
+def level_net(rng, poset, perturb: bool) -> NetOfAlgebras:
+    """Fibers (2, 1) on minimal elements and (4, 2) above them, so every
+    inclusion out of a minimal element is a multiplicity-2 embedding.
+    Units built from per-element block frames make the net functorial up
+    to rounding; `perturb` replaces one inclusion by a random one."""
+    minimal = {o for o in poset.elements if not any(poset.lt(x, o) for x in poset.elements)}
+    fibers = {o: (2, 1) if o in minimal else (4, 2) for o in poset.elements}
+    frames = {o: tuple(random_unitary(rng, n) for n in fibers[o]) for o in poset.elements}
+    incl = {}
+    for o, o1 in sorted(poset.strict_pairs()):
+        mult = ((2, 0), (0, 2)) if o in minimal else ((1, 0), (0, 1))
+        units = tuple(frames[o1][i] @ block_diag([dagger(frames[o][j])
+                                                  for j, m in enumerate(row)
+                                                  for _ in range(m)])
+                      for i, row in enumerate(mult))
+        incl[(o, o1)] = BlockHom(fibers[o], fibers[o1], mult, units)
+    if perturb:
+        e = sorted(incl)[int(rng.integers(len(incl)))]
+        h = incl[e]
+        incl[e] = BlockHom(h.src_sizes, h.dst_sizes, h.mult,
+                           tuple(random_unitary(rng, n) for n in h.dst_sizes))
+    return NetOfAlgebras(poset, fibers, incl)
+
+
+def covariant_pair(rng, pres):
+    """eta: (2, 1) -> (5,) with multiplicities (2, 1), a block action
+    that satisfies the relators, and V implementing it through eta."""
+    w = random_unitary(rng, 5)
+    eta = BlockHom((2, 1), (5,), ((2, 1),), (w,))
+    mult_space = random_representation(pres, 2, rng)
+    inner = random_representation(pres, 2, rng)
+    phase = random_representation(pres, 1, rng)
+    action = {g: StarIso((2, 1), (0, 1), (inner[g], np.eye(1, dtype=complex)))
+              for g in inner}
+    v = {g: w @ block_diag([np.kron(mult_space[g], inner[g]), phase[g]]) @ dagger(w)
+         for g in inner}
+    return eta, action, v
+
+
+def regauged(rng, r):
+    """r conjugated fiberwise by random unitaries: the same representation
+    in another gauge, whose rounding grows along loops."""
+    w = {o: random_unitary(rng, r.target.dim) for o in r.net.poset.elements}
+    target = HilbertNetBundle(r.target.poset, r.target.dim,
+                              {e: w[e[1]] @ u @ dagger(w[e[0]])
+                               for e, u in r.target.incl.items()})
+    pi = {o: BlockHom(h.src_sizes, h.dst_sizes, h.mult, (w[o] @ h.units[0],))
+          for o, h in r.pi.items()}
+    return NetRepresentation(r.net, target, pi)
+
+
+def random_cases(count, max_elements=9):
+    for seed in range(count):
+        rng = np.random.default_rng(700 + seed)
+        poset, pres, frame = random_poset_with_frame(rng, max_elements)
+        if pres.generators:
+            yield rng, poset, pres, frame
+
+
+# ------------------------------------------------------------------- tests
+
+def test_opnorms_equal_the_opnorm_loop_bitwise():
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        for k in (1, 2, 7, 36):
+            stack = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+            stack[0] *= 1e-13
+            assert [float(x).hex() for x in opnorms(stack)] == \
+                [float(opnorm(a)).hex() for a in stack]
+    assert opnorms(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
+    assert np.array_equal(opnorms(np.zeros((2, 0, 0))), [0.0, 0.0])
+
+
+def test_validate_net_matches_the_unit_loop():
+    bad = 0
+    for rng, poset, _, _ in random_cases(12):
+        for perturb in (False, True):
+            net = level_net(rng, poset, perturb)
+            report = validate_net(net)
+            assert not [e for e in report.entries if e.check != "functoriality-action"]
+            got = [(e.location, e.defect) for e in report.entries]
+            assert hexes(got) == hexes(reference_functoriality(net))
+            assert report.ok or perturb
+            bad += not report.ok
+    assert bad > 0
+
+
+def test_validate_representation_matches_the_unit_loop():
+    cases = 0
+    for rng, poset, pres, frame in random_cases(12):
+        eta, action, v = covariant_pair(rng, pres)
+        good = netify(eta, v, poset, pres, frame, action=action)
+        pi = dict(good.pi)
+        pi[poset.elements[-1]] = BlockHom((2, 1), (5,), ((2, 1),), (random_unitary(rng, 5),))
+        broken = NetRepresentation(good.net, good.target, pi)
+        # a non-constant net: (2, 1) below, (4, 2) above, both into C^6
+        net = level_net(rng, poset, False)
+        target = HilbertNetBundle(poset, 6, {e: random_unitary(rng, 6)
+                                             for e in poset.strict_pairs()})
+        pis = {o: BlockHom(net.fibers[o], (6,), ((2, 2),) if net.fibers[o] == (2, 1)
+                           else ((1, 1),), (random_unitary(rng, 6),))
+               for o in poset.elements}
+        for r in (good, broken, NetRepresentation(net, target, pis)):
+            report = validate_representation(r)
+            got = [(e.location, e.defect) for e in report.entries]
+            assert hexes(got) == hexes(reference_morphisms(r))
+            cases += 1
+        assert validate_representation(good).ok
+        assert not validate_representation(broken).ok
+    assert cases >= 18
+
+
+def test_path_compatibility_matches_the_unit_loop():
+    for rng, poset, pres, frame in random_cases(10):
+        eta, action, v = covariant_pair(rng, pres)
+        r = netify(eta, v, poset, pres, frame, action=action)
+        for _ in range(4):
+            start = poset.elements[int(rng.integers(len(poset.elements)))]
+            p = random_path(poset, rng, start, int(rng.integers(1, 6)))
+            got = check_path_compatibility(r, p)
+            assert float(got).hex() == float(reference_path_compatibility(r, p)).hex()
+            assert got <= 1e-12
+
+
+def test_iso_map_defect_matches_the_unit_loop():
+    rng = np.random.default_rng(9)
+    for sizes in ((2, 1, 1), (1, 2, 1, 2), (3,)):
+        for _ in range(6):
+            def random_iso():
+                src = list(range(len(sizes)))
+                for n in set(sizes):
+                    slots = [k for k in src if sizes[k] == n]
+                    for k, s in zip(slots, rng.permutation(slots)):
+                        src[k] = int(s)
+                return StarIso(sizes, tuple(src),
+                               tuple(random_unitary(rng, n) for n in sizes))
+            a, b = random_iso(), random_iso()
+            near = (a @ b) @ b.H
+            for x, y in ((a, b), (a, near), (near, a), (a, identity_iso(sizes))):
+                assert float(iso_map_defect(x, y, sizes)).hex() == \
+                    float(reference_iso_map_defect(x, y, sizes)).hex()
+
+
+def test_covariantize_outcomes_match_the_unit_loop():
+    """Tolerances between the rounding of the edges and that of the loops
+    make the generator check fail on units past the first."""
+    seen = set()
+    for rng, poset, pres, frame in random_cases(16):
+        eta, action, v = covariant_pair(rng, pres)
+        r = netify(eta, v, poset, pres, frame, action=action)
+        r_hilbert = identity_representation(random_hilbert_bundle(poset, pres, frame, 3, rng))
+        for rep in (r, regauged(rng, r), r_hilbert):
+            edge = validate_representation(rep).max_defect
+            for tol in (CHECK_TOL, edge, 2 * edge, 4 * edge):
+                got = outcome(covariantize, rep, pres, frame, tol)
+                assert got == outcome(reference_covariantize, rep, pres, frame, tol)
+                seen.add(got[1].split(" ")[0] if got else None)
+    assert {None, "covariance"} <= seen
+
+
+def test_netify_outcomes_match_the_unit_loop():
+    seen = set()
+    for rng, poset, pres, frame in random_cases(12):
+        eta, action, v = covariant_pair(rng, pres)
+        g = 1 + int(rng.integers(len(v)))
+        v_bad = dict(v)
+        v_bad[g] = v[g] + 1e-9 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        for images in (v, v_bad):
+            for tol in (CHECK_TOL, 1e-15, 3e-10, 1e-9):
+                got = outcome(netify, eta, images, poset, pres, frame, action, tol)
+                want = outcome(reference_netify, eta, images, poset, pres, frame, action, tol)
+                assert got == want
+                seen.add(got[0] if got else None)
+    assert {None, "NotCovariant", "RelatorNotSatisfied"} <= seen
+
+
+def test_require_relators_outcomes_match_the_relator_loop():
+    """The first relator over tolerance is named, with the loop's defect."""
+    seen = 0
+    for rng, poset, pres, frame in random_cases(16):
+        if len(pres.relators) < 2:
+            continue
+        dense = random_representation(pres, 3, rng)
+        g = 1 + int(rng.integers(len(dense)))
+        dense[g] = dense[g] + 1e-11 * rng.standard_normal((3, 3))
+        ident = np.eye(3, dtype=complex)
+        defects = sorted(zero_defect(evaluate_word_ops(r.letters, dense, ident) - ident)
+                         for r in pres.relators)
+        isos = {k: StarIso((1, 1, 2), tuple(int(s) for s in rng.permutation(2)) + (2,),
+                           tuple(random_unitary(rng, n) for n in (1, 1, 2)))
+                for k in dense}
+        for images, unit in ((dense, ident), (isos, identity_iso((1, 1, 2)))):
+            for tol in (CHECK_TOL, defects[len(defects) // 2], defects[-1], 10.0):
+                got = outcome(require_relators, pres, images, unit, tol, RelatorNotSatisfied)
+                want = outcome(reference_require_relators, pres, images, unit, tol,
+                               RelatorNotSatisfied)
+                assert got == want
+                seen += got is not None
+    assert seen > 0
+
+
+# ------------------------------------------------------------- NaN defects
+
+@pytest.mark.parametrize("defects", [[1e-12, float("nan")], [float("nan"), 1e-12]])
+def test_max_defect_is_nan_whatever_the_order(defects):
+    report = ValidationReport()
+    for k, d in enumerate(defects):
+        report.add("check", str(k), d, 1e-10)
+    assert np.isnan(report.max_defect)
+    assert not report.ok
+    summary = _report_summary(report)
+    assert summary["max_defect"] is None and summary["max_defect_nonfinite"] is True
+
+
+def test_batched_reductions_keep_nan():
+    stack = np.stack([np.eye(2, dtype=complex)] * 3)
+    stack[1, 0, 0] = np.inf
+    norms = opnorms(stack)
+    assert np.isnan(norms[1]) and np.isnan(norms.max(initial=0.0))
+    assert first_over(norms, 10.0) == 1
+    assert first_over(np.array([0.0, 1e-12]), 1e-10) is None
+
+
+def test_overflowing_unit_makes_the_morphism_defect_nan():
+    """A unit whose transport overflows used to drop out of the loop's
+    running max (max(0.0, nan) is 0.0); it now makes the entry NaN."""
+    poset = chain_poset(2)
+    big = np.diag([1e200, 1.0]).astype(complex)
+    target = HilbertNetBundle(poset, 2, {e: big for e in poset.strict_pairs()})
+    net = constant_net(poset, (2,))
+    r = NetRepresentation(net, target, {o: net.hom(o, o) for o in poset.elements})
+    with np.errstate(over="ignore", invalid="ignore"):
+        (loop,) = reference_morphisms(r)
+        (entry,) = validate_representation(r).entries
+    assert np.isfinite(loop[1])
+    assert np.isnan(entry.defect) and not entry.ok
+
+
+# ------------------------------------------------------ linalg call counts
+
+def test_triple_and_covariantize_make_one_linalg_call_per_location(monkeypatch):
+    """One stack per relation and location: validate_triple costs two calls
+    per distinct edge unitary (D-transport, superderivation covariance)
+    plus two for the shared D and grading; covariantize costs one per
+    strict pair (morphism), one per generator and one for the relators.
+    A per-unit loop in any of them adds 35 calls per location here."""
+    rng = np.random.default_rng(0)
+    poset, pres, frame = random_poset_with_frame(rng, 12)
+    images = random_representation(pres, 3, rng)
+    b = bundle_from_rep(poset, pres, frame, images, 3)
+    e = EquivariantTriple(np.kron(SZ, np.eye(3)),
+                          {g: np.kron(np.eye(2), u) for g, u in images.items()},
+                          {"one": np.eye(6, dtype=complex)},
+                          np.kron(SX, np.eye(3, dtype=complex)), pres)
+    t = from_equivariant(e, poset, pres, frame)
+    r = identity_representation(b)
+    pairs, gens = len(poset.strict_pairs()), len(pres.generators)
+    assert (pairs, gens) == (29, 19)
+    calls = []
+    for name in ("norm", "svd"):
+        def counted(*args, _f=getattr(np.linalg, name), **kwargs):
+            calls.append(1)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert validate_triple(t).ok
+    covariantize(r, pres, frame)
+    assert len(calls) <= pairs + 3 * gens + 8

@@ -22,7 +22,6 @@ from holonet.bundle import (
 from holonet.cstar import (
     StarIso,
     apply_iso,
-    basis_elements,
     compose_iso,
     element_norm,
     element_sub,
