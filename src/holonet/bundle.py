@@ -20,6 +20,7 @@ from .cstar import (
     unvectorize,
 )
 from .errors import (
+    FiberMismatch,
     InvalidBundle,
     InvalidRepresentation,
     RelatorNotSatisfied,
@@ -31,8 +32,18 @@ from .homotopy import (
     edge_loop_word,
     frame_transports,
 )
-from .linalg import dagger, is_unitary, joint_fixed_space, opnorm
-from .operators import evaluate_word_ops, require_relators, transport_step
+from .linalg import dagger, joint_fixed_space, opnorm
+from .operators import (
+    coherence_defect,
+    evaluate_word_ops,
+    intertwining_defect,
+    involution_defect,
+    require_relators,
+    require_unitary,
+    selfadjoint_defect,
+    transport_step,
+    unitarity_defect,
+)
 from .poset import (
     Path,
     Poset,
@@ -117,12 +128,11 @@ def validate_bundle(b: HilbertNetBundle | CStarNetBundle,
             if u.shape != (b.dim, b.dim):
                 rep.add("inclusion-shape", f"{e}", float("inf"), tol)
                 continue
-            rep.add("inclusion-unitarity", f"{e}",
-                    opnorm(u @ dagger(u) - np.eye(b.dim)), tol)
+            rep.add("inclusion-unitarity", f"{e}", unitarity_defect(u), tol)
         for o, o1, o2 in poset.two_chains():
             if any((x, y) not in b.incl for x, y in [(o, o2), (o1, o2), (o, o1)]):
                 continue
-            d = opnorm(b.u(o, o2) - b.u(o1, o2) @ b.u(o, o1))
+            d = coherence_defect(b.u(o, o2), b.u(o1, o2), b.u(o, o1))
             rep.add("chain-coherence", f"{o}<{o1}<{o2}", d, tol)
         if b.grading is not None:
             for o in poset.elements:
@@ -130,23 +140,19 @@ def validate_bundle(b: HilbertNetBundle | CStarNetBundle,
                     rep.add("grading-coverage", o, float("inf"), tol)
                     continue
                 g = b.grading[o]
-                rep.add("grading-involution", o,
-                        opnorm(g @ g - np.eye(b.dim)), tol)
-                rep.add("grading-selfadjoint", o, opnorm(g - dagger(g)), tol)
+                rep.add("grading-involution", o, involution_defect(g), tol)
+                rep.add("grading-selfadjoint", o, selfadjoint_defect(g), tol)
             for o, o1 in sorted(pairs):
                 if (o, o1) not in b.incl or o not in (b.grading or {}) or o1 not in b.grading:
                     continue
-                d = opnorm(b.grading[o1] @ b.u(o, o1) - b.u(o, o1) @ b.grading[o])
+                d = intertwining_defect(b.u(o, o1), b.grading[o], b.grading[o1])
                 rep.add("grading-transport", f"{o}<{o1}", d, tol)
     else:
         for e, iso in sorted(b.incl.items()):
             if iso.sizes != b.sizes:
                 rep.add("inclusion-sizes", f"{e}", float("inf"), tol)
                 continue
-            worst = max(
-                (opnorm(u @ dagger(u) - np.eye(u.shape[0])) for u in iso.units),
-                default=0.0,
-            )
+            worst = max(map(unitarity_defect, iso.units), default=0.0)
             rep.add("inclusion-unitarity", f"{e}", worst, tol)
         for o, o1, o2 in poset.two_chains():
             if any((x, y) not in b.incl or b.incl[(x, y)].sizes != b.sizes
@@ -158,21 +164,20 @@ def validate_bundle(b: HilbertNetBundle | CStarNetBundle,
 
 
 def make_hilbert_bundle(poset: Poset, dim: int, incl: dict[Edge, np.ndarray],
-                        grading: dict[str, np.ndarray] | None = None,
-                        tol: float = CONSTRUCTION_TOL) -> HilbertNetBundle:
+                        grading: dict[str, np.ndarray] | None = None
+                        ) -> HilbertNetBundle:
     """Build and validate; missing strict pairs are not tolerated."""
     b = HilbertNetBundle(poset, dim, dict(incl), grading)
-    report = validate_bundle(b, tol)
+    report = validate_bundle(b)
     if not report.ok:
         raise InvalidBundle(str(report))
     return b
 
 
 def make_cstar_bundle(poset: Poset, sizes: tuple[int, ...],
-                      incl: dict[Edge, StarIso],
-                      tol: float = CONSTRUCTION_TOL) -> CStarNetBundle:
+                      incl: dict[Edge, StarIso]) -> CStarNetBundle:
     b = CStarNetBundle(poset, tuple(sizes), dict(incl))
-    report = validate_bundle(b, tol)
+    report = validate_bundle(b)
     if not report.ok:
         raise InvalidBundle(str(report))
     return b
@@ -221,6 +226,20 @@ def holonomy_rep(b: HilbertNetBundle | CStarNetBundle, pres: GroupPresentation,
     return images
 
 
+def require_unitary_rep(pres: GroupPresentation, images: dict[int, np.ndarray],
+                        dim: int, tol: float) -> None:
+    """Gate for a unitary loop-group representation on C^dim: every
+    image is dim x dim (FiberMismatch) and unitary
+    (InvalidRepresentation), and the relators hold (RelatorNotSatisfied),
+    all within `tol`."""
+    for g, m in sorted(images.items()):
+        if m.shape != (dim, dim):
+            raise FiberMismatch(f"generator {g} image has shape {m.shape}")
+    require_unitary(images, tol, InvalidRepresentation)
+    require_relators(pres, images, np.eye(dim, dtype=complex), tol,
+                     RelatorNotSatisfied)
+
+
 def bundle_from_rep(poset: Poset, pres: GroupPresentation, frame: PathFrame,
                     images: dict[int, np.ndarray], dim: int,
                     tol: float = CHECK_TOL) -> HilbertNetBundle:
@@ -230,11 +249,7 @@ def bundle_from_rep(poset: Poset, pres: GroupPresentation, frame: PathFrame,
     exact identity matrices, so reconstructed bundles evaluate frame
     paths to the identity.
     """
-    for idx, m in images.items():
-        if not is_unitary(m, tol):
-            raise InvalidRepresentation(f"generator {idx} image is not unitary")
-    require_relators(pres, images, np.eye(dim, dtype=complex), tol,
-                     RelatorNotSatisfied)
+    require_unitary_rep(pres, images, dim, tol)
     incl = {}
     for e in poset.strict_pairs():
         w = edge_loop_word(pres, poset, frame, e[0], e[1])
@@ -270,7 +285,7 @@ def compute_sections(b: HilbertNetBundle | CStarNetBundle,
     Sections correspond to holonomy fixed points in the base fiber,
     transported along the frame paths.
     """
-    hol = holonomy_rep(b, pres, frame)
+    hol = holonomy_rep(b, pres, frame, tol)
     t = frame_transports(b.poset, frame, b.ident, partial(transport_step, b))
     if isinstance(b, HilbertNetBundle):
         mats = list(hol.values()) or [np.eye(b.dim, dtype=complex)]
@@ -329,7 +344,7 @@ def hilbert_section_dimension_oracle(b: HilbertNetBundle, pres: GroupPresentatio
     Independent of the SVD route used by compute_sections: the fixed
     space is the kernel of sum_g (2 - U_g - U_g*).
     """
-    hol = holonomy_rep(b, pres, frame)
+    hol = holonomy_rep(b, pres, frame, tol)
     acc = np.zeros((b.dim, b.dim), dtype=complex)
     for u in hol.values():
         acc += 2.0 * np.eye(b.dim) - u - dagger(u)

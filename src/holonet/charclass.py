@@ -27,7 +27,8 @@ from .errors import (
 )
 from .fredholm import FredholmModule, RepBlock, VirtualRep, equivariant_cycle, localize, pi_index
 from .homotopy import GroupPresentation, simplify_presentation
-from .linalg import eigenphases
+from .linalg import eigenphases, turn_distance
+from .reports import PHASE_TOL
 
 
 @dataclass(frozen=True)
@@ -159,23 +160,22 @@ def ccs_of_rep(phases, pres: GroupPresentation) -> CCSClass:
     return CCSClass(len(phases), total.irr, phases[0].basis)
 
 
-def _match_phase(turns: float, declared, tol: float) -> ExactPhase:
+def _match_phase(turns: float, declared) -> ExactPhase:
     for p in declared:
-        d = abs(turns - p.float_value()) % 1.0
-        if min(d, 1.0 - d) <= tol:
+        if turn_distance(turns, p.float_value()) <= PHASE_TOL:
             return p
     raise PhaseRecoveryFailed(
         f"recovered eigenphase {turns:.12f} turns matches no declared phase")
 
 
-def ccs_of_module(m: FredholmModule, declared, tol: float = 1e-9,
+def ccs_of_module(m: FredholmModule, declared,
                   index: VirtualRep | None = None) -> CCSClass:
     """Class of the index of an even module, signs from the virtual rep.
 
     The numerically recovered eigenphases of the index action must each
-    match a declared exact phase to `tol` (in turns); the class is then
-    assembled exactly from the matched symbols.  A caller that already
-    holds the module's `pi_index`, localized at the frame base
+    match a declared exact phase to `PHASE_TOL` (in turns); the class is
+    then assembled exactly from the matched symbols.  A caller that
+    already holds the module's `pi_index`, localized at the frame base
     `m.rep.frame.base`, passes it as `index` instead of having it
     computed again.
     """
@@ -198,7 +198,7 @@ def ccs_of_module(m: FredholmModule, declared, tol: float = 1e-9,
     for sign, blocks in ((1, idx.plus), (-1, idx.minus)):
         for b in blocks:
             for t in eigenphases(b.images[1]):
-                total = total + _match_phase(float(t), declared, tol).scale(sign)
+                total = total + _match_phase(float(t), declared).scale(sign)
     return CCSClass(idx.dim, total.mod_q().irr, basis)
 
 

@@ -56,9 +56,9 @@ from .iodoc import (
     parse_document,
     print_document,
 )
-from .linalg import eigenphases
-from .operators import adj, evaluate_word_ops, operators_equal_exact, zero_defect
-from .reports import CHECK_TOL, INDEX_TOL
+from .linalg import eigenphases, turn_distance
+from .operators import operators_equal_exact, relator_defects, unitarity_defect
+from .reports import CHECK_TOL, PHASE_TOL
 from .spectral import (
     EquivariantTriple,
     from_equivariant,
@@ -152,8 +152,7 @@ def cmd_holonomy(doc: InputDocument, opt) -> tuple[dict, bool]:
     results["images"] = {str(g): encode_matrix(u)
                          for g, u in sorted(images.items())}
     results["unitarity_defects"] = {
-        str(g): float(zero_defect(adj(u) @ u - np.eye(b.dim)))
-        for g, u in sorted(images.items())}
+        str(g): float(unitarity_defect(u)) for g, u in sorted(images.items())}
     return results, True
 
 
@@ -183,19 +182,16 @@ def cmd_rep_check(doc: InputDocument, opt) -> tuple[dict, bool]:
     passed = True
     unitarity = {}
     for g, u in sorted(images.items()):
-        d = float(zero_defect(adj(u) @ u - np.eye(u.shape[0])))
+        d = float(unitarity_defect(u))
         unitarity[str(g)] = d
         passed = passed and d <= tol
     results: dict = {"unitarity_defects": unitarity}
     if set(images) == set(range(1, len(doc.pres.generators) + 1)):
-        relator_defects = []
         dim = next(iter(images.values())).shape[0] if images else 1
-        for r in doc.pres.relators:
-            relator_defects.append(float(zero_defect(
-                evaluate_word_ops(r.letters, images, np.eye(dim, dtype=complex))
-                - np.eye(dim))))
-        results["relator_defects"] = relator_defects
-        passed = passed and all(d <= tol for d in relator_defects)
+        defects = [float(d) for d in relator_defects(
+            doc.pres, images, np.eye(dim, dtype=complex))]
+        results["relator_defects"] = defects
+        passed = passed and all(d <= tol for d in defects)
     else:
         results["relator_defects"] = "not evaluated: missing generator images"
     if doc.rep_phases:
@@ -207,9 +203,9 @@ def cmd_rep_check(doc: InputDocument, opt) -> tuple[dict, bool]:
                 matches[str(g)] = {"match": False, "reason": "count mismatch"}
                 passed = False
                 continue
-            worst = max((min(abs(a - b), 1.0 - abs(a - b))
-                         for a, b in zip(got, want)), default=0.0)
-            ok = worst <= 1e-9
+            worst = max((turn_distance(a, b) for a, b in zip(got, want)),
+                        default=0.0)
+            ok = worst <= PHASE_TOL
             matches[str(g)] = {"match": ok, "max_distance": float(worst)}
             passed = passed and ok
         results["phase_matches"] = matches
@@ -228,11 +224,9 @@ def cmd_fredholm_verify(doc: InputDocument, opt) -> tuple[dict, bool]:
 
 
 def cmd_extend(doc: InputDocument, opt) -> tuple[dict, bool]:
-    tol = INDEX_TOL if opt.tolerance is None else float(opt.tolerance)
     m, _ = _module_of(doc, "extend", _tol(opt))
     at = (doc.module or {}).get("at", doc.base)
-    loc = localize(m, at)
-    out = extend_localized(loc, tol=tol)
+    out = extend_localized(localize(m, at))
     if isinstance(out, ExtensionObstruction):
         results = {"at": at, "extended": False,
                    "obstruction": {"generator": out.generator,
@@ -346,9 +340,9 @@ def cmd_roundtrip(doc: InputDocument, opt) -> tuple[dict, bool]:
                           doc.pres, doc.frame, grading=cyc.grading,
                           parity=cyc.parity)
         same = operators_equal_exact(loc2.f, loc.f)
+        images2 = equivariant_cycle(loc2).v_images
         for g in sorted(cyc.v_images):
-            same = same and operators_equal_exact(
-                equivariant_cycle(loc2).v_images[g], cyc.v_images[g])
+            same = same and operators_equal_exact(images2[g], cyc.v_images[g])
         results["module_exact"] = bool(same)
         passed = passed and same
 
@@ -413,8 +407,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for sampled checks (default 0)")
     parser.add_argument("--tolerance", type=float, default=None,
-                        help="override the equality-check tolerance "
-                             "(kernel rank thresholds are unaffected)")
+                        help=f"override CHECK_TOL (default {CHECK_TOL:g}): "
+                             "constructor unitarity and relator checks, "
+                             "validation reports and the sections "
+                             "fixed-space threshold; never the index, "
+                             "compactness, kernel-rank or phase thresholds")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     opt = parser.parse_args(argv)
 

@@ -17,18 +17,16 @@ from functools import partial
 
 import numpy as np
 
-from .bundle import evaluate_path, holonomy_images
+from .bundle import evaluate_path, holonomy_images, require_unitary_rep
 from .errors import (
     CentralityViolated,
     FiberMismatch,
-    InvalidRepresentation,
     KernelNotInvariant,
     NotCovariant,
     NotFredholm,
     NotSelfAdjoint,
     PathMismatch,
     RelationDefect,
-    RelatorNotSatisfied,
     UnknownElement,
 )
 from .homotopy import (
@@ -52,6 +50,7 @@ from .operators import (
     involution_defect,
     is_exactly_zero,
     require_relators,
+    require_unitary,
     selfadjoint_defect,
     square_compact_defect,
     transport_step,
@@ -64,6 +63,7 @@ from .reports import (
     COMPACT_TOL,
     DENSE_KERNEL_TOL,
     INDEX_TOL,
+    SPAN_TOL,
     ValidationReport,
     relation_memo,
 )
@@ -176,13 +176,12 @@ def _check_grading_at(rep_out: ValidationReport, defect, g, f, samples: dict,
                     defect(commutator_defect, g, t), tol)
 
 
-def validate_module(m: FredholmModule, tol: float = CHECK_TOL,
-                    compact_tol: float = COMPACT_TOL) -> ValidationReport:
+def validate_module(m: FredholmModule, tol: float = CHECK_TOL) -> ValidationReport:
     """Defect report for every module relation, per fiber and per edge.
 
     Equalities (self-adjointness, transport, grading) are measured in
     norm against `tol`; compactness conditions (F squared minus one,
-    commutators with observables) against `compact_tol`.
+    commutators with observables) against `COMPACT_TOL`.
 
     A relation whose operands are the very same objects at several
     locations (one F, grading and set of observables shared by every
@@ -199,10 +198,10 @@ def validate_module(m: FredholmModule, tol: float = CHECK_TOL,
         f = m.F[o]
         out.add("F-selfadjoint", o, defect(selfadjoint_defect, f), tol)
         out.add("F-square-compact", o, defect(square_compact_defect, f),
-                compact_tol)
+                COMPACT_TOL)
         for label, t in sorted(rep.samples.get(o, {}).items()):
             out.add("F-commutes-with-samples", f"{o}:{label}",
-                    defect(commutator_compact_defect, f, t), compact_tol)
+                    defect(commutator_compact_defect, f, t), COMPACT_TOL)
     for e in sorted(rep.u_incl):
         o, o1 = e
         u = rep.u_incl[e]
@@ -250,33 +249,31 @@ def validate_module(m: FredholmModule, tol: float = CHECK_TOL,
     return out
 
 
-def validate_localized(loc: LocalizedModule, tol: float = CHECK_TOL,
-                       compact_tol: float = COMPACT_TOL) -> ValidationReport:
+def validate_localized(loc: LocalizedModule) -> ValidationReport:
     """Relations at one fiber: everything holds only up to compacts,
     including the holonomy action on F itself."""
     out = ValidationReport()
     defect = relation_memo()
     rep = loc.rep
     f = loc.f
-    out.add("F-selfadjoint", loc.at, selfadjoint_defect(f), tol)
-    out.add("F-square-compact", loc.at, square_compact_defect(f), compact_tol)
+    out.add("F-selfadjoint", loc.at, selfadjoint_defect(f), CHECK_TOL)
+    out.add("F-square-compact", loc.at, square_compact_defect(f), COMPACT_TOL)
     samples = rep.samples.get(loc.at, {})
     for label, t in sorted(samples.items()):
         out.add("F-commutes-with-samples", f"{loc.at}:{label}",
-                commutator_compact_defect(f, t), compact_tol)
+                commutator_compact_defect(f, t), COMPACT_TOL)
     for g, w in sorted(_loop_images_at(rep, loc.at).items()):
         out.add("F-holonomy-compact", f"g{g}",
-                compact_defect(w @ f @ adj(w) - f), compact_tol)
+                compact_defect(w @ f @ adj(w) - f), COMPACT_TOL)
         for label, t in sorted(samples.items()):
             out.add("F-commutes-with-transported-samples", f"g{g}:{label}",
-                    compact_defect(commutator(f, w @ t @ adj(w))),
-                    compact_tol)
+                    commutator_compact_defect(f, w @ t @ adj(w)), COMPACT_TOL)
     if loc.parity == "even":
         if rep.grading is None or loc.at not in rep.grading:
-            out.add("grading-coverage", loc.at, float("inf"), tol)
+            out.add("grading-coverage", loc.at, float("inf"), CHECK_TOL)
         else:
             _check_grading_at(out, defect, rep.grading[loc.at], f, samples,
-                              loc.at, tol)
+                              loc.at, CHECK_TOL)
     return out
 
 
@@ -324,19 +321,18 @@ class ExtensionObstruction:
     defect: float
 
 
-def extend_localized(loc: LocalizedModule,
-                     tol: float = INDEX_TOL) -> FredholmModule | ExtensionObstruction:
+def extend_localized(loc: LocalizedModule) -> FredholmModule | ExtensionObstruction:
     """Spread a holonomy-invariant localized operator over the poset.
 
     F_o is the conjugate of F_a along a path from a to o; the result is
     well defined (and transports coherently) exactly when the holonomy
     at a fixes F_a.  The first generator violating invariance beyond
-    `tol` is returned as an obstruction witness instead.
+    `INDEX_TOL` is returned as an obstruction witness instead.
     """
     rep = loc.rep
     for g, w in sorted(_loop_images_at(rep, loc.at).items()):
         d = zero_defect(w @ loc.f @ adj(w) - loc.f)
-        if d > tol:
+        if d > INDEX_TOL:
             return ExtensionObstruction(g, d)
     t = frame_transports(rep.poset, rep.frame, rep.ident,
                          partial(transport_step, rep))
@@ -384,9 +380,7 @@ def equivariant_cycle(loc: LocalizedModule) -> EquivariantCycle:
 
 def from_cycle(samples: dict[str, object], v_images: dict[int, object],
                phi, poset: Poset, pres: GroupPresentation, frame: PathFrame,
-               grading=None, parity: str = "even",
-               tol: float = CHECK_TOL,
-               compact_tol: float = COMPACT_TOL) -> LocalizedModule:
+               grading=None, parity: str = "even") -> LocalizedModule:
     """Rebuild a localized module at the frame base from cycle data.
 
     The unitary images must kill the relators (NotCovariant otherwise);
@@ -395,11 +389,8 @@ def from_cycle(samples: dict[str, object], v_images: dict[int, object],
     straight back reproduces the same operator objects.
     """
     ident = identity_like(phi)
-    for g, v in sorted(v_images.items()):
-        d = zero_defect(adj(v) @ v - identity_like(v))
-        if d > tol:
-            raise NotCovariant(f"generator {g} image is not unitary ({d:.3e})")
-    require_relators(pres, v_images, ident, tol, NotCovariant)
+    require_unitary(v_images, CHECK_TOL, NotCovariant)
+    require_relators(pres, v_images, ident, CHECK_TOL, NotCovariant)
     for label, t in sorted(samples.items()):
         checks = [
             ("symmetry", (phi - adj(phi)) @ t),
@@ -408,20 +399,17 @@ def from_cycle(samples: dict[str, object], v_images: dict[int, object],
         ]
         for name, x in checks:
             d = compact_defect(x)
-            if d > compact_tol:
+            if d > COMPACT_TOL:
                 raise RelationDefect(
                     f"{name} relation fails on {label!r}: defect {d:.3e}")
     if parity == "even":
         if grading is None:
             raise RelationDefect("even cycle needs a grading")
-        d = max(zero_defect(grading - adj(grading)),
-                zero_defect(grading @ grading - ident),
-                zero_defect(grading @ phi + phi @ grading),
-                max((zero_defect(commutator(grading, v))
-                     for v in v_images.values()), default=0.0),
-                max((zero_defect(commutator(grading, t))
-                     for t in samples.values()), default=0.0))
-        if d > tol:
+        d = max([selfadjoint_defect(grading), involution_defect(grading),
+                 anticommutator_defect(grading, phi)]
+                + [commutator_defect(grading, x)
+                   for x in (*v_images.values(), *samples.values())])
+        if d > CHECK_TOL:
             raise RelationDefect(f"grading relations fail: defect {d:.3e}")
     elif grading is not None:
         raise RelationDefect("odd cycle must not carry a grading")
@@ -465,16 +453,16 @@ class VirtualRep:
         return complex(out)
 
 
-def sample_words(pres: GroupPresentation, count: int = 12, maxlen: int = 4,
-                 seed: int = 0) -> list[tuple[int, ...]]:
-    """Deterministic word sample used for character comparison."""
+def sample_words(pres: GroupPresentation, seed: int = 0) -> list[tuple[int, ...]]:
+    """Deterministic word sample used for character comparison: each
+    generator, then 12 random words of 2 to 4 letters."""
     n = len(pres.generators)
     if n == 0:
         return [()]
     rng = np.random.default_rng(seed)
     words = [(g,) for g in range(1, n + 1)]
-    for _ in range(count):
-        length = int(rng.integers(2, maxlen + 1))
+    for _ in range(12):
+        length = int(rng.integers(2, 5))
         letters = tuple(int(l) if s else -int(l)
                         for l, s in zip(rng.integers(1, n + 1, size=length),
                                         rng.integers(0, 2, size=length)))
@@ -482,14 +470,13 @@ def sample_words(pres: GroupPresentation, count: int = 12, maxlen: int = 4,
     return words
 
 
-def virtual_reps_match(a: VirtualRep, b: VirtualRep,
-                       tol: float = INDEX_TOL) -> bool:
+def virtual_reps_match(a: VirtualRep, b: VirtualRep) -> bool:
     """Character comparison on generators plus the fixed word sample."""
     if len(a.group.generators) != len(b.group.generators):
         return False
     if a.dim != b.dim:
         return False
-    return all(abs(a.character(w) - b.character(w)) <= tol
+    return all(abs(a.character(w) - b.character(w)) <= INDEX_TOL
                for w in sample_words(a.group))
 
 
@@ -530,14 +517,15 @@ def stabilization_window(op: ShiftOp) -> int:
     return op.max_abs_shift + op.finite_extent + 1
 
 
-def windowed_kernel(op: ShiftOp, sv_tol: float = DENSE_KERNEL_TOL) -> tuple[np.ndarray, int]:
+def windowed_kernel(op: ShiftOp) -> tuple[np.ndarray, int]:
     """Kernel basis of a shift-class operator on its stabilization window.
 
     The window is w0 = `stabilization_window(op)`.  One SVD with
     singular vectors gives the kernel basis at w0; the probe windows
-    w0 + 1 and w0 + 2 only count the singular values above `sv_tol` (the
-    same absolute rule as the kernel), and all three kernel dimensions
-    must agree, otherwise the operator is not Fredholm in this class.
+    w0 + 1 and w0 + 2 only count the singular values above
+    `DENSE_KERNEL_TOL` (the same absolute rule as the kernel), and all
+    three kernel dimensions must agree, otherwise the operator is not
+    Fredholm in this class.
 
     A scalar-colour operator S tensor I_d (d > 1, see
     `scalar_color_factor`) has every window equal to the window of S
@@ -555,12 +543,12 @@ def windowed_kernel(op: ShiftOp, sv_tol: float = DENSE_KERNEL_TOL) -> tuple[np.n
     if factor is not None:
         op, lift = factor, op.d_in
     w0 = stabilization_window(op)
-    kernel = _kernel_window(op, w0, sv_tol)
+    kernel = _kernel_window(op, w0, DENSE_KERNEL_TOL)
     dims = [kernel.shape[1]]
     for w in (w0 + 1, w0 + 2):
         a = _dense_window(op, w)
         s = np.linalg.svd(a, compute_uv=False)
-        dims.append(a.shape[1] - int(np.sum(s > sv_tol)))
+        dims.append(a.shape[1] - int(np.sum(s > DENSE_KERNEL_TOL)))
     if dims[0] != dims[1] or dims[1] != dims[2]:
         raise NotFredholm(f"kernel window does not stabilize: "
                           f"dims {[lift * n for n in dims]}")
@@ -569,21 +557,61 @@ def windowed_kernel(op: ShiftOp, sv_tol: float = DENSE_KERNEL_TOL) -> tuple[np.n
     return kernel, w0
 
 
-def _restrict_action(u_corner: ShiftOp, kernel: np.ndarray, window: int,
-                     tol: float, side: str) -> np.ndarray:
-    u_win = _dense_window(u_corner, window)
-    uk = u_win @ kernel
-    pad = np.zeros((u_win.shape[0] - kernel.shape[0], kernel.shape[1]))
+def _shift_blocks(rows_c: list[int], cols_c: list[int], window: int,
+                  v: ShiftOp) -> tuple[np.ndarray | None, np.ndarray]:
+    """The colour blocks of v leaving and keeping the `cols_c` side, as
+    dense windows; the leaving block is None when it is exactly zero."""
+    leak = color_corner(v, rows_c, cols_c)
+    return (None if is_exactly_zero(leak) else _dense_window(leak, window),
+            _dense_window(color_corner(v, cols_c, cols_c), window))
+
+
+def _dense_blocks(basis: np.ndarray, other: np.ndarray,
+                  v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of v from the `basis` side to the `other` side and back
+    to the `basis` side, in those bases."""
+    return dagger(other) @ v @ basis, dagger(basis) @ v @ basis
+
+
+def _index_sides(phi, grading):
+    """The plus and then the minus side of the index, one at a time:
+    (side, kernel of the odd corner on it, blocks), where blocks(v) gives
+    `_shift_blocks` or `_dense_blocks` of a holonomy image v."""
+    if isinstance(phi, ShiftOp):
+        plus_c, minus_c = _shift_grading_split(grading)
+        corner = color_corner(phi, minus_c, plus_c)
+        for side, op, cols_c, rows_c in (("plus", corner, plus_c, minus_c),
+                                         ("minus", corner.H, minus_c, plus_c)):
+            kernel, window = windowed_kernel(op)
+            yield side, kernel, partial(_shift_blocks, rows_c, cols_c, window)
+    else:
+        v_plus, v_minus = _dense_grading_split(grading, DENSE_KERNEL_TOL)
+        corner = dagger(v_minus) @ phi @ v_plus
+        for side, op, basis, other in (("plus", corner, v_plus, v_minus),
+                                       ("minus", dagger(corner), v_minus, v_plus)):
+            yield (side, null_space(op, DENSE_KERNEL_TOL),
+                   partial(_dense_blocks, basis, other))
+
+
+def _kernel_action(kernel: np.ndarray, side: str, leak: np.ndarray | None,
+                   stay: np.ndarray) -> np.ndarray:
+    """The action on `kernel` of a holonomy image given by its blocks
+    leaving and keeping that side; KernelNotInvariant when either moves
+    the kernel by more than `INDEX_TOL`.  A shift window may reach below
+    the kernel's rows, so the kernel is padded with zeros."""
+    if leak is not None and opnorm(leak @ kernel) > INDEX_TOL:
+        raise KernelNotInvariant(
+            f"holonomy pushes the {side} kernel across the grading")
+    uk = stay @ kernel
+    pad = np.zeros((stay.shape[0] - kernel.shape[0], kernel.shape[1]))
     k_pad = np.vstack([kernel, pad])
     m = dagger(k_pad) @ uk
-    if opnorm(uk - k_pad @ m) > tol:
+    if opnorm(uk - k_pad @ m) > INDEX_TOL:
         raise KernelNotInvariant(f"holonomy does not preserve the {side} kernel")
     return m
 
 
-def pi_index(cycle: EquivariantCycle, pres: GroupPresentation | None = None,
-             sv_tol: float = DENSE_KERNEL_TOL,
-             tol: float = INDEX_TOL) -> VirtualRep:
+def pi_index(cycle: EquivariantCycle) -> VirtualRep:
     """[ker of the odd corner] - [ker of its adjoint], with the holonomy
     action restricted to both kernels.
 
@@ -599,57 +627,17 @@ def pi_index(cycle: EquivariantCycle, pres: GroupPresentation | None = None,
     """
     if cycle.parity != "even" or cycle.grading is None:
         raise ValueError("the index needs an even cycle with a grading")
-    pres = cycle.group if pres is None else pres
-    phi, grading = cycle.phi, cycle.grading
-
-    if isinstance(phi, ShiftOp):
-        plus_c, minus_c = _shift_grading_split(grading)
-        corner = color_corner(phi, minus_c, plus_c)
-        blocks = []
-        for rows_c, cols_c, op in ((minus_c, plus_c, corner),
-                                   (plus_c, minus_c, corner.H)):
-            side = "plus" if cols_c is plus_c else "minus"
-            kernel, window = windowed_kernel(op, sv_tol)
-            if kernel.shape[1] == 0:
-                blocks.append(None)
-                continue
-            images = {}
-            for g, v in cycle.v_images.items():
-                leak = color_corner(v, rows_c, cols_c)
-                if not is_exactly_zero(leak):
-                    if opnorm(_dense_window(leak, window) @ kernel) > tol:
-                        raise KernelNotInvariant(
-                            f"holonomy pushes the {side} kernel across the grading")
-                images[g] = _restrict_action(color_corner(v, cols_c, cols_c),
-                                             kernel, window, tol, side)
-            blocks.append(RepBlock(kernel.shape[1], images))
-    else:
-        v_plus, v_minus = _dense_grading_split(grading, sv_tol)
-        corner = dagger(v_minus) @ phi @ v_plus
-        blocks = []
-        for basis, other, op in ((v_plus, v_minus, corner),
-                                 (v_minus, v_plus, dagger(corner))):
-            side = "plus" if basis is v_plus else "minus"
-            kernel = null_space(op, sv_tol)
-            if kernel.shape[1] == 0:
-                blocks.append(None)
-                continue
-            images = {}
-            for g, v in cycle.v_images.items():
-                if opnorm(dagger(other) @ v @ basis @ kernel) > tol:
-                    raise KernelNotInvariant(
-                        f"holonomy pushes the {side} kernel across the grading")
-                u_corner = dagger(basis) @ v @ basis
-                m = dagger(kernel) @ u_corner @ kernel
-                if opnorm(u_corner @ kernel - kernel @ m) > tol:
-                    raise KernelNotInvariant(
-                        f"holonomy does not preserve the {side} kernel")
-                images[g] = m
-            blocks.append(RepBlock(kernel.shape[1], images))
-
+    blocks = []
+    for side, kernel, blocks_of in _index_sides(cycle.phi, cycle.grading):
+        if kernel.shape[1] == 0:
+            blocks.append(None)
+            continue
+        images = {g: _kernel_action(kernel, side, *blocks_of(v))
+                  for g, v in cycle.v_images.items()}
+        blocks.append(RepBlock(kernel.shape[1], images))
     plus = (blocks[0],) if blocks[0] is not None else ()
     minus = (blocks[1],) if blocks[1] is not None else ()
-    return VirtualRep(plus, minus, pres)
+    return VirtualRep(plus, minus, cycle.group)
 
 
 # ----------------------------------------------------- shift construction
@@ -685,17 +673,6 @@ def _default_shift_samples(d: int) -> dict[str, ShiftOp]:
     }
 
 
-def _check_unitary_images(images: dict[int, np.ndarray], dim: int,
-                          pres: GroupPresentation, tol: float) -> None:
-    for g, m in sorted(images.items()):
-        if m.shape != (dim, dim):
-            raise FiberMismatch(f"generator {g} image has shape {m.shape}")
-        if opnorm(adj(m) @ m - np.eye(dim)) > tol:
-            raise InvalidRepresentation(f"generator {g} image is not unitary")
-    require_relators(pres, images, np.eye(dim, dtype=complex), tol,
-                     RelatorNotSatisfied)
-
-
 def build_shift_module(poset: Poset, pres: GroupPresentation,
                        frame: PathFrame, u_images: dict[int, np.ndarray],
                        samples: dict[str, ShiftOp] | None = None,
@@ -710,7 +687,7 @@ def build_shift_module(poset: Poset, pres: GroupPresentation,
     if not u_images and len(pres.generators) > 0:
         raise FiberMismatch("missing generator images")
     d = next(iter(u_images.values())).shape[0] if u_images else 1
-    _check_unitary_images(u_images, d, pres, tol)
+    require_unitary_rep(pres, u_images, d, tol)
     colors = {g: stripe_op(0, _double_color(m)) for g, m in u_images.items()}
     ident = identity_op(2 * d)
     rep = flat_rep(poset, pres, frame, colors, ident,
@@ -734,25 +711,23 @@ class SectorModule:
     statistical_dimension: int
     topological_dimension: int
 
-    def admits(self, t: ShiftOp, tol: float = 0.0) -> bool:
-        return dual_net_membership(self.module, t, tol)
+    def admits(self, t: ShiftOp) -> bool:
+        return dual_net_membership(self.module, t)
 
 
-def dual_net_membership(m: FredholmModule, t: ShiftOp,
-                        tol: float = 0.0) -> bool:
+def dual_net_membership(m: FredholmModule, t: ShiftOp) -> bool:
     """Whether the observable commutes with every F up to finite rank."""
-    return all(compact_defect(commutator(f, t)) <= tol
-               for f in m.F.values())
+    return all(commutator_compact_defect(f, t) == 0.0 for f in m.F.values())
 
 
-def algebra_dimension(mats: list[np.ndarray], tol: float = 1e-9) -> int:
+def algebra_dimension(mats: list[np.ndarray]) -> int:
     """Linear dimension of the unital *-algebra generated by the matrices.
 
     Span closure over the seeds 1, M and M* for each matrix M: keep an
     orthonormal basis of the flattened elements found so far, multiply
     only the newest basis elements by the seeds, and add what is left of
     the products after projecting out the basis (singular values above
-    `tol` relative to the largest product norm, at least 1).  The span is
+    `SPAN_TOL` relative to the largest product norm, at least 1).  The span is
     closed once a round adds nothing.  The basis never exceeds d^2
     elements for d x d matrices and each element is multiplied once, so
     there are at most d^2 * (2 * len(mats) + 1) products in all.
@@ -773,7 +748,7 @@ def algebra_dimension(mats: list[np.ndarray], tol: float = 1e-9) -> int:
         for _ in range(2):
             new = new - (new @ dagger(basis)) @ basis
         _, s, vh = np.linalg.svd(new, full_matrices=False)
-        new = vh[:int(np.sum(s > tol * scale))]
+        new = vh[:int(np.sum(s > SPAN_TOL * scale))]
         basis = np.vstack([basis, new])
         products = new.reshape(-1, 1, d, d) @ seeds
         new = products.reshape(-1, d * d)
@@ -859,7 +834,7 @@ def build_sector_module(poset: Poset, pres: GroupPresentation,
         if leak > tol:
             raise CentralityViolated(
                 f"generator {g} image leaks across sectors ({leak:.3e})")
-    _check_unitary_images(rho_images, total, pres, tol)
+    require_unitary_rep(pres, rho_images, total, tol)
 
     if pi_samples is None:
         base = _default_sector_samples(w_index)
@@ -895,7 +870,7 @@ def build_sector_module(poset: Poset, pres: GroupPresentation,
 
 # --------------------------------------------------------------- analysis
 
-def bounded_transform(d: np.ndarray, tol: float = CHECK_TOL) -> np.ndarray:
+def bounded_transform(d: np.ndarray) -> np.ndarray:
     """Rational damping D(1 + D^2)^{-1} of a self-adjoint dense matrix.
 
     Note the normalization: this is x/(1+x^2) applied spectrally, not
@@ -906,6 +881,6 @@ def bounded_transform(d: np.ndarray, tol: float = CHECK_TOL) -> np.ndarray:
     d = np.asarray(d, dtype=complex)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NotSelfAdjoint("need a square matrix")
-    if opnorm(d - dagger(d)) > tol:
+    if selfadjoint_defect(d) > CHECK_TOL:
         raise NotSelfAdjoint("matrix is not self-adjoint")
     return np.linalg.solve(np.eye(d.shape[0], dtype=complex) + d @ d, d)

@@ -39,13 +39,6 @@ def first_over(defects: np.ndarray, tol: float) -> int | None:
     return int(over[0]) if over.size else None
 
 
-def is_unitary(a: np.ndarray, tol: float) -> bool:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    d = a.shape[0]
-    return opnorm(a @ dagger(a) - np.eye(d)) <= tol
-
-
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-like unitary from the QR decomposition of a complex Gaussian."""
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -102,3 +95,9 @@ def eigenphases(u: np.ndarray) -> np.ndarray:
     ang = np.angle(np.linalg.eigvals(u)) / (2.0 * np.pi)
     ang = np.mod(ang, 1.0)
     return np.sort(ang)
+
+
+def turn_distance(a: float, b: float) -> float:
+    """Distance of two phases on the circle, in turns (at most 1/2)."""
+    d = abs(a - b) % 1.0
+    return min(d, 1.0 - d)

@@ -35,13 +35,6 @@ def identity_like(x):
     return np.eye(x.shape[0], dtype=complex)
 
 
-def norm_upper(x) -> float:
-    """Upper bound for the operator norm (exact for dense matrices)."""
-    if isinstance(x, ShiftOp):
-        return x.norm_upper()
-    return opnorm(x)
-
-
 def compact_defect(x) -> float:
     if isinstance(x, ShiftOp):
         return x.compact_defect()
@@ -125,17 +118,30 @@ def evaluate_word_ops(letters, images: dict, ident):
     return out
 
 
-def require_relators(pres, images: dict, ident, tol: float, error) -> None:
-    """Raise `error` on the first relator of `pres` that does not evaluate
-    on the generator images to `ident` within `tol`; dense relators are
-    measured in one stack."""
+def require_unitary(images: dict, tol: float, error) -> None:
+    """Raise `error` on the first generator image, in generator order,
+    whose unitarity defect is not within `tol`."""
+    for g, v in sorted(images.items()):
+        d = unitarity_defect(v)
+        if not d <= tol:
+            raise error(f"generator {g} image is not unitary ({d:.3e})")
+
+
+def relator_defects(pres, images: dict, ident) -> np.ndarray:
+    """How far each relator of `pres`, evaluated on the generator images,
+    is from `ident`; dense relators are measured in one stack."""
     words = [evaluate_word_ops(r.letters, images, ident) for r in pres.relators]
     if isinstance(ident, np.ndarray):
-        defects = opnorms(np.array(words).reshape((-1,) + ident.shape) - ident)
-    elif isinstance(ident, StarIso):
-        defects = np.array([iso_map_defect(w, ident, ident.sizes) for w in words])
-    else:
-        defects = np.array([zero_defect(w - ident) for w in words])
+        return opnorms(np.array(words).reshape((-1,) + ident.shape) - ident)
+    if isinstance(ident, StarIso):
+        return np.array([iso_map_defect(w, ident, ident.sizes) for w in words])
+    return np.array([zero_defect(w - ident) for w in words])
+
+
+def require_relators(pres, images: dict, ident, tol: float, error) -> None:
+    """Raise `error` on the first relator of `pres` that does not evaluate
+    on the generator images to `ident` within `tol`."""
+    defects = relator_defects(pres, images, ident)
     k = first_over(defects, tol)
     if k is not None:
         raise error(f"relator {pres.relators[k]} has defect {defects[k]:.3e}")

@@ -6,11 +6,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Every threshold of the package.  A function takes a `tol` parameter
+# only where some caller passes one; the CLI passes its --tolerance
+# (default CHECK_TOL) there and never changes the other constants.
 CONSTRUCTION_TOL = 1e-12  # validating data handed to a constructor
 CHECK_TOL = 1e-10  # relations of computed objects (holonomy, modules, triples)
 COMPACT_TOL = 1e-9  # stripe weight of a module relation that must be compact
 INDEX_TOL = 1e-9  # holonomy invariance: extension, index kernels, characters
 DENSE_KERNEL_TOL = 1e-8  # singular values at or below this span a kernel
+SPAN_TOL = 1e-9  # relative singular value of a product that adds to a span
+PHASE_TOL = 1e-9  # turns between a recovered and a declared eigenphase
 
 
 def relation_memo():

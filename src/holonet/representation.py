@@ -138,22 +138,22 @@ class NetOfAlgebras:
         return self.incl[(o, o1)]
 
 
-def validate_net(net: NetOfAlgebras, tol: float = CONSTRUCTION_TOL) -> ValidationReport:
+def validate_net(net: NetOfAlgebras) -> ValidationReport:
     rep = ValidationReport()
     pairs = set(net.poset.strict_pairs())
     for o in net.poset.elements:
         if o not in net.fibers:
-            rep.add("fiber-coverage", o, float("inf"), tol)
+            rep.add("fiber-coverage", o, float("inf"), CONSTRUCTION_TOL)
     for e in net.incl:
         if e not in pairs:
-            rep.add("inclusion-indexing", f"{e}", float("inf"), tol)
+            rep.add("inclusion-indexing", f"{e}", float("inf"), CONSTRUCTION_TOL)
     for e in sorted(pairs):
         if e not in net.incl:
-            rep.add("inclusion-coverage", f"{e}", float("inf"), tol)
+            rep.add("inclusion-coverage", f"{e}", float("inf"), CONSTRUCTION_TOL)
             continue
         h = net.incl[e]
         if h.src_sizes != net.fibers.get(e[0]) or h.dst_sizes != net.fibers.get(e[1]):
-            rep.add("inclusion-fibers", f"{e}", float("inf"), tol)
+            rep.add("inclusion-fibers", f"{e}", float("inf"), CONSTRUCTION_TOL)
     if rep.violations:
         return rep
     for o, o1, o2 in net.poset.two_chains():
@@ -165,18 +165,19 @@ def validate_net(net: NetOfAlgebras, tol: float = CONSTRUCTION_TOL) -> Validatio
                   for l in range(len(inner.src_sizes)))
             for i in range(len(outer.dst_sizes)))
         if direct.mult != composed_mult:
-            rep.add("functoriality-mult", f"{o}<{o1}<{o2}", float("inf"), tol)
+            rep.add("functoriality-mult", f"{o}<{o1}<{o2}", float("inf"), CONSTRUCTION_TOL)
             continue
         t = basis_stack(net.fibers[o])
         gap = element_sub(apply_hom(direct, t), apply_hom(outer, apply_hom(inner, t)))
-        rep.add("functoriality-action", f"{o}<{o1}<{o2}", element_norm(gap), tol)
+        rep.add("functoriality-action", f"{o}<{o1}<{o2}", element_norm(gap),
+                CONSTRUCTION_TOL)
     return rep
 
 
 def make_net(poset: Poset, fibers: dict[str, tuple[int, ...]],
-             incl: dict[Edge, BlockHom], tol: float = CONSTRUCTION_TOL) -> NetOfAlgebras:
+             incl: dict[Edge, BlockHom]) -> NetOfAlgebras:
     net = NetOfAlgebras(poset, dict(fibers), dict(incl))
-    report = validate_net(net, tol)
+    report = validate_net(net)
     if not report.ok:
         raise InvalidNet(str(report))
     return net
@@ -245,10 +246,9 @@ def validate_representation(r: NetRepresentation,
 
 
 def make_net_representation(net: NetOfAlgebras, target: HilbertNetBundle,
-                            pi: dict[str, BlockHom],
-                            tol: float = CHECK_TOL) -> NetRepresentation:
+                            pi: dict[str, BlockHom]) -> NetRepresentation:
     r = NetRepresentation(net, target, dict(pi))
-    report = validate_representation(r, tol)
+    report = validate_representation(r)
     if not report.ok:
         raise InvalidRepresentation(str(report))
     return r
@@ -276,7 +276,7 @@ def covariantize(r: NetRepresentation, pres: GroupPresentation,
     cb = as_net_bundle(r.net)
     if frame is None:
         frame = build_path_frame(r.net.poset, pres.base)
-    images = holonomy_rep(r.target, pres, frame)
+    images = holonomy_rep(r.target, pres, frame, tol)
     pi_base = r.pi[pres.base]
     t = basis_stack(r.net.fibers[pres.base])
     pi_t = apply_hom(pi_base, t)[0]
@@ -330,8 +330,7 @@ def netify(eta: BlockHom, v_images: dict[int, np.ndarray], poset: Poset,
     return NetRepresentation(net, target, pi)
 
 
-def check_path_compatibility(r: NetRepresentation, p: Path,
-                             tol: float = CHECK_TOL) -> float:
+def check_path_compatibility(r: NetRepresentation, p: Path) -> float:
     """Worst defect of ad U_p . pi_start = pi_end . j_p on the fiber basis."""
     cb = as_net_bundle(r.net)
     u = evaluate_path(r.target, p)

@@ -29,7 +29,6 @@ from .operators import (
     anticommutator_defect,
     intertwining_defect,
     selfadjoint_defect,
-    zero_defect,
 )
 from .poset import Poset
 from .reports import CHECK_TOL, ValidationReport, relation_memo
@@ -175,12 +174,12 @@ def from_equivariant(e: EquivariantTriple, poset: Poset,
     return NetSpectralTriple(rep, {o: e.D for o in poset.elements})
 
 
-def theta_trace(d, beta: float, tol: float = CHECK_TOL) -> float:
+def theta_trace(d, beta: float) -> float:
     """Tr exp(-beta D^2) through the eigenvalues of D."""
     d = np.asarray(d, dtype=complex)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NotSelfAdjoint(f"need a square matrix, got shape {d.shape}")
-    if zero_defect(d - adj(d)) > tol:
+    if selfadjoint_defect(d) > CHECK_TOL:
         raise NotSelfAdjoint("operator is not self-adjoint")
     if beta <= 0:
         raise ValueError("beta must be positive")

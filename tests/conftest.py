@@ -3,7 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from holonet.bundle import HilbertNetBundle
 from holonet.homotopy import build_path_frame, fundamental_presentation
+from holonet.randomgen import random_hilbert_bundle, random_poset_with_frame
 from holonet.shift_calculus import finite_op, stripe_op
 from holonet.standard import chain_poset, hexagon_poset, with_top
 
@@ -37,6 +39,20 @@ def pfp(poset):
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+def nearly_flat_bundle():
+    """(poset, presentation, frame, bundle): a random rank-2 bundle over
+    a poset with 22 relators, one generator edge rotated by 1e-8, so its
+    relators and chain coherence hold to about 1e-8 only."""
+    rng = rng_for(3)
+    poset, pres, frame = random_poset_with_frame(rng, 12)
+    b = random_hilbert_bundle(poset, pres, frame, 2, rng)
+    e = next(iter(pres.gen_index))
+    c, s = np.cos(1e-8), np.sin(1e-8)
+    incl = dict(b.incl)
+    incl[e] = incl[e] @ np.array([[c, -s], [s, c]])
+    return poset, pres, frame, HilbertNetBundle(poset, 2, incl)
 
 
 def random_scalar_color_op(rng, d):

@@ -127,7 +127,7 @@ def reference_covariantize(r, pres, frame, tol):
         raise InvalidRepresentation(str(report))
     cb = as_net_bundle(r.net)
     images = holonomy_images(r.target, pres, frame)
-    reference_require_relators(pres, images, r.target.ident, CHECK_TOL, RelatorNotSatisfied)
+    reference_require_relators(pres, images, r.target.ident, tol, RelatorNotSatisfied)
     pi_base = r.pi[pres.base]
     for idx, act in holonomy_images(cb, pres, frame).items():
         u = images[idx]

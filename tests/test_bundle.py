@@ -42,8 +42,9 @@ from holonet.randomgen import (
     random_poset_with_frame,
     random_representation,
 )
+from holonet.representation import covariantize, identity_representation
 from holonet.standard import chain_poset, hexagon_poset
-from conftest import pfp
+from conftest import nearly_flat_bundle, pfp
 
 TOL = 1e-10
 
@@ -444,3 +445,15 @@ def test_cstar_chain_coherence_checked():
     incl[("o1", "o3")] = StarIso((2,), (0,), (random_unitary(rng, 2),))
     report = validate_bundle(CStarNetBundle(chain, (2,), incl))
     assert any(v.check == "chain-coherence" for v in report.violations)
+
+
+def test_a_given_tolerance_reaches_the_relator_check():
+    poset, pres, frame, b = nearly_flat_bundle()
+    assert len(pres.relators) == 22
+    checks = (partial(compute_sections, b, pres, frame),
+              partial(hilbert_section_dimension_oracle, b, pres, frame),
+              partial(covariantize, identity_representation(b), pres, frame))
+    for check in checks:
+        check(tol=1e-6)
+        with pytest.raises(RelatorNotSatisfied, match="has defect"):
+            check()

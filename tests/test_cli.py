@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import nearly_flat_bundle
+
 import holonet.charclass
 import holonet.cli
 from holonet.cli import main
@@ -23,6 +25,7 @@ from holonet.errors import (
 from holonet.iodoc import (
     MAX_MAGNITUDE,
     MAX_WINDOW_COLUMNS,
+    encode_matrix,
     load_document,
     parse_document,
     print_document,
@@ -490,6 +493,25 @@ def test_tolerance_overrides_check_class(capsys, tmp_path):
     code, report, _ = run_json(capsys, "rep-check", "--input", str(path),
                                "--tolerance", "1e-6")
     assert code == 0 and report["pass"] is True
+
+
+def test_sections_tolerance_reaches_the_holonomy_relators(capsys, tmp_path):
+    poset, pres, frame, b = nearly_flat_bundle()
+    doc = {"poset": {"elements": list(poset.elements),
+                     "pairs": [list(e) for e in poset.strict_pairs()],
+                     "base": frame.base},
+           "bundle": {"dimension": 2,
+                      "edges": {f"{o}<{o1}": encode_matrix(u)
+                                for (o, o1), u in b.incl.items()}}}
+    path = tmp_path / "nearly_flat.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run_json(capsys, "sections", "--input", str(path),
+                               "--tolerance", "1e-6")
+    assert code == 0 and report["pass"] is True
+    assert report["results"]["agree"] is True
+    code, report, _ = run_json(capsys, "sections", "--input", str(path))
+    assert code == 1
+    assert any("chain-coherence" in v for v in report["results"]["bundle"]["violations"])
 
 
 def test_text_format(capsys):

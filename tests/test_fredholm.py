@@ -51,7 +51,13 @@ from holonet.fredholm import (
     windowed_kernel,
 )
 from holonet.homotopy import frame_transports
-from holonet.linalg import dagger, eigenphase_multiset_match, opnorm, random_unitary
+from holonet.linalg import (
+    dagger,
+    eigenphase_multiset_match,
+    null_space,
+    opnorm,
+    random_unitary,
+)
 from holonet.operators import (
     adj,
     commutator,
@@ -61,7 +67,7 @@ from holonet.operators import (
     zero_defect,
 )
 from holonet.reports import ValidationReport
-from holonet.poset import edge_simplex, make_path, opposite_path
+from holonet.poset import build_poset, edge_simplex, make_path, opposite_path
 from holonet.shift_calculus import (
     ShiftOp,
     constant_diag_op,
@@ -1062,3 +1068,117 @@ def test_validate_module_cost_does_not_grow_with_the_circle(monkeypatch):
         assert report.ok
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+# --------------------------------- dense pi_index against the parent branch
+
+def reference_dense_pi_index(cycle, sv_tol=1e-8, tol=1e-9):
+    """The dense branch of `pi_index` with its leak and preserve checks
+    written out per side, images as (K* U) K."""
+    v_plus, v_minus = holonet.fredholm._dense_grading_split(cycle.grading, sv_tol)
+    corner = dagger(v_minus) @ cycle.phi @ v_plus
+    blocks = []
+    for basis, other, op in ((v_plus, v_minus, corner),
+                             (v_minus, v_plus, dagger(corner))):
+        side = "plus" if basis is v_plus else "minus"
+        kernel = null_space(op, sv_tol)
+        if kernel.shape[1] == 0:
+            blocks.append(None)
+            continue
+        images = {}
+        for g, v in cycle.v_images.items():
+            if opnorm(dagger(other) @ v @ basis @ kernel) > tol:
+                raise KernelNotInvariant(
+                    f"holonomy pushes the {side} kernel across the grading")
+            u_corner = dagger(basis) @ v @ basis
+            m = dagger(kernel) @ u_corner @ kernel
+            if opnorm(u_corner @ kernel - kernel @ m) > tol:
+                raise KernelNotInvariant(
+                    f"holonomy does not preserve the {side} kernel")
+            images[g] = m
+        blocks.append(RepBlock(kernel.shape[1], images))
+    plus = (blocks[0],) if blocks[0] is not None else ()
+    minus = (blocks[1],) if blocks[1] is not None else ()
+    return VirtualRep(plus, minus, cycle.group)
+
+
+def random_dense_cycle(seed, pres):
+    """An even dense cycle with a corner A of random rank and two
+    holonomy images, in a random basis of the graded space.  Images keep
+    ker A and ker A* unless seed % 5 breaks one: 1 leaks the plus side
+    into the minus side, 2 moves the plus kernel, 3 and 4 do the same on
+    the minus side."""
+    rng = rng_for(seed)
+    p, q = (int(k) for k in rng.integers(1, 5, size=2))
+    r = int(rng.integers(0, min(p, q) + 1))
+    z, w, basis = random_unitary(rng, p), random_unitary(rng, q), random_unitary(rng, p + q)
+    a = w[:, :r] @ np.diag(rng.uniform(0.5, 2.0, r)) @ dagger(z[:, :r])
+
+    def keeping(u, r):
+        """A unitary keeping the span of u[:, :r] and that of u[:, r:]."""
+        n = u.shape[0]
+        block = np.zeros((n, n), dtype=complex)
+        block[:r, :r] = random_unitary(rng, r)
+        block[r:, r:] = random_unitary(rng, n - r)
+        return u @ block @ dagger(u)
+
+    def in_basis(top_left, top_right, bottom_left, bottom_right):
+        return basis @ np.block([[top_left, top_right],
+                                 [bottom_left, bottom_right]]) @ dagger(basis)
+
+    zeros_pq, zeros_qp = np.zeros((p, q)), np.zeros((q, p))
+    grading = in_basis(np.eye(p), zeros_pq, zeros_qp, -np.eye(q))
+    phi = in_basis(np.zeros((p, p)), dagger(a), a, np.zeros((q, q)))
+    v_images = {}
+    for g in (1, 2):
+        plus, minus = keeping(z, r), keeping(w, r)
+        leak_plus, leak_minus = zeros_qp, zeros_pq
+        if g == 2:
+            kind = seed % 5
+            if kind == 1:
+                leak_plus = rng.standard_normal((q, p))
+            elif kind == 2:
+                plus = random_unitary(rng, p)
+            elif kind == 3:
+                leak_minus = rng.standard_normal((p, q))
+            elif kind == 4:
+                minus = random_unitary(rng, q)
+        v_images[g] = in_basis(plus, leak_minus, leak_plus, minus)
+    return EquivariantCycle({}, v_images, phi, grading, "even", pres)
+
+
+def index_outcome(f, cycle):
+    try:
+        return f(cycle)
+    except KernelNotInvariant as exc:
+        return str(exc)
+
+
+def test_dense_index_matches_the_two_check_branch():
+    theta = build_poset(["a", "b", "c1", "c2", "c3"],
+                        [(c, t) for c in ("c1", "c2", "c3") for t in ("a", "b")])
+    _, pres, _ = pfp(theta)
+    assert len(pres.generators) == 2
+    seen = set()
+    for seed in range(60):
+        cycle = random_dense_cycle(seed, pres)
+        got = index_outcome(pi_index, cycle)
+        want = index_outcome(reference_dense_pi_index, cycle)
+        if isinstance(want, str):
+            assert got == want
+            seen.add(want)
+            continue
+        seen.add((want.dim, len(want.plus), len(want.minus)))
+        assert got.group is want.group
+        for ours, theirs in ((got.plus, want.plus), (got.minus, want.minus)):
+            assert [b.dim for b in ours] == [b.dim for b in theirs]
+            for b, ref in zip(ours, theirs):
+                assert b.images.keys() == ref.images.keys()
+                for g in ref.images:
+                    assert np.max(np.abs(b.images[g] - ref.images[g]), initial=0.0) <= 1e-12
+    messages = {f"holonomy {verb} the {side} kernel{tail}"
+                for side in ("plus", "minus")
+                for verb, tail in (("pushes", " across the grading"),
+                                   ("does not preserve", ""))}
+    assert messages <= seen
+    assert any(isinstance(x, tuple) and x[1] and x[2] for x in seen)
