@@ -38,6 +38,7 @@ from .operators import (
     evaluate_word_ops,
     intertwining_defect,
     involution_defect,
+    require_generators,
     require_relators,
     require_unitary,
     selfadjoint_defect,
@@ -229,9 +230,10 @@ def holonomy_rep(b: HilbertNetBundle | CStarNetBundle, pres: GroupPresentation,
 def require_unitary_rep(pres: GroupPresentation, images: dict[int, np.ndarray],
                         dim: int, tol: float) -> None:
     """Gate for a unitary loop-group representation on C^dim: every
-    image is dim x dim (FiberMismatch) and unitary
-    (InvalidRepresentation), and the relators hold (RelatorNotSatisfied),
-    all within `tol`."""
+    generator has an image, every image is dim x dim (FiberMismatch) and
+    unitary (InvalidRepresentation), and the relators hold
+    (RelatorNotSatisfied), all within `tol`."""
+    require_generators(pres, images)
     for g, m in sorted(images.items()):
         if m.shape != (dim, dim):
             raise FiberMismatch(f"generator {g} image has shape {m.shape}")

@@ -68,10 +68,6 @@ from .spectral import (
 )
 
 
-def _tol(opt) -> float:
-    return CHECK_TOL if opt.tolerance is None else float(opt.tolerance)
-
-
 def _report_summary(report) -> dict:
     out = {"checks": len(report.entries),
            "violations": [str(e) for e in report.violations],
@@ -142,7 +138,7 @@ def cmd_pi1(doc: InputDocument, opt) -> tuple[dict, bool]:
 
 
 def cmd_holonomy(doc: InputDocument, opt) -> tuple[dict, bool]:
-    tol = _tol(opt)
+    tol = opt.tolerance
     b = _bundle_of(doc, "holonomy")
     report = validate_bundle(b, tol)
     results: dict = {"bundle": _report_summary(report)}
@@ -157,7 +153,7 @@ def cmd_holonomy(doc: InputDocument, opt) -> tuple[dict, bool]:
 
 
 def cmd_sections(doc: InputDocument, opt) -> tuple[dict, bool]:
-    tol = _tol(opt)
+    tol = opt.tolerance
     b = _bundle_of(doc, "sections")
     report = validate_bundle(b, tol)
     if not report.ok:
@@ -172,7 +168,7 @@ def cmd_sections(doc: InputDocument, opt) -> tuple[dict, bool]:
 
 
 def cmd_rep_check(doc: InputDocument, opt) -> tuple[dict, bool]:
-    tol = _tol(opt)
+    tol = opt.tolerance
     if doc.rep_images is None and doc.rep_phases is None:
         raise SchemaError("rep-check needs a 'representation' section with "
                           "images or phases")
@@ -213,7 +209,7 @@ def cmd_rep_check(doc: InputDocument, opt) -> tuple[dict, bool]:
 
 
 def cmd_fredholm_verify(doc: InputDocument, opt) -> tuple[dict, bool]:
-    tol = _tol(opt)
+    tol = opt.tolerance
     m, sec = _module_of(doc, "fredholm-verify", tol)
     report = validate_module(m, tol)
     results: dict = {"parity": m.parity, "module": _report_summary(report)}
@@ -224,7 +220,7 @@ def cmd_fredholm_verify(doc: InputDocument, opt) -> tuple[dict, bool]:
 
 
 def cmd_extend(doc: InputDocument, opt) -> tuple[dict, bool]:
-    m, _ = _module_of(doc, "extend", _tol(opt))
+    m, _ = _module_of(doc, "extend", opt.tolerance)
     at = (doc.module or {}).get("at", doc.base)
     out = extend_localized(localize(m, at))
     if isinstance(out, ExtensionObstruction):
@@ -232,14 +228,14 @@ def cmd_extend(doc: InputDocument, opt) -> tuple[dict, bool]:
                    "obstruction": {"generator": out.generator,
                                    "defect": float(out.defect)}}
         return results, False
-    report = validate_module(out, _tol(opt))
+    report = validate_module(out, opt.tolerance)
     results = {"at": at, "extended": True, "obstruction": None,
                "module": _report_summary(report)}
     return results, report.ok
 
 
 def cmd_index(doc: InputDocument, opt) -> tuple[dict, bool]:
-    m, _ = _module_of(doc, "index", _tol(opt))
+    m, _ = _module_of(doc, "index", opt.tolerance)
     idx = pi_index(equivariant_cycle(localize(m, doc.base)))
     results = {"index": _virtual_summary(idx)}
     words = sample_words(doc.pres, seed=opt.seed)
@@ -255,7 +251,7 @@ def cmd_ccs(doc: InputDocument, opt) -> tuple[dict, bool]:
     results: dict = {"rep_class": _ccs_summary(c),
                      "declared": [encode_phase(p) for p in declared]}
     if doc.module is not None:
-        m, _ = _module_of(doc, "ccs", _tol(opt))
+        m, _ = _module_of(doc, "ccs", opt.tolerance)
         cm = ccs_of_module(m, declared)
         results["module_class"] = _ccs_summary(cm)
         results["agree"] = cm == c
@@ -264,7 +260,7 @@ def cmd_ccs(doc: InputDocument, opt) -> tuple[dict, bool]:
 
 
 def cmd_shift_demo(doc: InputDocument, opt) -> tuple[dict, bool]:
-    tol = _tol(opt)
+    tol = opt.tolerance
     declared = _declared_phases(doc, "shift-demo")
     u = (doc.rep_images or {}).get(1)
     if u is None:
@@ -282,7 +278,7 @@ def cmd_shift_demo(doc: InputDocument, opt) -> tuple[dict, bool]:
 
 
 def cmd_sector_demo(doc: InputDocument, opt) -> tuple[dict, bool]:
-    tol = _tol(opt)
+    tol = opt.tolerance
     mod = _need(doc, "module", "module", "sector-demo")
     if mod["kind"] != "sector":
         raise SchemaError("sector-demo needs module.kind == 'sector'")
@@ -301,19 +297,20 @@ def cmd_sector_demo(doc: InputDocument, opt) -> tuple[dict, bool]:
 
 
 def cmd_spectral_verify(doc: InputDocument, opt) -> tuple[dict, bool]:
-    tol = _tol(opt)
+    tol = opt.tolerance
     sec = _need(doc, "triple", "triple", "spectral-verify")
     e = EquivariantTriple(sec["grading"], sec["u"], sec["samples"],
                           sec["operator"], doc.pres)
     t = from_equivariant(e, doc.poset, doc.pres, doc.frame, tol)
     report = validate_triple(t, tol)
     results = {"triple": _report_summary(report),
-               "theta_trace": {"beta=1": float(theta_trace(sec["operator"], 1.0))}}
+               "theta_trace": {
+                   "beta=1": float(theta_trace(sec["operator"], 1.0, tol))}}
     return results, report.ok
 
 
 def cmd_roundtrip(doc: InputDocument, opt) -> tuple[dict, bool]:
-    tol = _tol(opt)
+    tol = opt.tolerance
     results: dict = {}
     passed = True
 
@@ -338,7 +335,7 @@ def cmd_roundtrip(doc: InputDocument, opt) -> tuple[dict, bool]:
         cyc = equivariant_cycle(loc)
         loc2 = from_cycle(cyc.samples, cyc.v_images, cyc.phi, doc.poset,
                           doc.pres, doc.frame, grading=cyc.grading,
-                          parity=cyc.parity)
+                          parity=cyc.parity, tol=tol)
         same = operators_equal_exact(loc2.f, loc.f)
         images2 = equivariant_cycle(loc2).v_images
         for g in sorted(cyc.v_images):
@@ -387,14 +384,29 @@ def _text_lines(value, prefix: str, out: list[str]) -> None:
         out.append(f"{prefix}: {value}")
 
 
-def emit(report: dict, fmt: str) -> None:
+def render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2,
-                                    allow_nan=False) + "\n")
-        return
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     lines: list[str] = []
     _text_lines(report, "", lines)
-    sys.stdout.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _error(exc: Exception, stage: str) -> tuple[int, dict]:
+    """Exit code and error object of a run that raised `exc` while
+    loading ("load", which includes checking the command line), running
+    the command ("run") or rendering its report ("render")."""
+    name = type(exc).__name__
+    if isinstance(exc, HolonetError):
+        unusable = stage == "load" or isinstance(exc, (SchemaError, InputReferenceError))
+        return (2 if unusable else 1), {"type": name, "message": str(exc)}
+    if stage == "render" and isinstance(exc, ValueError):
+        # a result overflowed to inf or nan, which JSON cannot carry
+        return 1, {"type": name, "message": str(exc)}
+    # a fault of the program, not of the input: keep the contract of one
+    # JSON object on stdout, put the traceback on stderr
+    traceback.print_exc(file=sys.stderr)
+    return 1, {"type": "internal", "message": f"{name}: {exc}"}
 
 
 def main(argv=None) -> int:
@@ -405,63 +417,42 @@ def main(argv=None) -> int:
     parser.add_argument("command", help=", ".join(sorted(COMMANDS)))
     parser.add_argument("--input", required=True, help="experiment JSON file")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled checks (default 0)")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help=f"override CHECK_TOL (default {CHECK_TOL:g}): "
-                             "constructor unitarity and relator checks, "
-                             "validation reports and the sections "
-                             "fixed-space threshold; never the index, "
-                             "compactness, kernel-rank or phase thresholds")
+                        help="nonnegative seed for sampled checks (default 0)")
+    parser.add_argument("--tolerance", type=float, default=CHECK_TOL,
+                        help=f"finite nonnegative override of CHECK_TOL "
+                             f"(default {CHECK_TOL:g}): every check of that "
+                             "class; never the index, compactness, "
+                             "kernel-rank or phase thresholds")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     opt = parser.parse_args(argv)
 
     started = time.perf_counter()
-
-    def finish(code: int) -> int:
-        elapsed = (time.perf_counter() - started) * 1000.0
-        print(f"elapsed_ms={elapsed:.3f}", file=sys.stderr)
-        return code
-
+    tol = opt.tolerance
     base = {"command": opt.command, "input": opt.input, "seed": opt.seed,
-            "tolerance": _tol(opt)}
-
-    def fail(exc: Exception, code: int, internal: bool = False) -> int:
-        report = dict(base)
-        name = type(exc).__name__
-        report["error"] = ({"type": "internal", "message": f"{name}: {exc}"}
-                           if internal else {"type": name, "message": str(exc)})
-        report["pass"] = False
-        emit(report, opt.format)
-        return finish(code)
-
-    if opt.command not in COMMANDS:
-        return fail(UnknownCommand(
-            f"unknown command {opt.command!r}; choose from "
-            f"{', '.join(sorted(COMMANDS))}"), 2)
+            "tolerance": tol if math.isfinite(tol) else None}
+    stage = "load"
     try:
+        if opt.command not in COMMANDS:
+            raise UnknownCommand(f"unknown command {opt.command!r}; choose from "
+                                 f"{', '.join(sorted(COMMANDS))}")
+        if not 0 <= tol < math.inf:
+            raise SchemaError(f"--tolerance: expected a finite nonnegative "
+                              f"number, got {tol}")
+        if opt.seed < 0:
+            raise SchemaError(f"--seed: expected a nonnegative integer, got {opt.seed}")
         doc = load_document(opt.input)
-    except HolonetError as exc:
-        return fail(exc, 2)
-    try:
+        stage = "run"
         results, passed = COMMANDS[opt.command](doc, opt)
-    except (SchemaError, InputReferenceError) as exc:
-        return fail(exc, 2)
-    except HolonetError as exc:
-        return fail(exc, 1)
+        stage = "render"
+        code = 0 if passed else 1
+        out = render({**base, "results": results, "pass": bool(passed)}, opt.format)
     except Exception as exc:
-        # a fault of the program, not of the input: keep the contract of
-        # one JSON object on stdout, put the traceback on stderr
-        traceback.print_exc(file=sys.stderr)
-        return fail(exc, 1, internal=True)
-    report = dict(base)
-    report["results"] = results
-    report["pass"] = bool(passed)
-    try:
-        emit(report, opt.format)
-    except ValueError as exc:
-        # a result overflowed to inf or nan, which JSON cannot carry
-        return fail(exc, 1)
-    return finish(0 if passed else 1)
+        code, error = _error(exc, stage)
+        out = render({**base, "error": error, "pass": False}, opt.format)
+    sys.stdout.write(out)
+    elapsed = (time.perf_counter() - started) * 1000.0
+    print(f"elapsed_ms={elapsed:.3f}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -49,6 +49,7 @@ from .operators import (
     intertwining_defect,
     involution_defect,
     is_exactly_zero,
+    require_generators,
     require_relators,
     require_unitary,
     selfadjoint_defect,
@@ -380,17 +381,21 @@ def equivariant_cycle(loc: LocalizedModule) -> EquivariantCycle:
 
 def from_cycle(samples: dict[str, object], v_images: dict[int, object],
                phi, poset: Poset, pres: GroupPresentation, frame: PathFrame,
-               grading=None, parity: str = "even") -> LocalizedModule:
+               grading=None, parity: str = "even",
+               tol: float = CHECK_TOL) -> LocalizedModule:
     """Rebuild a localized module at the frame base from cycle data.
 
-    The unitary images must kill the relators (NotCovariant otherwise);
-    phi must be a symmetry up to compacts relative to the observables
-    (RelationDefect otherwise).  Passing the data of equivariant_cycle
-    straight back reproduces the same operator objects.
+    Every generator needs an image (FiberMismatch otherwise); the images
+    must be unitary and kill the relators within `tol` (NotCovariant
+    otherwise); phi must be a symmetry up to compacts relative to the
+    observables, and an even grading must satisfy its relations within
+    `tol` (RelationDefect otherwise).  Passing the data of
+    equivariant_cycle straight back reproduces the same operator objects.
     """
     ident = identity_like(phi)
-    require_unitary(v_images, CHECK_TOL, NotCovariant)
-    require_relators(pres, v_images, ident, CHECK_TOL, NotCovariant)
+    require_generators(pres, v_images)
+    require_unitary(v_images, tol, NotCovariant)
+    require_relators(pres, v_images, ident, tol, NotCovariant)
     for label, t in sorted(samples.items()):
         checks = [
             ("symmetry", (phi - adj(phi)) @ t),
@@ -409,7 +414,7 @@ def from_cycle(samples: dict[str, object], v_images: dict[int, object],
                  anticommutator_defect(grading, phi)]
                 + [commutator_defect(grading, x)
                    for x in (*v_images.values(), *samples.values())])
-        if d > CHECK_TOL:
+        if d > tol:
             raise RelationDefect(f"grading relations fail: defect {d:.3e}")
     elif grading is not None:
         raise RelationDefect("odd cycle must not carry a grading")
@@ -675,7 +680,6 @@ def _default_shift_samples(d: int) -> dict[str, ShiftOp]:
 
 def build_shift_module(poset: Poset, pres: GroupPresentation,
                        frame: PathFrame, u_images: dict[int, np.ndarray],
-                       samples: dict[str, ShiftOp] | None = None,
                        tol: float = CHECK_TOL) -> FredholmModule:
     """Even module whose index is the given loop-group representation.
 
@@ -684,14 +688,11 @@ def build_shift_module(poset: Poset, pres: GroupPresentation,
     other, and the kernel of its odd corner is the d-dimensional summand
     at site zero carrying exactly the u-action.
     """
-    if not u_images and len(pres.generators) > 0:
-        raise FiberMismatch("missing generator images")
     d = next(iter(u_images.values())).shape[0] if u_images else 1
     require_unitary_rep(pres, u_images, d, tol)
     colors = {g: stripe_op(0, _double_color(m)) for g, m in u_images.items()}
     ident = identity_op(2 * d)
-    rep = flat_rep(poset, pres, frame, colors, ident,
-                   samples if samples is not None else _default_shift_samples(d),
+    rep = flat_rep(poset, pres, frame, colors, ident, _default_shift_samples(d),
                    grading_at=_doubling_grading(d))
     f = _doubling_f(d)
     return FredholmModule(rep, {o: f for o in poset.elements}, "even")

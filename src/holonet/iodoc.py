@@ -35,6 +35,27 @@ def _require(cond: bool, where: str, msg: str) -> None:
         raise SchemaError(f"{where}: {msg}")
 
 
+def _section(obj, where: str, allowed) -> dict:
+    """`obj` as an object whose keys all lie in `allowed`."""
+    _require(isinstance(obj, dict), where, "expected an object")
+    unknown = sorted(set(obj) - set(allowed))
+    _require(not unknown, where, f"unknown keys {unknown}")
+    return obj
+
+
+def _entries(sec: dict, key: str, where: str) -> list:
+    """Sorted (key, value) pairs of the optional object `sec[key]`."""
+    obj = sec.get(key, {})
+    _require(isinstance(obj, dict), where, "expected an object")
+    return sorted(obj.items())
+
+
+def _count(obj, where: str, least: int) -> int:
+    _require(type(obj) is int and obj >= least, where,
+             f"expected an integer >= {least}, got {obj!r}")
+    return obj
+
+
 def decode_complex(obj, where: str) -> complex:
     _require(isinstance(obj, list) and len(obj) == 2
              and all(isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -77,12 +98,10 @@ def decode_fraction(obj, where: str) -> Fraction:
 
 
 def decode_phase(obj, where: str, basis: IrrationalBasis | None) -> ExactPhase:
-    _require(isinstance(obj, dict), where, "expected a phase object")
-    _require(set(obj) <= {"rat", "irr"}, where,
-             f"unknown phase keys {sorted(set(obj) - {'rat', 'irr'})}")
+    _section(obj, where, ("rat", "irr"))
     rat = decode_fraction(obj.get("rat", "0"), f"{where}.rat")
     coeffs = {}
-    for name, c in sorted((obj.get("irr") or {}).items()):
+    for name, c in _entries(obj, "irr", f"{where}.irr"):
         if basis is None or name not in basis.names:
             raise InputReferenceError(
                 f"{where}.irr: {name!r} is not a declared irrational")
@@ -135,6 +154,21 @@ def _square(m: np.ndarray, dim: int | None, where: str) -> np.ndarray:
     return m
 
 
+def _decode_matrices(sec: dict, key: str, where: str, dim: int | None,
+                     decode_key) -> tuple[dict, dict]:
+    """The optional object `sec[key]` of square matrices (dim x dim when
+    `dim` is given) as ({decode_key(k, where): matrix}, {canonical key:
+    JSON matrix}), in sorted key order."""
+    parsed, canonical = {}, {}
+    for k, mat in _entries(sec, key, where):
+        pk = decode_key(k, where)
+        m = _square(decode_matrix(mat, f"{where}.{k}"), dim, f"{where}.{k}")
+        parsed[pk] = m
+        name = "<".join(pk) if isinstance(pk, tuple) else str(pk)
+        canonical[name] = encode_matrix(m)
+    return parsed, canonical
+
+
 @dataclass
 class InputDocument:
     """Parsed, normalized experiment description.
@@ -152,7 +186,6 @@ class InputDocument:
     basis: IrrationalBasis | None = None
     bundle_dim: int | None = None
     bundle_incl: dict | None = None
-    rep_dim: int | None = None
     rep_images: dict | None = None
     rep_phases: dict | None = None
     module: dict | None = None
@@ -201,20 +234,17 @@ def parse_document(text: str) -> InputDocument:
             f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise InputSyntaxError("document is nested too deeply") from None
-    _require(isinstance(data, dict), "document", "top level must be an object")
-    unknown = sorted(set(data) - set(TOP_KEYS))
-    _require(not unknown, "document", f"unknown sections {unknown}")
+    _section(data, "document", TOP_KEYS)
     _require("poset" in data, "document", "missing required section 'poset'")
 
-    psec = data["poset"]
-    _require(isinstance(psec, dict), "poset", "expected an object")
-    _require(set(psec) <= {"elements", "pairs", "base"}, "poset",
-             f"unknown keys {sorted(set(psec) - {'elements', 'pairs', 'base'})}")
+    psec = _section(data["poset"], "poset", ("elements", "pairs", "base"))
     elements = _decode_str_list(psec.get("elements"), "poset.elements")
     _require(len(set(elements)) == len(elements), "poset.elements",
              "duplicate elements")
     pairs = []
-    for i, pair in enumerate(psec.get("pairs", [])):
+    plist = psec.get("pairs", [])
+    _require(isinstance(plist, list), "poset.pairs", "expected a list")
+    for i, pair in enumerate(plist):
         _require(isinstance(pair, list) and len(pair) == 2
                  and all(isinstance(x, str) for x in pair),
                  f"poset.pairs[{i}]", "expected [below, above]")
@@ -229,6 +259,12 @@ def parse_document(text: str) -> InputDocument:
         raise InputReferenceError(f"poset.base: unknown element {base!r}")
     pres = fundamental_presentation(poset, base)
     frame = build_path_frame(poset, base)
+
+    def edge_key(key, where):
+        return _decode_edge_key(key, poset, where)
+
+    def gen_key(key, where):
+        return _decode_gen_key(key, pres, where)
 
     raw: dict = {"poset": {"elements": list(elements),
                            "pairs": [list(p) for p in pairs],
@@ -248,52 +284,29 @@ def parse_document(text: str) -> InputDocument:
     doc = InputDocument(raw, poset, base, pres, frame, basis)
 
     if "bundle" in data:
-        sec = data["bundle"]
-        _require(isinstance(sec, dict), "bundle", "expected an object")
-        _require(set(sec) <= {"dimension", "edges"}, "bundle",
-                 f"unknown keys {sorted(set(sec) - {'dimension', 'edges'})}")
-        dim = sec.get("dimension")
-        _require(isinstance(dim, int) and dim >= 1, "bundle.dimension",
-                 f"expected a positive integer, got {dim!r}")
-        incl = {}
-        raw_edges = {}
-        for key, mat in sorted((sec.get("edges") or {}).items()):
-            e = _decode_edge_key(key, poset, "bundle.edges")
-            m = _square(decode_matrix(mat, f"bundle.edges.{key}"), dim,
-                        f"bundle.edges.{key}")
-            incl[e] = m
-            raw_edges[f"{e[0]}<{e[1]}"] = encode_matrix(m)
+        sec = _section(data["bundle"], "bundle", ("dimension", "edges"))
+        dim = _count(sec.get("dimension"), "bundle.dimension", 1)
         doc.bundle_dim = dim
-        doc.bundle_incl = incl
+        doc.bundle_incl, raw_edges = _decode_matrices(sec, "edges", "bundle.edges",
+                                                      dim, edge_key)
         raw["bundle"] = {"dimension": dim, "edges": raw_edges}
 
     if "representation" in data:
-        sec = data["representation"]
-        _require(isinstance(sec, dict), "representation", "expected an object")
-        _require(set(sec) <= {"dimension", "images", "phases"}, "representation",
-                 f"unknown keys {sorted(set(sec) - {'dimension', 'images', 'phases'})}")
-        dim = sec.get("dimension")
-        _require(isinstance(dim, int) and dim >= 1, "representation.dimension",
-                 f"expected a positive integer, got {dim!r}")
-        images = {}
-        raw_images = {}
-        for key, mat in sorted((sec.get("images") or {}).items()):
-            g = _decode_gen_key(key, pres, "representation.images")
-            m = _square(decode_matrix(mat, f"representation.images.{key}"),
-                        dim, f"representation.images.{key}")
-            images[g] = m
-            raw_images[str(g)] = encode_matrix(m)
+        sec = _section(data["representation"], "representation",
+                       ("dimension", "images", "phases"))
+        dim = _count(sec.get("dimension"), "representation.dimension", 1)
+        images, raw_images = _decode_matrices(sec, "images", "representation.images",
+                                              dim, gen_key)
         phases = {}
         raw_phases = {}
-        for key, plist in sorted((sec.get("phases") or {}).items()):
-            g = _decode_gen_key(key, pres, "representation.phases")
+        for key, plist in _entries(sec, "phases", "representation.phases"):
+            g = gen_key(key, "representation.phases")
             _require(isinstance(plist, list) and plist,
                      f"representation.phases.{key}", "expected a phase list")
             ps = [decode_phase(p, f"representation.phases.{key}[{i}]", basis)
                   for i, p in enumerate(plist)]
             phases[g] = ps
             raw_phases[str(g)] = [encode_phase(p) for p in ps]
-        doc.rep_dim = dim
         doc.rep_images = images or None
         doc.rep_phases = phases or None
         raw["representation"] = {"dimension": dim}
@@ -303,57 +316,37 @@ def parse_document(text: str) -> InputDocument:
             raw["representation"]["phases"] = raw_phases
 
     if "module" in data:
-        sec = data["module"]
-        _require(isinstance(sec, dict), "module", "expected an object")
+        sec = _section(data["module"], "module",
+                       ("kind", "images", "at", "dims", "w_index"))
         kind = sec.get("kind")
         _require(kind in ("shift", "sector"), "module.kind",
                  f"expected 'shift' or 'sector', got {kind!r}")
-        if kind == "shift":
-            allowed = {"kind", "images", "at"}
-        else:
-            allowed = {"kind", "dims", "images", "w_index"}
-        _require(set(sec) <= allowed, "module",
-                 f"unknown keys {sorted(set(sec) - allowed)}")
-        images = {}
-        raw_images = {}
-        for key, mat in sorted((sec.get("images") or {}).items()):
-            g = _decode_gen_key(key, pres, "module.images")
-            m = _square(decode_matrix(mat, f"module.images.{key}"), None,
-                        f"module.images.{key}")
-            images[g] = m
-            raw_images[str(g)] = encode_matrix(m)
-        mod: dict = {"kind": kind, "images": images}
-        raw_mod: dict = {"kind": kind, "images": raw_images}
+        _section(sec, "module", ("kind", "images", "at") if kind == "shift"
+                 else ("kind", "dims", "images", "w_index"))
+        images, raw_images = _decode_matrices(sec, "images", "module.images",
+                                              None, gen_key)
         if kind == "shift":
             at = sec.get("at", base)
             if at not in poset.elements:
                 raise InputReferenceError(f"module.at: unknown element {at!r}")
-            mod["at"] = at
-            raw_mod["at"] = at
+            recipe = {"kind": kind, "at": at}
         else:
             dims = sec.get("dims")
             _require(isinstance(dims, list) and dims
-                     and all(isinstance(d, int) and d >= 1 for d in dims),
+                     and all(type(d) is int and d >= 1 for d in dims),
                      "module.dims", f"expected a list of positive integers, got {dims!r}")
-            w = sec.get("w_index", 0)
-            _require(isinstance(w, int) and w >= 0, "module.w_index",
-                     f"expected a nonnegative integer, got {w!r}")
+            w = _count(sec.get("w_index", 0), "module.w_index", 0)
             cols = sector_window_columns(w, sum(dims))
             _require(cols <= MAX_WINDOW_COLUMNS, "module",
                      f"w_index {w} and dims {dims} need kernel windows of "
                      f"{cols} columns, beyond the limit {MAX_WINDOW_COLUMNS}")
-            mod["dims"] = tuple(dims)
-            mod["w_index"] = w
-            raw_mod["dims"] = list(dims)
-            raw_mod["w_index"] = w
-        doc.module = mod
-        raw["module"] = raw_mod
+            recipe = {"kind": kind, "dims": dims, "w_index": w}
+        doc.module = {**recipe, "images": images}
+        raw["module"] = {**recipe, "images": raw_images}
 
     if "triple" in data:
-        sec = data["triple"]
-        _require(isinstance(sec, dict), "triple", "expected an object")
-        _require(set(sec) <= {"grading", "u", "samples", "operator"}, "triple",
-                 f"unknown keys {sorted(set(sec) - {'grading', 'u', 'samples', 'operator'})}")
+        sec = _section(data["triple"], "triple",
+                       ("grading", "u", "samples", "operator"))
         for need in ("grading", "u", "samples", "operator"):
             _require(need in sec, "triple", f"missing key {need!r}")
         grading = _square(decode_matrix(sec["grading"], "triple.grading"),
@@ -361,21 +354,9 @@ def parse_document(text: str) -> InputDocument:
         dim = grading.shape[0]
         op = _square(decode_matrix(sec["operator"], "triple.operator"), dim,
                      "triple.operator")
-        u_images = {}
-        raw_u = {}
-        for key, mat in sorted(sec["u"].items()):
-            g = _decode_gen_key(key, pres, "triple.u")
-            m = _square(decode_matrix(mat, f"triple.u.{key}"), dim,
-                        f"triple.u.{key}")
-            u_images[g] = m
-            raw_u[str(g)] = encode_matrix(m)
-        samples = {}
-        raw_samples = {}
-        for label, mat in sorted(sec["samples"].items()):
-            m = _square(decode_matrix(mat, f"triple.samples.{label}"), dim,
-                        f"triple.samples.{label}")
-            samples[label] = m
-            raw_samples[label] = encode_matrix(m)
+        u_images, raw_u = _decode_matrices(sec, "u", "triple.u", dim, gen_key)
+        samples, raw_samples = _decode_matrices(sec, "samples", "triple.samples",
+                                                dim, lambda label, where: label)
         doc.triple = {"grading": grading, "u": u_images,
                       "samples": samples, "operator": op}
         raw["triple"] = {"grading": encode_matrix(grading), "u": raw_u,

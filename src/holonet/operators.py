@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cstar import StarIso, iso_map_defect
+from .errors import FiberMismatch
 from .linalg import dagger, first_over, opnorm, opnorms
 from .shift_calculus import ShiftOp, identity_op, op_equal
 
@@ -136,6 +137,12 @@ def relator_defects(pres, images: dict, ident) -> np.ndarray:
     if isinstance(ident, StarIso):
         return np.array([iso_map_defect(w, ident, ident.sizes) for w in words])
     return np.array([zero_defect(w - ident) for w in words])
+
+
+def require_generators(pres, images: dict) -> None:
+    """Raise FiberMismatch unless every generator of `pres` has an image."""
+    if not set(range(1, len(pres.generators) + 1)) <= set(images):
+        raise FiberMismatch("missing generator images")
 
 
 def require_relators(pres, images: dict, ident, tol: float, error) -> None:

@@ -28,6 +28,7 @@ from .operators import (
     adj,
     anticommutator_defect,
     intertwining_defect,
+    require_generators,
     selfadjoint_defect,
 )
 from .poset import Poset
@@ -164,8 +165,10 @@ def from_equivariant(e: EquivariantTriple, poset: Poset,
 
     With a holonomy-flat representation the frame sections are exact
     identities, so the constant family IS the section-transported one,
-    and converting back returns the very same matrices.
+    and converting back returns the very same matrices.  Every generator
+    needs an image (FiberMismatch otherwise).
     """
+    require_generators(pres, e.u_images)
     _require_equivariant(e, tol)
     dim = e.D.shape[0]
     rep = flat_rep(poset, pres, frame, dict(e.u_images),
@@ -174,12 +177,13 @@ def from_equivariant(e: EquivariantTriple, poset: Poset,
     return NetSpectralTriple(rep, {o: e.D for o in poset.elements})
 
 
-def theta_trace(d, beta: float) -> float:
-    """Tr exp(-beta D^2) through the eigenvalues of D."""
+def theta_trace(d, beta: float, tol: float = CHECK_TOL) -> float:
+    """Tr exp(-beta D^2) through the eigenvalues of D, self-adjoint
+    within `tol`."""
     d = np.asarray(d, dtype=complex)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NotSelfAdjoint(f"need a square matrix, got shape {d.shape}")
-    if selfadjoint_defect(d) > CHECK_TOL:
+    if selfadjoint_defect(d) > tol:
         raise NotSelfAdjoint("operator is not self-adjoint")
     if beta <= 0:
         raise ValueError("beta must be positive")

@@ -31,7 +31,12 @@ from holonet.cstar import (
     iso_map_defect,
     iso_matrix,
 )
-from holonet.errors import InvalidBundle, RelatorNotSatisfied, UnknownElement
+from holonet.errors import (
+    FiberMismatch,
+    InvalidBundle,
+    RelatorNotSatisfied,
+    UnknownElement,
+)
 from holonet.homotopy import Word, frame_transports
 from holonet.linalg import dagger, random_unitary
 from holonet.operators import adj, evaluate_word_ops, transport_step
@@ -43,7 +48,7 @@ from holonet.randomgen import (
     random_representation,
 )
 from holonet.representation import covariantize, identity_representation
-from holonet.standard import chain_poset, hexagon_poset
+from holonet.standard import chain_poset, hexagon_poset, with_top
 from conftest import nearly_flat_bundle, pfp
 
 TOL = 1e-10
@@ -315,6 +320,13 @@ def test_bundle_from_rep_rejects_nonunitary_and_broken_relators(hexagon_pfp):
     rng = np.random.default_rng(17)
     with pytest.raises(RelatorNotSatisfied):
         bundle_from_rep(cpos, cpres, cframe, {1: random_unitary(rng, 3)}, 3)
+
+
+def test_bundle_from_rep_rejects_missing_generator_images():
+    poset, pres, frame = pfp(with_top(hexagon_poset()))
+    assert len(pres.generators) > 1
+    with pytest.raises(FiberMismatch, match="missing generator images"):
+        bundle_from_rep(poset, pres, frame, {1: np.eye(2, dtype=complex)}, 2)
 
 
 def test_roundtrip_intertwines_random_bundles():

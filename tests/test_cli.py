@@ -1,14 +1,19 @@
 """Input document parsing, command dispatch, exit codes, and report
 determinism for the command line front end."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import nearly_flat_bundle
 
@@ -546,3 +551,154 @@ def test_demos_compute_the_index_once(capsys, monkeypatch, command, path):
     assert code == 0
     assert "ccs" in report["results"]
     assert len(calls) == 1
+
+
+# ------------------------------------------------- decoding and failure paths
+
+
+@pytest.mark.parametrize("path, where, container", [
+    (("poset", "pairs"), "poset.pairs", {"a": 1}),
+    (("bundle", "edges"), "bundle.edges", [1]),
+    (("representation", "images"), "representation.images", [1]),
+    (("representation", "phases"), "representation.phases", [1]),
+    (("representation", "phases", "1", 0, "irr"), r"representation.phases.1\[0\].irr",
+     [1]),
+    (("module", "images"), "module.images", [1]),
+    (("triple", "u"), "triple.u", [1]),
+    (("triple", "samples"), "triple.samples", [1])],
+    ids=["poset.pairs", "bundle.edges", "representation.images",
+         "representation.phases", "irr", "module.images", "triple.u",
+         "triple.samples"])
+def test_sections_reject_values_of_another_shape(path, where, container):
+    for value in (container, True, None):
+        data = json.loads(Path(HEXAGON).read_text())
+        _set_value(data, path, value)
+        with pytest.raises(SchemaError, match=f"^{where}: expected"):
+            parse_document(json.dumps(data))
+
+
+def _set_value(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+def _variant(tmp_path, sample, path, value):
+    data = json.loads(Path(sample).read_text())
+    _set_value(data, path, value)
+    out = tmp_path / "variant.json"
+    out.write_text(json.dumps(data))
+    return str(out)
+
+
+@pytest.mark.parametrize("option", [("--tolerance", "nan"), ("--tolerance", "inf"),
+                                    ("--tolerance", "-1"), ("--seed", "-1")],
+                         ids=" ".join)
+def test_unusable_options_exit_2(capsys, option):
+    code, report, _ = run_json(capsys, "index", "--input", HEXAGON, *option)
+    assert code == 2
+    assert report["pass"] is False
+    assert report["error"]["type"] == "SchemaError"
+    assert report["error"]["message"].startswith(option[0])
+
+
+def test_load_faults_exit_1_with_an_internal_error_object(capsys, monkeypatch):
+    def broken(path):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(holonet.cli, "load_document", broken)
+    code, report, err = run_json(capsys, "pi1", "--input", HEXAGON)
+    assert code == 1
+    assert report["error"] == {"type": "internal", "message": "RuntimeError: boom"}
+    assert "Traceback" in err
+
+
+@pytest.mark.parametrize("command, sample, path", [
+    ("sector-demo", SECTOR, ("module", "images")),
+    ("index", SECTOR, ("module", "images")),
+    ("spectral-verify", HEXAGON, ("triple", "u")),
+    ("roundtrip", HEXAGON, ("triple", "u"))],
+    ids=["sector-demo", "index", "spectral-verify", "roundtrip"])
+def test_missing_generator_images_are_rejected(capsys, tmp_path, command, sample,
+                                               path):
+    code, report, _ = run_json(capsys, command, "--input",
+                               _variant(tmp_path, sample, path, {}))
+    assert code == 1
+    assert report["error"] == {"type": "FiberMismatch",
+                               "message": "missing generator images"}
+
+
+def test_roundtrip_tolerance_reaches_the_cycle_checks(capsys, tmp_path):
+    image = [[[(1 + 1e-8) * x for x in z] for z in row]
+             for row in json.loads(Path(HEXAGON).read_text())["module"]["images"]["1"]]
+    path = _variant(tmp_path, HEXAGON, ("module", "images", "1"), image)
+    for command in ("fredholm-verify", "roundtrip"):
+        code, report, _ = run_json(capsys, command, "--input", path,
+                                   "--tolerance", "1e-6")
+        assert code == 0, report
+    assert report["results"]["module_exact"] is True
+
+
+def test_spectral_verify_tolerance_reaches_the_heat_trace(capsys, tmp_path):
+    path = _variant(tmp_path, HEXAGON, ("triple", "operator", 0, 1), [1e-8, 0.0])
+    code, report, _ = run_json(capsys, "spectral-verify", "--input", path,
+                               "--tolerance", "1e-6")
+    assert code == 0, report
+    code, report, _ = run_json(capsys, "spectral-verify", "--input", path)
+    assert code == 1
+
+
+def _value_paths(value, path=()):
+    """Path of every value below `value`, lists down to their third item."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value[:3]) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from _value_paths(item, path + (key,))
+
+
+SAMPLES = {Path(p).name: json.loads(Path(p).read_text())
+           for p in (CHAIN, HEXAGON, SECTOR)}
+VALUE_PATHS = sorted((name, path) for name, doc in SAMPLES.items()
+                     for path in _value_paths(doc))
+REPLACEMENTS = [None, True, 0, -1, 1.5, "x", [], [1], {}, {"a": 1}, [[1]],
+                [[[1, 0]]], 1e50]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-1e3, 1e3)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+def _run_in_process(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@given(st.sampled_from(VALUE_PATHS),
+       st.sampled_from(REPLACEMENTS) | JSON_VALUES,
+       st.sampled_from(sorted(holonet.cli.COMMANDS)))
+@example(("hexagon.json", ("triple", "u")), [1], "spectral-verify")
+@example(("chain.json", ("poset", "pairs")), None, "pi1")
+@example(("hexagon.json", ("representation", "phases", "1", 0, "irr")), [1], "ccs")
+@example(("sector.json", ("module", "images")), {}, "sector-demo")
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_every_single_value_mutant_keeps_the_contract(target, value, command):
+    """One strict JSON object on stdout, an exit code that agrees with
+    `pass`, no program fault, and the same bytes on a rerun."""
+    name, path = target
+    data = json.loads(json.dumps(SAMPLES[name]))
+    _set_value(data, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / name
+        doc.write_text(json.dumps(data))
+        code, out = _run_in_process([command, "--input", str(doc)])
+        assert _run_in_process([command, "--input", str(doc)]) == (code, out)
+    report = json.loads(out, parse_constant=_no_constant)
+    assert isinstance(report, dict)
+    assert code in (0, 1, 2)
+    assert report["pass"] is (code == 0)
+    assert report.get("error", {}).get("type") != "internal"

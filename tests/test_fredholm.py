@@ -711,6 +711,31 @@ def test_build_shift_module_checks_unitarity(hexagon_pfp):
         build_shift_module(poset, pres, frame, {1: 2.0 * np.eye(2, dtype=complex)})
 
 
+def test_module_constructors_reject_missing_generator_images():
+    poset, pres, frame = pfp(with_top(hexagon_poset()))
+    assert len(pres.generators) == 6
+    one = np.eye(1, dtype=complex)
+    partial_images = {1: one}  # generators 2..6 have no image
+    for build in (lambda: build_shift_module(poset, pres, frame, partial_images),
+                  lambda: build_sector_module(poset, pres, frame, (1,), partial_images),
+                  lambda: from_cycle({"one": one}, partial_images, one, poset, pres,
+                                     frame, parity="odd")):
+        with pytest.raises(FiberMismatch, match="missing generator images"):
+            build()
+
+
+def test_from_cycle_checks_at_the_given_tolerance(hexagon_pfp):
+    poset, pres, frame = hexagon_pfp
+    ident = np.eye(2, dtype=complex)
+    nearly = {1: (1 + 1e-8) * ident}
+    phi = np.array([[0, 1], [1, 0]], dtype=complex)
+    with pytest.raises(NotCovariant, match="not unitary"):
+        from_cycle({"one": ident}, nearly, phi, poset, pres, frame, parity="odd")
+    loc = from_cycle({"one": ident}, nearly, phi, poset, pres, frame,
+                     parity="odd", tol=1e-6)
+    assert loc.at == frame.base
+
+
 def test_shift_commutes_with_color_action_exactly():
     rng = rng_for(18)
     v = random_unitary(rng, 3)

@@ -203,6 +203,17 @@ def test_theta_trace_input_guards():
         theta_trace(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
     with pytest.raises(ValueError):
         theta_trace(np.zeros((2, 2)), 0.0)
+    nearly = np.array([[0.0, 1.0 + 1e-8], [1.0, 0.0]])
+    with pytest.raises(NotSelfAdjoint):
+        theta_trace(nearly, 1.0)
+    assert abs(theta_trace(nearly, 1.0, 1e-6) - 2 * np.exp(-1.0)) < 1e-7
+
+
+def test_from_equivariant_rejects_missing_generator_images(hexagon_pfp):
+    poset, pres, frame = hexagon_pfp
+    e = replace(rotation_triple(), u_images={}, group=pres)
+    with pytest.raises(FiberMismatch, match="missing generator images"):
+        from_equivariant(e, poset, pres, frame)
 
 
 # ------------------------------------- validate_triple against the loop
