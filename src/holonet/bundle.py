@@ -7,7 +7,7 @@ bundles and representations of the loop group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -73,10 +73,12 @@ class HilbertNetBundle:
     incl: dict[Edge, np.ndarray]
     grading: dict[str, np.ndarray] | None = None
 
-    @property
+    @cached_property
     def ident(self) -> np.ndarray:
-        """The identity on a fiber."""
-        return np.eye(self.dim, dtype=complex)
+        """The identity on a fiber: one read-only array per bundle."""
+        eye = np.eye(self.dim, dtype=complex)
+        eye.flags.writeable = False
+        return eye
 
     def u(self, o: str, o1: str) -> np.ndarray:
         if o == o1:
@@ -94,9 +96,9 @@ class CStarNetBundle:
     sizes: tuple[int, ...]
     incl: dict[Edge, StarIso]
 
-    @property
+    @cached_property
     def ident(self) -> StarIso:
-        """The identity on a fiber."""
+        """The identity on a fiber: one object per bundle."""
         return identity_iso(self.sizes)
 
     def u(self, o: str, o1: str) -> StarIso:
@@ -193,6 +195,10 @@ def evaluate_path(x, p: Path):
     poset, then contributes one transport step (up into the support,
     then down to the other face); segments compose in traversal order.
     Returns a unitary, a ShiftOp or a StarIso, like the edge operators.
+    Products with the identity object x.ident are skipped (see
+    `operators.transport_step`), so a path of identity edges evaluates
+    to x.ident itself and a path with one non-identity edge to that
+    edge operator itself or its adjoint.
     """
     for s in p.simplices:
         check_simplex(x.poset, s)
@@ -248,15 +254,16 @@ def bundle_from_rep(poset: Poset, pres: GroupPresentation, frame: PathFrame,
     """Reconstruct a net bundle from a unitary loop-group representation.
 
     U_{o'o} := image of the edge loop word of (o, o').  Tree edges get
-    exact identity matrices, so reconstructed bundles evaluate frame
-    paths to the identity.
+    the bundle's identity object `ident` and a generator edge gets its
+    image itself, so reconstructed bundles evaluate frame paths to
+    `ident` and generator loops to the given images.
     """
     require_unitary_rep(pres, images, dim, tol)
-    incl = {}
+    b = HilbertNetBundle(poset, dim, {})
     for e in poset.strict_pairs():
         w = edge_loop_word(pres, poset, frame, e[0], e[1])
-        incl[e] = evaluate_word_ops(w.letters, images, np.eye(dim, dtype=complex))
-    return HilbertNetBundle(poset, dim, incl)
+        b.incl[e] = evaluate_word_ops(w.letters, images, b.ident)
+    return b
 
 
 @dataclass(frozen=True)
@@ -281,13 +288,15 @@ def section_defect(b, s: Section) -> float:
 
 def compute_sections(b: HilbertNetBundle | CStarNetBundle,
                      pres: GroupPresentation, frame: PathFrame,
-                     tol: float = CHECK_TOL) -> list[Section]:
+                     tol: float = CHECK_TOL, images: dict | None = None
+                     ) -> list[Section]:
     """Basis of the space of flat sections.
 
     Sections correspond to holonomy fixed points in the base fiber,
-    transported along the frame paths.
+    transported along the frame paths.  `images` is
+    `holonomy_rep(b, pres, frame, tol)` when the caller already holds it.
     """
-    hol = holonomy_rep(b, pres, frame, tol)
+    hol = images if images is not None else holonomy_rep(b, pres, frame, tol)
     t = frame_transports(b.poset, frame, b.ident, partial(transport_step, b))
     if isinstance(b, HilbertNetBundle):
         mats = list(hol.values()) or [np.eye(b.dim, dtype=complex)]
@@ -321,13 +330,16 @@ class RoundTrip:
 
 
 def roundtrip_iso(b: HilbertNetBundle, pres: GroupPresentation,
-                  frame: PathFrame) -> RoundTrip:
+                  frame: PathFrame, images: dict | None = None) -> RoundTrip:
     """Isomorphism between a bundle and its holonomy reconstruction.
 
     V_o := (evaluation of b along the frame path) * (evaluation of the
     reconstruction along the same path)^-1 intertwines the inclusions.
+    `images` is `holonomy_rep(b, pres, frame)` when the caller already
+    holds it.
     """
-    images = holonomy_rep(b, pres, frame)
+    if images is None:
+        images = holonomy_rep(b, pres, frame)
     rebuilt = bundle_from_rep(b.poset, pres, frame, images, b.dim)
     t = frame_transports(b.poset, frame, b.ident, partial(transport_step, b))
     t_rebuilt = frame_transports(b.poset, frame, rebuilt.ident,
@@ -340,13 +352,15 @@ def roundtrip_iso(b: HilbertNetBundle, pres: GroupPresentation,
 
 
 def hilbert_section_dimension_oracle(b: HilbertNetBundle, pres: GroupPresentation,
-                                     frame: PathFrame, tol: float = CHECK_TOL) -> int:
+                                     frame: PathFrame, tol: float = CHECK_TOL,
+                                     images: dict | None = None) -> int:
     """Joint fixed-space dimension via the spectral count of a PSD sum.
 
     Independent of the SVD route used by compute_sections: the fixed
-    space is the kernel of sum_g (2 - U_g - U_g*).
+    space is the kernel of sum_g (2 - U_g - U_g*).  `images` is
+    `holonomy_rep(b, pres, frame, tol)` when the caller already holds it.
     """
-    hol = holonomy_rep(b, pres, frame, tol)
+    hol = images if images is not None else holonomy_rep(b, pres, frame, tol)
     acc = np.zeros((b.dim, b.dim), dtype=complex)
     for u in hol.values():
         acc += 2.0 * np.eye(b.dim) - u - dagger(u)

@@ -44,6 +44,7 @@ from .operators import (
     commutator_compact_defect,
     commutator_defect,
     compact_defect,
+    conjugate,
     evaluate_word_ops,
     identity_like,
     intertwining_defect,
@@ -265,10 +266,11 @@ def validate_localized(loc: LocalizedModule) -> ValidationReport:
                 commutator_compact_defect(f, t), COMPACT_TOL)
     for g, w in sorted(_loop_images_at(rep, loc.at).items()):
         out.add("F-holonomy-compact", f"g{g}",
-                compact_defect(w @ f @ adj(w) - f), COMPACT_TOL)
+                compact_defect(conjugate(w, f, rep.ident) - f), COMPACT_TOL)
         for label, t in sorted(samples.items()):
             out.add("F-commutes-with-transported-samples", f"g{g}:{label}",
-                    commutator_compact_defect(f, w @ t @ adj(w)), COMPACT_TOL)
+                    commutator_compact_defect(f, conjugate(w, t, rep.ident)),
+                    COMPACT_TOL)
     if loc.parity == "even":
         if rep.grading is None or loc.at not in rep.grading:
             out.add("grading-coverage", loc.at, float("inf"), CHECK_TOL)
@@ -281,10 +283,8 @@ def validate_localized(loc: LocalizedModule) -> ValidationReport:
 def _loop_images_at(rep: SampledRep, at: str) -> dict[int, object]:
     """Holonomy of the generator loops conjugated to base point `at`."""
     images = holonomy_images(rep, rep.pres, rep.frame)
-    if at == rep.frame.base:
-        return images
-    w = evaluate_path(rep, rep.frame.to(at))
-    return {g: w @ v @ adj(w) for g, v in images.items()}
+    w = evaluate_path(rep, rep.frame.to(at))  # rep.ident at the base
+    return {g: conjugate(w, v, rep.ident) for g, v in images.items()}
 
 
 # --------------------------------------------- localization and transport
@@ -310,8 +310,8 @@ def transport(loc: LocalizedModule, e: str, p: Path) -> LocalizedModule:
         if prev.at == e and p == opposite_path(prev_path):
             return prev
     w = evaluate_path(loc.rep, p)
-    return LocalizedModule(loc.rep, e, w @ loc.f @ adj(w), loc.parity,
-                           origin=(p, loc))
+    return LocalizedModule(loc.rep, e, conjugate(w, loc.f, loc.rep.ident),
+                           loc.parity, origin=(p, loc))
 
 
 @dataclass(frozen=True)
@@ -328,20 +328,22 @@ def extend_localized(loc: LocalizedModule) -> FredholmModule | ExtensionObstruct
     F_o is the conjugate of F_a along a path from a to o; the result is
     well defined (and transports coherently) exactly when the holonomy
     at a fixes F_a.  The first generator violating invariance beyond
-    `INDEX_TOL` is returned as an obstruction witness instead.
+    `INDEX_TOL` is returned as an obstruction witness instead.  Where
+    the frame transport is the identity object `rep.ident` (every
+    element of a flat module), F_o is the object F_a itself.
     """
     rep = loc.rep
     for g, w in sorted(_loop_images_at(rep, loc.at).items()):
-        d = zero_defect(w @ loc.f @ adj(w) - loc.f)
+        d = zero_defect(conjugate(w, loc.f, rep.ident) - loc.f)
         if d > INDEX_TOL:
             return ExtensionObstruction(g, d)
     t = frame_transports(rep.poset, rep.frame, rep.ident,
                          partial(transport_step, rep))
     back = t[loc.at]
-    f_base = loc.f if loc.at == rep.frame.base else adj(back) @ loc.f @ back
+    f_base = loc.f if back is rep.ident else adj(back) @ loc.f @ back
     F = {}
     for o in rep.poset.elements:
-        F[o] = loc.f if o == loc.at else t[o] @ f_base @ adj(t[o])
+        F[o] = loc.f if o == loc.at else conjugate(t[o], f_base, rep.ident)
     return FredholmModule(rep, F, loc.parity)
 
 
@@ -420,7 +422,7 @@ def from_cycle(samples: dict[str, object], v_images: dict[int, object],
         raise RelationDefect("odd cycle must not carry a grading")
     rep = flat_rep(poset, pres, frame, v_images, ident, samples,
                    grading_at=grading,
-                   transported_of=lambda u, t: u @ t @ adj(u))
+                   transported_of=partial(conjugate, ident=ident))
     return LocalizedModule(rep, frame.base, phi, parity)
 
 

@@ -305,6 +305,8 @@ def parse_document(text: str) -> InputDocument:
                      f"representation.phases.{key}", "expected a phase list")
             ps = [decode_phase(p, f"representation.phases.{key}[{i}]", basis)
                   for i, p in enumerate(plist)]
+            _require(len(ps) == dim, f"representation.phases.{key}",
+                     f"{len(ps)} phases, declared dimension {dim}")
             phases[g] = ps
             raw_phases[str(g)] = [encode_phase(p) for p in ps]
         doc.rep_images = images or None

@@ -7,6 +7,14 @@ fibers.  All three compose with `@` and take adjoints with `adj`, so the
 verification code, the word product and the transport step treat them
 the same way.  In finite dimensions every operator is compact, so the
 compactness defect of a dense operator is zero by definition.
+
+Identity rule: every carrier (a bundle or a sampled representation)
+holds one identity object, `x.ident`, which its tree edges and diagonal
+`x.u(o, o)` return.  The word product, the transport step and
+`conjugate` skip each product in which an operand *is* that object and
+pass the other operand on by reference.  A product with an exact
+identity reproduces its operand up to the sign of a zero, so the results
+agree with the full products under `op_equal` and `np.array_equal`.
 """
 
 from __future__ import annotations
@@ -110,12 +118,31 @@ def operators_equal_exact(a, b) -> bool:
     return False
 
 
+def compose(a, b, ident):
+    """a @ b, or the other operand itself when one of them is `ident`."""
+    if a is ident:
+        return b
+    if b is ident:
+        return a
+    return a @ b
+
+
+def conjugate(w, a, ident):
+    """w a w*, or `a` itself when w is `ident`."""
+    if w is ident:
+        return a
+    return compose(w, a, ident) @ adj(w)
+
+
 def evaluate_word_ops(letters, images: dict, ident):
-    """Product of images over signed 1-based letters, last letter first."""
+    """Product of images over signed 1-based letters, last letter first.
+
+    The empty word is `ident` itself and a one-letter word with a
+    positive letter is that generator's image itself (identity rule)."""
     out = ident
     for l in reversed(tuple(letters)):
         m = images[abs(l)]
-        out = (m if l > 0 else adj(m)) @ out
+        out = compose(m if l > 0 else adj(m), out, ident)
     return out
 
 
@@ -157,5 +184,14 @@ def require_relators(pres, images: dict, ident, tol: float, error) -> None:
 def transport_step(x, t, s):
     """The transport t followed by the segment s of a path (up from
     s.face1 into the support, then down to s.face0), through the edge
-    operators x.u of a bundle or a sampled representation."""
-    return adj(x.u(s.face0, s.support)) @ x.u(s.face1, s.support) @ t
+    operators x.u of a bundle or a sampled representation.
+
+    Evaluated as (adj(down) @ up) @ t, skipping each product with the
+    carrier's identity object x.ident: one face of a hop is its support,
+    where x.u is x.ident, and on a flat carrier every tree edge is
+    x.ident, so a frame transport there is x.ident itself."""
+    ident = x.ident
+    down = x.u(s.face0, s.support)
+    up = x.u(s.face1, s.support)
+    step = up if down is ident else compose(adj(down), up, ident)
+    return compose(step, t, ident)

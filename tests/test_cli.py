@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import nearly_flat_bundle
 
+import holonet.bundle
 import holonet.charclass
 import holonet.cli
 from holonet.cli import main
@@ -553,6 +554,22 @@ def test_demos_compute_the_index_once(capsys, monkeypatch, command, path):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["sections", "roundtrip"])
+def test_bundle_commands_compute_the_holonomy_once(capsys, monkeypatch, command):
+    calls = []
+    real = holonet.bundle.holonomy_rep
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(holonet.cli, "holonomy_rep", counted)
+    monkeypatch.setattr(holonet.bundle, "holonomy_rep", counted)
+    code, report, _ = run_json(capsys, command, "--input", HEXAGON)
+    assert code == 0, report
+    assert len(calls) == 1
+
+
 # ------------------------------------------------- decoding and failure paths
 
 
@@ -600,6 +617,40 @@ def test_unusable_options_exit_2(capsys, option):
     assert report["pass"] is False
     assert report["error"]["type"] == "SchemaError"
     assert report["error"]["message"].startswith(option[0])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("pi1", "--seed", "x", "--input", CHAIN), "argument --seed: invalid int value"),
+    (("pi1",), "the following arguments are required: --input"),
+    (("pi1", "--input", CHAIN, "--format", "xml"), "argument --format: invalid choice")],
+    ids=["seed", "input", "format"])
+def test_malformed_command_lines_exit_2_with_one_error_object(capsys, argv, message):
+    code, report, err = run_json(capsys, *argv)
+    assert code == 2
+    assert set(report) == {"error", "pass"} and report["pass"] is False
+    assert report["error"]["type"] == "SchemaError"
+    assert report["error"]["message"].startswith(message)
+    assert "usage" not in err
+
+
+def test_phase_lists_must_have_the_declared_dimension(capsys, tmp_path):
+    # six generators, relators from the top, one of them with two phases
+    one = [[[1, 0]]]
+    doc = {"poset": {"elements": ["a", "b", "c", "d", "e", "t"],
+                     "pairs": [["a", "d"], ["b", "d"], ["c", "d"], ["a", "e"],
+                               ["b", "e"], ["c", "e"], ["d", "t"], ["e", "t"],
+                               ["a", "t"], ["b", "t"], ["c", "t"]]},
+           "representation": {"dimension": 1,
+                              "images": {str(g): one for g in (1, 3, 4, 5, 6)},
+                              "phases": {"2": [{"rat": "0"}, {"rat": "1/2"}]}}}
+    assert len(parse_document(json.dumps({"poset": doc["poset"]})).pres.generators) == 6
+    path = tmp_path / "phases.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run_json(capsys, "rep-check", "--input", str(path))
+    assert code == 2
+    assert report["error"] == {"type": "SchemaError",
+                               "message": "representation.phases.2: 2 phases, "
+                                          "declared dimension 1"}
 
 
 def test_load_faults_exit_1_with_an_internal_error_object(capsys, monkeypatch):

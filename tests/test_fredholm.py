@@ -7,8 +7,16 @@ import pytest
 
 from conftest import pfp, random_scalar_color_op, rng_for
 
+import holonet.bundle
 import holonet.fredholm
-from holonet.bundle import edge_loop_path, evaluate_path, holonomy_images
+from holonet.bundle import (
+    HilbertNetBundle,
+    compute_sections,
+    edge_loop_path,
+    evaluate_path,
+    holonomy_images,
+    holonomy_rep,
+)
 from holonet.charclass import ccs_of_module, irrational_basis, phase
 from holonet.errors import (
     CentralityViolated,
@@ -63,6 +71,7 @@ from holonet.operators import (
     commutator,
     compact_defect,
     identity_like,
+    operators_equal_exact,
     transport_step,
     zero_defect,
 )
@@ -79,7 +88,11 @@ from holonet.shift_calculus import (
     shift_op,
     stripe_op,
 )
-from holonet.randomgen import random_poset_with_frame, random_representation
+from holonet.randomgen import (
+    random_hilbert_bundle,
+    random_poset_with_frame,
+    random_representation,
+)
 from holonet.standard import chain_poset, circle_poset, hexagon_poset, with_top
 
 
@@ -1021,12 +1034,33 @@ def circle_shift_module(n_arcs, seed=0, d=2):
                               {1: random_unitary(rng_for(seed), d)})
 
 
+def gauged_module(m, rng):
+    """m conjugated by a colour unitary per element: an equivalent module
+    whose edge operators, F, grading and samples are distinct objects at
+    every location."""
+    rep = m.rep
+    gauge = {o: stripe_op(0, random_unitary(rng, rep.ident.d_out))
+             for o in rep.poset.elements}
+
+    def at(o, x):
+        return gauge[o] @ x @ gauge[o].H
+
+    rep = replace(rep,
+                  u_incl={e: gauge[e[1]] @ u @ gauge[e[0]].H
+                          for e, u in rep.u_incl.items()},
+                  samples={o: {l: at(o, t) for l, t in ts.items()}
+                           for o, ts in rep.samples.items()},
+                  grading={o: at(o, g) for o, g in rep.grading.items()})
+    return FredholmModule(rep, {o: at(o, f) for o, f in m.F.items()}, m.parity)
+
+
 def shared_fiber_variants():
     """Modules whose fibers share one operator, and ones where they don't."""
     m = circle_shift_module(16, seed=40)
     elements = sorted(m.rep.poset.elements)
     yield "shift", m
     yield "extended", extend_localized(localize(m, elements[len(elements) // 2]))
+    yield "gauged", gauged_module(m, rng_for(43))
     poset, pres, frame = pfp(hexagon_poset())
     rho = np.zeros((3, 3), dtype=complex)
     rho[:2, :2] = random_unitary(rng_for(41), 2)
@@ -1043,8 +1077,8 @@ def shared_fiber_variants():
                                     m.F, m.parity)
 
 
-@pytest.mark.parametrize("name", ["shift", "extended", "sector", "perturbed",
-                                  "missing"])
+@pytest.mark.parametrize("name", ["shift", "extended", "gauged", "sector",
+                                  "perturbed", "missing"])
 def test_validate_module_matches_the_per_location_loop(name):
     m = dict(shared_fiber_variants())[name]
     got, want = validate_module(m), reference_validate_module(m)
@@ -1058,8 +1092,15 @@ def test_validate_module_fiber_sharing_is_what_the_reuse_relies_on():
     assert len({id(g) for g in m.rep.grading.values()}) == 1
     assert sum(u is m.rep.ident for u in m.rep.u_incl.values()) == \
         len(m.rep.u_incl) - 1
-    ext = dict(shared_fiber_variants())["extended"]
-    assert len({id(f) for f in ext.F.values()}) == len(ext.F)
+    variants = dict(shared_fiber_variants())
+    # every frame transport of a flat module is its identity object, so
+    # the extension spreads the localized F itself over the poset
+    shared = next(iter(variants["shift"].F.values()))
+    assert all(f is shared for f in variants["extended"].F.values())
+    gauged = variants["gauged"]
+    assert len({id(f) for f in gauged.F.values()}) == len(gauged.F)
+    assert not any(u is gauged.rep.ident for u in gauged.rep.u_incl.values())
+    assert validate_module(gauged).ok
 
 
 def test_validate_module_reports_a_perturbed_fiber_only_where_it_sits():
@@ -1093,6 +1134,121 @@ def test_validate_module_cost_does_not_grow_with_the_circle(monkeypatch):
         assert report.ok
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+# -------------------------------------- identity rule against full products
+
+def always_multiply(monkeypatch):
+    """Patch in a transport step and a conjugation that multiply by every
+    operand, the carrier's identity object included."""
+    def step(x, t, s):
+        return adj(x.u(s.face0, s.support)) @ x.u(s.face1, s.support) @ t
+
+    def conjugate(w, a, ident):
+        return w @ a @ adj(w)
+
+    monkeypatch.setattr(holonet.bundle, "transport_step", step)
+    monkeypatch.setattr(holonet.fredholm, "transport_step", step)
+    monkeypatch.setattr(holonet.fredholm, "conjugate", conjugate)
+
+
+def farthest(poset, frame):
+    return max(sorted(poset.elements), key=lambda o: len(frame.to(o).simplices))
+
+
+def module_outputs(m):
+    rep = m.rep
+    at = farthest(rep.poset, rep.frame)
+    return {"F": extend_localized(localize(m, at)).F,
+            "v_images": [equivariant_cycle(localize(m, o)).v_images
+                         for o in (rep.frame.base, at)],
+            "holonomy": holonomy_rep(rep, rep.pres, rep.frame)}
+
+
+def bundle_outputs(b, pres, frame):
+    return {"holonomy": holonomy_rep(b, pres, frame),
+            "sections": [s.values for s in compute_sections(b, pres, frame)]}
+
+
+def identity_rule_carriers():
+    """(module outputs, bundle outputs) of each carrier kind, as thunks."""
+    m = circle_shift_module(16, seed=44)
+    yield "circle-shift", lambda: module_outputs(m)
+    poset, pres, frame = pfp(hexagon_poset())
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[:2, :2] = random_unitary(rng_for(45), 2)
+    rho[2, 2] = np.exp(0.3j)
+    sec = build_sector_module(poset, pres, frame, (2, 1), {1: rho}, w_index=6)
+    yield "sector", lambda: module_outputs(sec.module)
+    rng = rng_for(46)
+    gauged = gauged_module(m, rng)
+    rposet, rpres, rframe = random_poset_with_frame(rng, 10)
+    b = random_hilbert_bundle(rposet, rpres, rframe, 3, rng)
+    yield "gauged", lambda: (module_outputs(gauged),
+                             bundle_outputs(b, rpres, rframe))
+    theta = np.array([0.0, 0.4])
+    u = np.kron(np.eye(2), np.diag(np.exp(2j * np.pi * theta)))
+    phi = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)).astype(complex)
+    grading = np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex)
+    loc = from_cycle({"one": np.eye(4, dtype=complex)}, {1: u}, phi,
+                     poset, pres, frame, grading=grading)
+    dense = extend_localized(loc)
+    flat = HilbertNetBundle(poset, 4, loc.rep.u_incl)
+    yield "from-cycle", lambda: (module_outputs(dense),
+                                 bundle_outputs(flat, pres, frame))
+
+
+def same_outputs(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_outputs(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same_outputs, a, b))
+    return operators_equal_exact(a, b)
+
+
+@pytest.mark.parametrize("name", ["circle-shift", "sector", "gauged", "from-cycle"])
+def test_identity_rule_matches_full_products(monkeypatch, name):
+    outputs = dict(identity_rule_carriers())[name]
+    got = outputs()
+    always_multiply(monkeypatch)
+    want = outputs()
+    assert same_outputs(got, want)
+    if name == "circle-shift":
+        # the skipped products were real work under the patch
+        assert len({id(f) for f in want["F"].values()}) > 1
+        assert len({id(f) for f in got["F"].values()}) == 1
+    if name == "from-cycle":
+        assert len(got[1]["sections"]) == 2
+
+
+def test_flat_module_spreads_f_without_shift_products(monkeypatch):
+    poset, pres, frame = pfp(circle_poset(64))
+    calls, counts = [], {}
+    matmul = ShiftOp.__matmul__
+
+    def counting(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    def counted(name, thunk):
+        calls.clear()
+        out = thunk()
+        counts[name] = len(calls)
+        return out
+
+    monkeypatch.setattr(ShiftOp, "__matmul__", counting)
+    # the ShiftOp work of one circle-transport chain
+    m = counted("build", lambda: build_shift_module(
+        poset, pres, frame, {1: random_unitary(rng_for(47), 4)}))
+    assert counted("validate", lambda: validate_module(m)).ok
+    ext = counted("extend", lambda: extend_localized(
+        localize(m, farthest(poset, frame))))
+    cycle = counted("cycle", lambda: equivariant_cycle(localize(m, frame.base)))
+    counted("index", lambda: pi_index(cycle))
+    assert isinstance(ext, FredholmModule)
+    assert counts["extend"] <= 4  # the invariance check under the one generator
+    assert counts["cycle"] == 0
+    assert sum(counts.values()) <= 60
 
 
 # --------------------------------- dense pi_index against the parent branch
