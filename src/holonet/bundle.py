@@ -21,7 +21,6 @@ from .cstar import (
 )
 from .errors import (
     FiberMismatch,
-    InvalidBundle,
     InvalidRepresentation,
     RelatorNotSatisfied,
     UnknownElement,
@@ -164,26 +163,6 @@ def validate_bundle(b: HilbertNetBundle | CStarNetBundle,
             d = iso_map_defect(b.u(o, o2), b.u(o1, o2) @ b.u(o, o1), b.sizes)
             rep.add("chain-coherence", f"{o}<{o1}<{o2}", d, tol)
     return rep
-
-
-def make_hilbert_bundle(poset: Poset, dim: int, incl: dict[Edge, np.ndarray],
-                        grading: dict[str, np.ndarray] | None = None
-                        ) -> HilbertNetBundle:
-    """Build and validate; missing strict pairs are not tolerated."""
-    b = HilbertNetBundle(poset, dim, dict(incl), grading)
-    report = validate_bundle(b)
-    if not report.ok:
-        raise InvalidBundle(str(report))
-    return b
-
-
-def make_cstar_bundle(poset: Poset, sizes: tuple[int, ...],
-                      incl: dict[Edge, StarIso]) -> CStarNetBundle:
-    b = CStarNetBundle(poset, tuple(sizes), dict(incl))
-    report = validate_bundle(b)
-    if not report.ok:
-        raise InvalidBundle(str(report))
-    return b
 
 
 def evaluate_path(x, p: Path):

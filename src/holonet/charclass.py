@@ -91,9 +91,6 @@ class ExactPhase:
                           _normal_coords({k: c * n for k, c in self.irr}),
                           self.basis)
 
-    def mod1(self) -> "ExactPhase":
-        return ExactPhase(self.rat % 1, self.irr, self.basis)
-
     def mod_q(self) -> "ExactPhase":
         """Reduction mod Q: the rational part dies."""
         return ExactPhase(Fraction(0), self.irr, self.basis)

@@ -14,10 +14,6 @@ from .linalg import dagger, opnorms
 BlockElement = tuple[np.ndarray, ...]
 
 
-def identity_element(sizes: tuple[int, ...]) -> BlockElement:
-    return tuple(np.eye(n, dtype=complex) for n in sizes)
-
-
 def basis_stack(sizes: tuple[int, ...]) -> BlockElement:
     """Matrix units of the block algebra, block by block, as one stacked
     element: unit t has block k equal to `out[k][t]`."""

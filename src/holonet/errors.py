@@ -48,19 +48,11 @@ class NotALoopAtBase(HolonetError):
 
 # net bundles
 
-class InvalidBundle(HolonetError):
-    pass
-
-
 class RelatorNotSatisfied(HolonetError):
     pass
 
 
 # representations
-
-class InvalidNet(HolonetError):
-    pass
-
 
 class InvalidRepresentation(HolonetError):
     pass
@@ -79,10 +71,6 @@ class FiberMismatch(HolonetError):
 
 
 # Fredholm modules
-
-class PathMismatch(HolonetError):
-    pass
-
 
 class NotFredholm(HolonetError):
     pass

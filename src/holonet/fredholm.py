@@ -25,7 +25,6 @@ from .errors import (
     NotCovariant,
     NotFredholm,
     NotSelfAdjoint,
-    PathMismatch,
     RelationDefect,
     UnknownElement,
 )
@@ -59,7 +58,7 @@ from .operators import (
     unitarity_defect,
     zero_defect,
 )
-from .poset import Path, Poset, opposite_path
+from .poset import Poset
 from .reports import (
     CHECK_TOL,
     COMPACT_TOL,
@@ -153,18 +152,12 @@ class FredholmModule:
 
 @dataclass(frozen=True)
 class LocalizedModule:
-    """A single symmetry at one fiber, constrained only up to compacts.
-
-    `origin` records the transport that produced this module, so that
-    transporting back along the reversed path returns the original
-    operator exactly instead of a float round trip.
-    """
+    """A single symmetry at one fiber, constrained only up to compacts."""
 
     rep: SampledRep
     at: str
     f: object
     parity: str
-    origin: tuple[Path, "LocalizedModule"] | None = None
 
 
 def _check_grading_at(rep_out: ValidationReport, defect, g, f, samples: dict,
@@ -251,35 +244,6 @@ def validate_module(m: FredholmModule, tol: float = CHECK_TOL) -> ValidationRepo
     return out
 
 
-def validate_localized(loc: LocalizedModule) -> ValidationReport:
-    """Relations at one fiber: everything holds only up to compacts,
-    including the holonomy action on F itself."""
-    out = ValidationReport()
-    defect = relation_memo()
-    rep = loc.rep
-    f = loc.f
-    out.add("F-selfadjoint", loc.at, selfadjoint_defect(f), CHECK_TOL)
-    out.add("F-square-compact", loc.at, square_compact_defect(f), COMPACT_TOL)
-    samples = rep.samples.get(loc.at, {})
-    for label, t in sorted(samples.items()):
-        out.add("F-commutes-with-samples", f"{loc.at}:{label}",
-                commutator_compact_defect(f, t), COMPACT_TOL)
-    for g, w in sorted(_loop_images_at(rep, loc.at).items()):
-        out.add("F-holonomy-compact", f"g{g}",
-                compact_defect(conjugate(w, f, rep.ident) - f), COMPACT_TOL)
-        for label, t in sorted(samples.items()):
-            out.add("F-commutes-with-transported-samples", f"g{g}:{label}",
-                    commutator_compact_defect(f, conjugate(w, t, rep.ident)),
-                    COMPACT_TOL)
-    if loc.parity == "even":
-        if rep.grading is None or loc.at not in rep.grading:
-            out.add("grading-coverage", loc.at, float("inf"), CHECK_TOL)
-        else:
-            _check_grading_at(out, defect, rep.grading[loc.at], f, samples,
-                              loc.at, CHECK_TOL)
-    return out
-
-
 def _loop_images_at(rep: SampledRep, at: str) -> dict[int, object]:
     """Holonomy of the generator loops conjugated to base point `at`."""
     images = holonomy_images(rep, rep.pres, rep.frame)
@@ -287,31 +251,12 @@ def _loop_images_at(rep: SampledRep, at: str) -> dict[int, object]:
     return {g: conjugate(w, v, rep.ident) for g, v in images.items()}
 
 
-# --------------------------------------------- localization and transport
+# -------------------------------------------------------------- localization
 
 def localize(m: FredholmModule, at: str) -> LocalizedModule:
     if at not in m.F:
         raise UnknownElement(f"module has no operator at {at!r}")
     return LocalizedModule(m.rep, at, m.F[at], m.parity)
-
-
-def transport(loc: LocalizedModule, e: str, p: Path) -> LocalizedModule:
-    """Move the localized operator along a path by conjugation.
-
-    Transporting back along the reversed path returns the original
-    operator object, so round trips are exact rather than float noise.
-    """
-    if p.start != loc.at or p.end != e:
-        raise PathMismatch(
-            f"path runs {p.start!r} -> {p.end!r}, module sits at {loc.at!r}"
-            f" and should land at {e!r}")
-    if loc.origin is not None:
-        prev_path, prev = loc.origin
-        if prev.at == e and p == opposite_path(prev_path):
-            return prev
-    w = evaluate_path(loc.rep, p)
-    return LocalizedModule(loc.rep, e, conjugate(w, loc.f, loc.rep.ident),
-                           loc.parity, origin=(p, loc))
 
 
 @dataclass(frozen=True)
@@ -475,16 +420,6 @@ def sample_words(pres: GroupPresentation, seed: int = 0) -> list[tuple[int, ...]
                                         rng.integers(0, 2, size=length)))
         words.append(letters)
     return words
-
-
-def virtual_reps_match(a: VirtualRep, b: VirtualRep) -> bool:
-    """Character comparison on generators plus the fixed word sample."""
-    if len(a.group.generators) != len(b.group.generators):
-        return False
-    if a.dim != b.dim:
-        return False
-    return all(abs(a.character(w) - b.character(w)) <= INDEX_TOL
-               for w in sample_words(a.group))
 
 
 def _dense_grading_split(g: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -713,14 +648,6 @@ class SectorModule:
     module: FredholmModule
     statistical_dimension: int
     topological_dimension: int
-
-    def admits(self, t: ShiftOp) -> bool:
-        return dual_net_membership(self.module, t)
-
-
-def dual_net_membership(m: FredholmModule, t: ShiftOp) -> bool:
-    """Whether the observable commutes with every F up to finite rank."""
-    return all(commutator_compact_defect(f, t) == 0.0 for f in m.F.values())
 
 
 def algebra_dimension(mats: list[np.ndarray]) -> int:

@@ -217,21 +217,6 @@ def _hop_letters(pres: GroupPresentation, poset: Poset, source: str, target: str
     return (idx,) if source == e[0] else (-idx,)
 
 
-def path_to_word(pres: GroupPresentation, poset: Poset, p: Path) -> Word:
-    """Freely reduced word of a loop at the base.
-
-    Each 1-simplex contributes its up-hop into the support followed by the
-    inverse of the other face's up-hop; tree edges contribute nothing.
-    """
-    if not (p.is_loop and p.start == pres.base):
-        raise NotALoopAtBase(f"{p} is not a loop at {pres.base!r}")
-    letters: list[int] = []
-    for b in reversed(p.simplices):
-        letters.extend(_hop_letters(pres, poset, b.support, b.face0))
-        letters.extend(_hop_letters(pres, poset, b.face1, b.support))
-    return Word(tuple(letters))
-
-
 def edge_loop_word(pres: GroupPresentation, poset: Poset, frame: PathFrame,
                    o: str, o1: str) -> Word:
     """Word of the loop (frame to o1)^-1 * hop(o -> o1) * (frame to o).

@@ -26,8 +26,6 @@ from .errors import FiberMismatch
 from .linalg import dagger, first_over, opnorm, opnorms
 from .shift_calculus import ShiftOp, identity_op, op_equal
 
-Operator = "np.ndarray | ShiftOp"
-
 
 def adj(x):
     """Adjoint of a matrix or ShiftOp; inverse of a StarIso."""

@@ -38,13 +38,6 @@ class Poset:
     def lt(self, x: str, y: str) -> bool:
         return x != y and (x, y) in self.relation
 
-    def comparable(self, x: str, y: str) -> bool:
-        return (x, y) in self.relation or (y, x) in self.relation
-
-    def below(self, s: str) -> list[str]:
-        """Elements x with x <= s, sorted by id."""
-        return sorted(x for x in self.elements if self.leq(x, s))
-
     @cached_property
     def _members(self) -> frozenset[str]:
         return frozenset(self.elements)
@@ -122,10 +115,6 @@ class OneSimplex:
         return f"({self.support}; {self.face0}, {self.face1})"
 
 
-def degenerate_simplex(x: str) -> OneSimplex:
-    return OneSimplex(x, x, x)
-
-
 def edge_simplex(poset: Poset, source: str, target: str) -> OneSimplex:
     """The 1-simplex from source to target supported on the larger of the two."""
     poset.require(source, target)
@@ -142,17 +131,6 @@ def check_simplex(poset: Poset, b: OneSimplex) -> None:
         raise PathOutsidePoset(f"faces of {b} do not lie below its support")
 
 
-def enumerate_one_simplices(poset: Poset) -> list[OneSimplex]:
-    """All 1-simplices (s; f0, f1) with f0 <= s and f1 <= s, in lexicographic order."""
-    out = []
-    for s in sorted(poset.elements):
-        under = poset.below(s)
-        for f0 in under:
-            for f1 in under:
-                out.append(OneSimplex(s, f0, f1))
-    return out
-
-
 @dataclass(frozen=True)
 class Path:
     """A composable chain of 1-simplices.
@@ -167,10 +145,6 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.simplices)
-
-    @property
-    def is_loop(self) -> bool:
-        return self.start == self.end
 
     def __str__(self) -> str:
         return f"path {self.start} -> {self.end} ({len(self)} segments)"

@@ -1,5 +1,5 @@
 """Seeded random instances: connected posets, valid holonomy
-representations, random net bundles, paths and homotopic variants.
+representations and random net bundles.
 
 Representations for presentations with relators are drawn from
 commuting families Z^{m_g} with the integer exponent vector m taken in
@@ -22,15 +22,7 @@ from .homotopy import (
     relator_exponent_matrix,
 )
 from .linalg import dagger, random_unitary
-from .poset import (
-    OneSimplex,
-    Path,
-    Poset,
-    build_poset,
-    check_connected,
-    components,
-    make_path,
-)
+from .poset import Poset, build_poset, check_connected, components
 
 
 def random_connected_poset(rng: np.random.Generator, max_elements: int = 12) -> Poset:
@@ -129,76 +121,3 @@ def random_poset_with_frame(rng: np.random.Generator, max_elements: int = 12
     poset = random_connected_poset(rng, max_elements)
     base = min(poset.elements)
     return poset, fundamental_presentation(poset, base), build_path_frame(poset, base)
-
-
-def random_simplex_from(poset: Poset, rng: np.random.Generator, at: str) -> OneSimplex:
-    """A random 1-simplex whose traversal starts at `at`."""
-    supports = [s for s in poset.elements if poset.leq(at, s)]
-    s = supports[int(rng.integers(len(supports)))]
-    under = poset.below(s)
-    f0 = under[int(rng.integers(len(under)))]
-    return OneSimplex(s, f0, at)
-
-
-def random_path(poset: Poset, rng: np.random.Generator, start: str,
-                length: int) -> Path:
-    at = start
-    simplices = []
-    for _ in range(length):
-        b = random_simplex_from(poset, rng, at)
-        simplices.append(b)
-        at = b.face0
-    return make_path(poset, simplices, at=start)
-
-
-def random_loop(poset: Poset, frame: PathFrame, rng: np.random.Generator,
-                length: int) -> Path:
-    """A loop at the frame base: random walk out, tree path back."""
-    from .poset import compose_paths, opposite_path
-
-    p = random_path(poset, rng, frame.base, length)
-    back = opposite_path(frame.to(p.end))
-    return compose_paths(poset, back, p)
-
-
-def homotopic_variant(poset: Poset, p: Path, rng: np.random.Generator,
-                      moves: int = 8) -> Path:
-    """Apply random elementary moves: insert/cancel a segment followed by
-    its opposite, and expand/collapse a segment through its support."""
-    simplices = list(p.simplices)
-
-    def point_at(i: int) -> str:
-        return p.start if i == 0 else simplices[i - 1].face0
-
-    for _ in range(moves):
-        kind = int(rng.integers(4))
-        if kind == 0:  # insert b then opposite(b)
-            i = int(rng.integers(len(simplices) + 1))
-            b = random_simplex_from(poset, rng, point_at(i))
-            simplices[i:i] = [b, b.opposite]
-        elif kind == 1:  # cancel an adjacent opposite pair
-            spots = [i for i in range(len(simplices) - 1)
-                     if simplices[i + 1] == simplices[i].opposite]
-            if spots:
-                i = spots[int(rng.integers(len(spots)))]
-                del simplices[i:i + 2]
-        elif kind == 2:  # expand b into (up into support, down to face0)
-            if simplices:
-                i = int(rng.integers(len(simplices)))
-                b = simplices[i]
-                up = OneSimplex(b.support, b.support, b.face1)
-                down = OneSimplex(b.support, b.face0, b.support)
-                simplices[i:i + 1] = [up, down]
-        else:  # collapse an (up, down) pair with common support
-            spots = [
-                i for i in range(len(simplices) - 1)
-                if simplices[i].support == simplices[i + 1].support
-                and simplices[i].face0 == simplices[i].support
-                and simplices[i + 1].face1 == simplices[i + 1].support
-            ]
-            if spots:
-                i = spots[int(rng.integers(len(spots)))]
-                merged = OneSimplex(simplices[i].support,
-                                    simplices[i + 1].face0, simplices[i].face1)
-                simplices[i:i + 2] = [merged]
-    return make_path(poset, simplices, at=p.start)

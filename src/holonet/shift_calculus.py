@@ -23,8 +23,6 @@ import numpy as np
 from .errors import FiberMismatch
 from .linalg import dagger, opnorm
 
-Phase = Fraction
-
 _QUARTER_EXACT = {
     Fraction(0): 1.0 + 0.0j,
     Fraction(1, 4): 1.0j,
@@ -100,16 +98,9 @@ class ShiftOp:
         """Number of leading sites that contain the whole finite part."""
         return max((max(r, s) + 1 for r, s in self.finite), default=0)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.compact_defect() <= tol and all(
-            opnorm(m) <= tol for m in self.finite.values())
-
     def compact_defect(self) -> float:
         """Distance bound to the compacts: total stripe weight."""
         return float(sum(opnorm(m) for m in self.stripes.values()))
-
-    def is_compact(self, tol: float = 0.0) -> bool:
-        return self.compact_defect() <= tol
 
     def norm_upper(self) -> float:
         """Triangle-inequality bound; each stripe has norm exactly |M|."""
@@ -231,10 +222,6 @@ class ShiftOp:
 
 # ------------------------------------------------------------ constructors
 
-def zero_op(d_out: int, d_in: int | None = None) -> ShiftOp:
-    return ShiftOp(d_out, d_out if d_in is None else d_in)
-
-
 def identity_op(d: int) -> ShiftOp:
     return stripe_op(0, np.eye(d, dtype=complex))
 
@@ -249,41 +236,14 @@ def shift_op(d: int = 1) -> ShiftOp:
     return stripe_op(1, np.eye(d, dtype=complex))
 
 
-def modulation_op(c: Fraction, d: int = 1) -> ShiftOp:
-    """Diagonal modulation: site m carries the phase exp(2 pi i c m)."""
-    return stripe_op(0, np.eye(d, dtype=complex), Fraction(c))
-
-
-def constant_diag_op(m: np.ndarray) -> ShiftOp:
-    """Block diagonal with the same color matrix at every site."""
-    return stripe_op(0, m)
-
-
-def finite_op(blocks: dict[tuple[int, int], np.ndarray], d_out: int,
-              d_in: int | None = None) -> ShiftOp:
-    return ShiftOp(d_out, d_out if d_in is None else d_in, finite=blocks)
+def finite_op(blocks: dict[tuple[int, int], np.ndarray], d: int) -> ShiftOp:
+    return ShiftOp(d, d, finite=blocks)
 
 
 def site_projection_op(sites: int, d: int = 1) -> ShiftOp:
     """Orthogonal projection onto the first `sites` sites."""
     eye = np.eye(d, dtype=complex)
     return finite_op({(m, m): eye.copy() for m in range(sites)}, d)
-
-
-def updown_op(a: int, b: int, m: np.ndarray) -> ShiftOp:
-    """S^a (1 tensor M) S*^b in normal form (a, b >= 0).
-
-    The entries sit at (n + a, n + b) for n >= 0, so the canonical
-    stripe of offset a - b overshoots by the rows below a; those are
-    subtracted into the finite part.
-    """
-    if a < 0 or b < 0:
-        raise FiberMismatch("shift powers must be nonnegative")
-    m = np.asarray(m, dtype=complex)
-    k = a - b
-    out = stripe_op(k, m)
-    fin = {(row, row - k): -m for row in range(max(0, k), a)}
-    return out + ShiftOp(m.shape[0], m.shape[1], finite=fin)
 
 
 # -------------------------------------------------------------- color maps

@@ -75,11 +75,9 @@ def _superderivation_covariance_defect(u, d, d1, g, g1) -> float:
 def validate_triple(t: NetSpectralTriple, tol: float = CHECK_TOL) -> ValidationReport:
     """Defect report for a net of spectral triples.
 
-    Per fiber: D present, self-adjoint, odd against the grading; finite
-    dimension makes theta-summability and the superderivation domain
-    automatic, recorded as zero-defect entries.  Per edge: one-sided
-    transport covariance of D and covariance of the superderivation on
-    the matrix-unit basis of the source fiber.
+    Per fiber: D present, self-adjoint, odd against the grading.  Per
+    edge: one-sided transport covariance of D and covariance of the
+    superderivation on the matrix-unit basis of the source fiber.
 
     A relation whose operands are the very same objects at several
     locations (one D and grading shared by every fiber, the one identity
@@ -99,8 +97,6 @@ def validate_triple(t: NetSpectralTriple, tol: float = CHECK_TOL) -> ValidationR
             report.add("grading-coverage", o, float("inf"), tol)
         else:
             report.add("D-odd", o, defect(anticommutator_defect, g, d), tol)
-        report.add("theta-summable", o, 0.0, tol)
-        report.add("superderivation-domain", o, 0.0, tol)
     for e in sorted(rep.poset.strict_pairs()):
         o, o1 = e
         d, d1 = t.D.get(o), t.D.get(o1)

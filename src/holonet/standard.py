@@ -34,9 +34,9 @@ def hexagon_poset() -> Poset:
     return circle_poset(3)
 
 
-def with_top(poset: Poset, top: str = "TOP") -> Poset:
-    """Adjoin a greatest element; the result is simply connected."""
-    els = list(poset.elements) + [top]
+def with_top(poset: Poset) -> Poset:
+    """Adjoin a greatest element TOP; the result is simply connected."""
+    els = list(poset.elements) + ["TOP"]
     pairs = [(x, y) for (x, y) in poset.relation if x != y]
-    pairs += [(x, top) for x in poset.elements]
+    pairs += [(x, "TOP") for x in poset.elements]
     return build_poset(els, pairs)

@@ -3,9 +3,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holonet.bundle import HilbertNetBundle
-from holonet.homotopy import build_path_frame, fundamental_presentation
+from holonet.bundle import HilbertNetBundle, bundle_from_rep
+from holonet.cstar import StarIso, apply_iso, basis_stack, identity_iso
+from holonet.errors import FiberMismatch, NotALoopAtBase, NotCovariant, RelatorNotSatisfied
+from holonet.fredholm import VirtualRep, sample_words
+from holonet.homotopy import (
+    GroupPresentation,
+    PathFrame,
+    Word,
+    _hop_letters,
+    build_path_frame,
+    edge_loop_word,
+    fundamental_presentation,
+)
+from holonet.linalg import dagger, first_over, opnorms
+from holonet.operators import evaluate_word_ops, require_relators
+from holonet.poset import OneSimplex, Path, Poset, compose_paths, make_path, opposite_path
 from holonet.randomgen import random_hilbert_bundle, random_poset_with_frame
+from holonet.reports import CHECK_TOL, INDEX_TOL
+from holonet.representation import BlockHom, NetOfAlgebras, NetRepresentation, apply_hom
 from holonet.shift_calculus import finite_op, stripe_op
 from holonet.standard import chain_poset, hexagon_poset, with_top
 
@@ -75,3 +91,153 @@ def random_scalar_color_op(rng, d):
     blocks = {(int(rng.integers(4)), int(rng.integers(4))): scalar() * eye
               for _ in range(int(rng.integers(0, 4)))}
     return op + finite_op(blocks, d)
+
+
+# ------------------------------------------------------ random paths and loops
+
+def random_simplex_from(poset: Poset, rng: np.random.Generator, at: str) -> OneSimplex:
+    """A random 1-simplex whose traversal starts at `at`."""
+    supports = [s for s in poset.elements if poset.leq(at, s)]
+    s = supports[int(rng.integers(len(supports)))]
+    under = sorted(x for x in poset.elements if poset.leq(x, s))
+    f0 = under[int(rng.integers(len(under)))]
+    return OneSimplex(s, f0, at)
+
+
+def random_path(poset: Poset, rng: np.random.Generator, start: str,
+                length: int) -> Path:
+    at = start
+    simplices = []
+    for _ in range(length):
+        b = random_simplex_from(poset, rng, at)
+        simplices.append(b)
+        at = b.face0
+    return make_path(poset, simplices, at=start)
+
+
+def random_loop(poset: Poset, frame: PathFrame, rng: np.random.Generator,
+                length: int) -> Path:
+    """A loop at the frame base: random walk out, tree path back."""
+    p = random_path(poset, rng, frame.base, length)
+    back = opposite_path(frame.to(p.end))
+    return compose_paths(poset, back, p)
+
+
+def homotopic_variant(poset: Poset, p: Path, rng: np.random.Generator,
+                      moves: int = 8) -> Path:
+    """Apply random elementary moves: insert/cancel a segment followed by
+    its opposite, and expand/collapse a segment through its support."""
+    simplices = list(p.simplices)
+
+    def point_at(i: int) -> str:
+        return p.start if i == 0 else simplices[i - 1].face0
+
+    for _ in range(moves):
+        kind = int(rng.integers(4))
+        if kind == 0:  # insert b then opposite(b)
+            i = int(rng.integers(len(simplices) + 1))
+            b = random_simplex_from(poset, rng, point_at(i))
+            simplices[i:i] = [b, b.opposite]
+        elif kind == 1:  # cancel an adjacent opposite pair
+            spots = [i for i in range(len(simplices) - 1)
+                     if simplices[i + 1] == simplices[i].opposite]
+            if spots:
+                i = spots[int(rng.integers(len(spots)))]
+                del simplices[i:i + 2]
+        elif kind == 2:  # expand b into (up into support, down to face0)
+            if simplices:
+                i = int(rng.integers(len(simplices)))
+                b = simplices[i]
+                up = OneSimplex(b.support, b.support, b.face1)
+                down = OneSimplex(b.support, b.face0, b.support)
+                simplices[i:i + 1] = [up, down]
+        else:  # collapse an (up, down) pair with common support
+            spots = [
+                i for i in range(len(simplices) - 1)
+                if simplices[i].support == simplices[i + 1].support
+                and simplices[i].face0 == simplices[i].support
+                and simplices[i + 1].face1 == simplices[i + 1].support
+            ]
+            if spots:
+                i = spots[int(rng.integers(len(spots)))]
+                merged = OneSimplex(simplices[i].support,
+                                    simplices[i + 1].face0, simplices[i].face1)
+                simplices[i:i + 2] = [merged]
+    return make_path(poset, simplices, at=p.start)
+
+
+def path_to_word(pres: GroupPresentation, poset: Poset, p: Path) -> Word:
+    """Freely reduced word of a loop at the base, the reference for
+    `edge_loop_word`.
+
+    Each 1-simplex contributes its up-hop into the support followed by the
+    inverse of the other face's up-hop; tree edges contribute nothing.
+    """
+    if not (p.start == p.end == pres.base):
+        raise NotALoopAtBase(f"{p} is not a loop at {pres.base!r}")
+    letters: list[int] = []
+    for b in reversed(p.simplices):
+        letters.extend(_hop_letters(pres, poset, b.support, b.face0))
+        letters.extend(_hop_letters(pres, poset, b.face1, b.support))
+    return Word(tuple(letters))
+
+
+# ------------------------------------------------------ covariant C* nets
+
+def hom_from_iso(iso: StarIso) -> BlockHom:
+    n = len(iso.sizes)
+    mult = tuple(tuple(1 if j == iso.src[i] else 0 for j in range(n))
+                 for i in range(n))
+    return BlockHom(iso.sizes, iso.sizes, mult, iso.units)
+
+
+def netify(eta: BlockHom, v_images: dict[int, np.ndarray], poset: Poset,
+           pres: GroupPresentation, frame: PathFrame,
+           action: dict[int, StarIso] | None = None,
+           tol: float = CHECK_TOL) -> NetRepresentation:
+    """Spread a covariant pair (eta, V) out over the poset.
+
+    The loop group acts on the source algebra by `action` (identity by
+    default, the Hilbert-space representation case); the target bundle
+    is rebuilt from V, the net from the action, and eta is installed as
+    the fiber homomorphism everywhere.  covariantize inverts this
+    construction on the nose.
+    """
+    if len(eta.dst_sizes) != 1:
+        raise FiberMismatch("eta must land in a single matrix block")
+    dim = eta.dst_sizes[0]
+    sizes = eta.src_sizes
+    if action is None:
+        action = {idx: identity_iso(sizes) for idx in v_images}
+    if set(action) != set(v_images):
+        raise NotCovariant("action and V must cover the same generators")
+    require_relators(pres, action, identity_iso(sizes), tol, RelatorNotSatisfied)
+    t = basis_stack(sizes)
+    eta_t = apply_hom(eta, t)[0]
+    for idx, u in v_images.items():
+        d = opnorms(apply_hom(eta, apply_iso(action[idx], t))[0] - u @ eta_t @ dagger(u))
+        k = first_over(d, tol)
+        if k is not None:
+            raise NotCovariant(
+                f"eta does not intertwine generator {idx} (defect {d[k]:.3e})")
+    target = bundle_from_rep(poset, pres, frame, v_images, dim, tol)
+    incl = {}
+    for e in poset.strict_pairs():
+        w = edge_loop_word(pres, poset, frame, e[0], e[1])
+        incl[e] = hom_from_iso(evaluate_word_ops(w.letters, action,
+                                                 identity_iso(sizes)))
+    net = NetOfAlgebras(poset, {o: sizes for o in poset.elements}, incl)
+    pi = {o: eta for o in poset.elements}
+    return NetRepresentation(net, target, pi)
+
+
+# ------------------------------------------------------------ index values
+
+def virtual_reps_match(a: VirtualRep, b: VirtualRep) -> bool:
+    """Character comparison on generators plus the fixed word sample."""
+    if len(a.group.generators) != len(b.group.generators):
+        return False
+    if a.dim != b.dim:
+        return False
+    return all(abs(a.character(w) - b.character(w)) <= INDEX_TOL
+               for w in sample_words(a.group))

@@ -13,8 +13,6 @@ from holonet.bundle import (
     evaluate_path,
     hilbert_section_dimension_oracle,
     holonomy_rep,
-    make_cstar_bundle,
-    make_hilbert_bundle,
     roundtrip_iso,
     section_defect,
     validate_bundle,
@@ -25,7 +23,6 @@ from holonet.cstar import (
     compose_iso,
     element_norm,
     element_sub,
-    identity_element,
     identity_iso,
     inverse_iso,
     iso_map_defect,
@@ -33,7 +30,6 @@ from holonet.cstar import (
 )
 from holonet.errors import (
     FiberMismatch,
-    InvalidBundle,
     RelatorNotSatisfied,
     UnknownElement,
 )
@@ -41,23 +37,20 @@ from holonet.homotopy import Word, frame_transports
 from holonet.linalg import dagger, random_unitary
 from holonet.operators import adj, evaluate_word_ops, transport_step
 from holonet.randomgen import (
-    homotopic_variant,
     random_hilbert_bundle,
-    random_loop,
     random_poset_with_frame,
     random_representation,
 )
 from holonet.representation import covariantize, identity_representation
 from holonet.standard import chain_poset, hexagon_poset, with_top
-from conftest import nearly_flat_bundle, pfp
+from conftest import homotopic_variant, nearly_flat_bundle, pfp, random_loop
 
 TOL = 1e-10
 
 
 def trivial_bundle(poset, dim):
     eye = np.eye(dim, dtype=complex)
-    return make_hilbert_bundle(
-        poset, dim, {e: eye.copy() for e in poset.strict_pairs()})
+    return HilbertNetBundle(poset, dim, {e: eye.copy() for e in poset.strict_pairs()})
 
 
 # ---------------------------------------------------------------- StarIso
@@ -169,11 +162,10 @@ def test_validation_catches_missing_and_extra_edges(chain3):
     assert "inclusion-coverage" in checks and "inclusion-indexing" in checks
 
 
-def test_make_hilbert_bundle_rejects_invalid(chain3):
+def test_validation_rejects_a_stretched_inclusion(chain3):
     incl = {e: np.eye(2, dtype=complex) for e in chain3.strict_pairs()}
     incl[("o1", "o2")][0, 0] = 1.5
-    with pytest.raises(InvalidBundle):
-        make_hilbert_bundle(chain3, 2, incl)
+    assert not validate_bundle(HilbertNetBundle(chain3, 2, incl)).ok
 
 
 def test_grading_validation(chain3):
@@ -181,7 +173,7 @@ def test_grading_validation(chain3):
     g = np.diag([1.0, -1.0]).astype(complex)
     incl = {e: eye.copy() for e in chain3.strict_pairs()}
     grading = {o: g.copy() for o in chain3.elements}
-    b = make_hilbert_bundle(chain3, 2, incl, grading)
+    b = HilbertNetBundle(chain3, 2, incl, grading)
     assert validate_bundle(b).ok
     # breaking one fiber's grading shows up as a transport defect
     grading["o2"] = np.diag([-1.0, 1.0]).astype(complex)
@@ -355,7 +347,7 @@ def test_holonomy_images_follow_edge_loops(hexagon_pfp):
     images = holonomy_rep(b, pres, frame)
     for e, idx in pres.gen_index.items():
         loop = edge_loop_path(poset, frame, e[0], e[1])
-        assert loop.is_loop and loop.start == frame.base
+        assert loop.start == loop.end == frame.base
         assert np.linalg.norm(images[idx] - evaluate_path(b, loop)) == 0.0
 
 
@@ -408,7 +400,9 @@ def cstar_hexagon(iso_for_generator):
             incl[e] = identity_iso(sizes)
         else:
             incl[e] = iso_for_generator
-    return make_cstar_bundle(poset, sizes, incl), pres, frame
+    b = CStarNetBundle(poset, sizes, incl)
+    assert validate_bundle(b).ok
+    return b, pres, frame
 
 
 def test_cstar_identity_bundle_sections():
@@ -443,11 +437,10 @@ def test_cstar_conjugation_holonomy():
     assert len(secs) == 2
 
 
-def test_make_cstar_bundle_rejects_wrong_sizes(chain3):
+def test_cstar_validation_rejects_wrong_sizes(chain3):
     incl = {e: identity_iso((2,)) for e in chain3.strict_pairs()}
     incl[("o1", "o2")] = identity_iso((3,))
-    with pytest.raises(InvalidBundle):
-        make_cstar_bundle(chain3, (2,), incl)
+    assert not validate_bundle(CStarNetBundle(chain3, (2,), incl)).ok
 
 
 def test_cstar_chain_coherence_checked():
@@ -463,9 +456,10 @@ def test_a_given_tolerance_reaches_the_relator_check():
     poset, pres, frame, b = nearly_flat_bundle()
     assert len(pres.relators) == 22
     checks = (partial(compute_sections, b, pres, frame),
-              partial(hilbert_section_dimension_oracle, b, pres, frame),
-              partial(covariantize, identity_representation(b), pres, frame))
+              partial(hilbert_section_dimension_oracle, b, pres, frame))
     for check in checks:
         check(tol=1e-6)
         with pytest.raises(RelatorNotSatisfied, match="has defect"):
             check()
+    with pytest.raises(RelatorNotSatisfied, match="has defect"):
+        covariantize(identity_representation(b), pres, frame)

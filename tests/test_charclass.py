@@ -85,8 +85,6 @@ def test_phase_normalization_drops_zero_coordinates(basis):
 
 def test_phase_reductions(basis):
     p = phase(basis, Fraction(7, 3), a1=Fraction(1, 2))
-    assert p.mod1().rat == Fraction(1, 3)
-    assert p.mod1().irr == p.irr
     assert p.mod_q() == phase(basis, 0, a1=Fraction(1, 2))
 
 

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import pfp, random_scalar_color_op, rng_for
+from conftest import pfp, random_scalar_color_op, rng_for, virtual_reps_match
 
 import holonet.bundle
 import holonet.fredholm
@@ -26,7 +26,6 @@ from holonet.errors import (
     NotCovariant,
     NotFredholm,
     NotSelfAdjoint,
-    PathMismatch,
     RelationDefect,
     RelatorNotSatisfied,
     UnknownElement,
@@ -44,7 +43,6 @@ from holonet.fredholm import (
     bounded_transform,
     build_sector_module,
     build_shift_module,
-    dual_net_membership,
     equivariant_cycle,
     extend_localized,
     flat_rep,
@@ -52,10 +50,7 @@ from holonet.fredholm import (
     localize,
     pi_index,
     sample_words,
-    transport,
-    validate_localized,
     validate_module,
-    virtual_reps_match,
     windowed_kernel,
 )
 from holonet.homotopy import frame_transports
@@ -76,13 +71,11 @@ from holonet.operators import (
     zero_defect,
 )
 from holonet.reports import ValidationReport
-from holonet.poset import build_poset, edge_simplex, make_path, opposite_path
+from holonet.poset import build_poset
 from holonet.shift_calculus import (
     ShiftOp,
-    constant_diag_op,
     finite_op,
     identity_op,
-    modulation_op,
     op_equal,
     scalar_color_factor,
     shift_op,
@@ -236,85 +229,13 @@ def test_validate_detects_nonselfadjoint_f(hexagon_pfp):
     assert any(not e.ok for e in checks(report, "F-selfadjoint"))
 
 
-def test_validate_localized_flags_bad_square(hexagon_pfp):
-    poset, pres, frame = hexagon_pfp
-    m = build_shift_module(poset, pres, frame, {1: random_unitary(rng_for(6), 2)})
-    loc = localize(m, frame.base)
-    assert validate_localized(loc).ok
-    shrunk = LocalizedModule(loc.rep, loc.at, 0.5 * loc.f, "even")
-    report = validate_localized(shrunk)
-    assert any(not e.ok for e in checks(report, "F-square-compact"))
-
-
-# --------------------------------------------------- localize and transport
+# ---------------------------------------------------------------- localize
 
 def test_localize_requires_known_element(hexagon_pfp):
     poset, pres, frame = hexagon_pfp
     m = build_shift_module(poset, pres, frame, {1: np.eye(1, dtype=complex)})
     with pytest.raises(UnknownElement):
         localize(m, "nowhere")
-
-
-def test_transport_identity_path_keeps_values(hexagon_pfp):
-    poset, pres, frame = hexagon_pfp
-    rng = rng_for(7)
-    ident = np.eye(4, dtype=complex)
-    rep = flat_rep(poset, pres, frame, {1: random_unitary(rng, 4)}, ident,
-                   {"one": ident})
-    loc = LocalizedModule(rep, frame.base, dense_symmetry(rng, 4), "odd")
-    stay = transport(loc, frame.base, make_path(poset, [], at=frame.base))
-    assert np.array_equal(stay.f, loc.f)
-
-
-def test_transport_endpoint_mismatch(hexagon_pfp):
-    poset, pres, frame = hexagon_pfp
-    m = build_shift_module(poset, pres, frame, {1: np.eye(1, dtype=complex)})
-    loc = localize(m, frame.base)
-    p = frame.to("U2")
-    with pytest.raises(PathMismatch):
-        transport(loc, "U3", p)
-    moved = transport(loc, "U2", p)
-    with pytest.raises(PathMismatch):
-        transport(moved, "U3", p)
-
-
-def test_transport_round_trip_is_exact(hexagon_pfp):
-    poset, pres, frame = hexagon_pfp
-    rng = rng_for(8)
-    for seed in range(6):
-        m = build_shift_module(poset, pres, frame,
-                               {1: random_unitary(rng_for(80 + seed), 3)})
-        loc = localize(m, frame.base)
-        p = frame.to("V23")
-        back = transport(transport(loc, "V23", p), frame.base, opposite_path(p))
-        assert back is loc
-
-
-def test_transport_nonhomotopic_paths_differ_by_holonomy(hexagon_pfp):
-    poset, pres, frame = hexagon_pfp
-    rng = rng_for(9)
-    ident = np.eye(4, dtype=complex)
-    u = np.kron(random_unitary(rng, 2), np.eye(2))
-    rep = flat_rep(poset, pres, frame, {1: u}, ident, {"one": ident})
-    f = dense_symmetry(rng, 4)
-    loc = LocalizedModule(rep, "U1", f, "odd")
-
-    short = make_path(poset, [edge_simplex(poset, "U1", "V12"),
-                              edge_simplex(poset, "V12", "U2")])
-    long = make_path(poset, [edge_simplex(poset, "U1", "V31"),
-                             edge_simplex(poset, "V31", "U3"),
-                             edge_simplex(poset, "U3", "V23"),
-                             edge_simplex(poset, "V23", "U2")])
-    f_short = transport(loc, "U2", short).f
-    f_long = transport(loc, "U2", long).f
-    # the two transports are conjugate by the holonomy of the loop
-    w_short = evaluate_path(rep, short)
-    v_loop = evaluate_path(
-        rep, make_path(poset, list(opposite_path(short).simplices)
-                       + list(long.simplices)))
-    expected = w_short @ v_loop @ f @ dagger(v_loop) @ dagger(w_short)
-    assert opnorm(f_long - expected) < 1e-12
-    assert opnorm(f_long - f_short) > 1e-2
 
 
 # ---------------------------------------------------------------- extension
@@ -526,7 +447,7 @@ def test_index_invariant_under_unitary_conjugation():
         u = {1: random_unitary(rng, 3)}
         m = build_shift_module(poset, pres, frame, u)
         cyc = equivariant_cycle(localize(m, frame.base))
-        w = constant_diag_op(np.kron(np.eye(2), random_unitary(rng, 3)))
+        w = stripe_op(0, np.kron(np.eye(2), random_unitary(rng, 3)))
         conj = EquivariantCycle(
             {l: w @ t @ w.H for l, t in cyc.samples.items()},
             {g: w @ v @ w.H for g, v in cyc.v_images.items()},
@@ -651,7 +572,7 @@ def test_windowed_kernel_scalar_colour_projection_is_not_fredholm():
     # (1 + (-1)^m) / 2 projects onto the even sites: every window has
     # more kernel than the last
     for d in (2, 3):
-        op = 0.5 * (identity_op(d) + modulation_op(Fraction(1, 2), d))
+        op = 0.5 * (identity_op(d) + stripe_op(0, np.eye(d), Fraction(1, 2)))
         assert scalar_color_factor(op) is not None
         with pytest.raises(NotFredholm, match="does not stabilize"):
             windowed_kernel(op)
@@ -753,7 +674,7 @@ def test_shift_commutes_with_color_action_exactly():
     rng = rng_for(18)
     v = random_unitary(rng, 3)
     s = shift_op(3)
-    cv = constant_diag_op(v)
+    cv = stripe_op(0, v)
     assert op_equal(s @ cv, cv @ s)
 
 
@@ -828,19 +749,6 @@ def test_sector_with_moved_cyclic_vector(hexagon_pfp):
     idx = pi_index(equivariant_cycle(localize(sec.module, frame.base)))
     assert idx.dim == 2
     assert abs(idx.character((1,)) - (a1 + a2)) < 1e-9
-
-
-def test_dual_net_membership(hexagon_pfp):
-    from fractions import Fraction
-
-    poset, pres, frame = hexagon_pfp
-    sec = build_sector_module(poset, pres, frame, (1, 2),
-                              {1: np.diag([1.0, 1.0j, 1.0j]).astype(complex)})
-    total = 2 * 3
-    assert sec.admits(identity_op(total))
-    assert sec.admits(finite_op({(0, 2): np.eye(total, dtype=complex)}, total))
-    assert dual_net_membership(sec.module, shift_op(total))
-    assert not sec.admits(modulation_op(Fraction(1, 2), total))
 
 
 def test_sector_rejects_bad_shapes(hexagon_pfp):

@@ -19,21 +19,15 @@ from holonet.homotopy import (
     build_path_frame,
     edge_loop_word,
     fundamental_presentation,
-    path_to_word,
     relator_exponent_matrix,
     simplify_presentation,
     smith_diagonal,
 )
 from holonet.operators import evaluate_word_ops
 from holonet.poset import build_poset, compose_paths, edge_simplex, make_path
-from holonet.randomgen import (
-    homotopic_variant,
-    random_loop,
-    random_poset_with_frame,
-    random_representation,
-)
+from holonet.randomgen import random_poset_with_frame, random_representation
 from holonet.standard import chain_poset, circle_poset, hexagon_poset, with_top
-from conftest import pfp
+from conftest import homotopic_variant, path_to_word, pfp, random_loop
 
 TOL = 1e-10
 

@@ -1,11 +1,14 @@
 """Source hygiene checks that need no tool beyond the standard library."""
 
 import ast
+import re
 from pathlib import Path
 
 import holonet
 
 SOURCES = sorted(Path(holonet.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def imported_names(tree: ast.Module) -> list[tuple[str, int]]:
@@ -57,3 +60,110 @@ def test_every_tolerance_parameter_is_read():
             unread += [f"{path.name}:{fn.lineno} {fn.name}({name})"
                        for name in names if "tol" in name and name not in read]
     assert unread == []
+
+
+def names_in(nodes) -> set[str]:
+    """Every name the nodes mention: identifiers, attribute names, and
+    the parts of string constants that are dotted names (`bench/spans.py`
+    patches functions by name)."""
+    out = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+                  and DOTTED.fullmatch(n.value)):
+                out.update(n.value.split("."))
+    return out
+
+
+def _is_method(node) -> bool:
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def unreached_definitions(modules: dict[str, str], roots: set[str]) -> list[str]:
+    """Qualified names of the top-level functions and classes and the
+    non-dunder methods of `modules` (module name -> source) that nothing
+    reaches from `roots` or from module-level code.
+
+    A definition is reached when its name is a root or is mentioned by
+    module-level code or by a reached definition.  A class body is
+    scanned apart from its methods, so a reached class does not reach
+    all of its methods; dunder methods are scanned with their class.
+    Imports reach nothing.  The check goes by name, so two definitions
+    that share a name are reached together: a collision can hide dead
+    code, never fail live code.
+    """
+    defs = []  # (name, qualified name, nodes to scan once reached)
+    reached = set(roots)
+    for module, source in modules.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, ast.ClassDef):
+                body = [s for s in stmt.body if not _is_method(s)]
+                defs.append((stmt.name, f"{module}.{stmt.name}",
+                             [*stmt.decorator_list, *stmt.bases, *stmt.keywords, *body]))
+                defs += [(m.name, f"{module}.{stmt.name}.{m.name}", [m])
+                         for m in stmt.body if _is_method(m)]
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((stmt.name, f"{module}.{stmt.name}", [stmt]))
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                reached |= names_in([stmt])
+    pending = defs
+    while hit := [d for d in pending if d[0] in reached]:
+        pending = [d for d in pending if d[0] not in reached]
+        for _, _, nodes in hit:
+            reached |= names_in(nodes)
+    return sorted(qualified for _, qualified, _ in pending)
+
+
+def test_every_definition_is_reached():
+    """Roots: module-level code in `src/holonet` (the CLI's command table
+    among it), every name in `bench/*.py` and `tests/test_acceptance.py`,
+    and the backticked names of the README.  Other tests are not roots,
+    so code that only tests call belongs in the tests."""
+    parse = [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
+    parse.append(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    roots = names_in(parse)
+    for tick in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text()):
+        if DOTTED.fullmatch(tick):
+            roots.update(tick.split("."))
+    modules = {p.stem: p.read_text() for p in SOURCES}
+    assert unreached_definitions(modules, roots) == []
+
+
+def test_reachability_finds_an_uncalled_function():
+    source = """
+def run():
+    return helper()
+
+def helper():
+    return 1
+
+def orphan():
+    return helper()
+
+class Op:
+    def __init__(self):
+        self.value = helper()
+
+    def used(self):
+        return 1
+
+    def unused(self):
+        return orphan()
+
+TABLE = {"run": run}
+"""
+    got = unreached_definitions({"m": source}, {"Op", "used"})
+    assert got == ["m.Op.unused", "m.orphan"]
+    assert unreached_definitions({"m": source}, {"Op", "used", "unused"}) == []
+
+
+def test_module_table_lists_every_module():
+    readme = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `holonet\.(\w+)` \|", readme, flags=re.MULTILINE)
+    modules = [p.stem for p in SOURCES if p.stem != "__init__"]
+    assert sorted(rows) == modules

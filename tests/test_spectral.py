@@ -81,15 +81,16 @@ def test_rotation_holonomy_round_trip_is_exact(hexagon_pfp):
                 assert np.array_equal(again.rep.u(o, o1), t.rep.u(o, o1))
 
 
-def test_triple_reports_theta_and_domain_entries(hexagon_pfp):
+def test_triple_reports_each_relation_at_each_location(hexagon_pfp):
     poset, pres, frame = hexagon_pfp
     e = rotation_triple()
     e = EquivariantTriple(e.grading, e.u_images, e.samples, e.D, pres)
     report = validate_triple(from_equivariant(e, poset, pres, frame))
-    assert len(checks(report, "theta-summable")) == len(poset.elements)
-    assert len(checks(report, "superderivation-domain")) == len(poset.elements)
-    assert all(c.defect == 0.0 for c in checks(report, "theta-summable"))
-    assert len(checks(report, "superderivation-covariance")) == len(poset.strict_pairs())
+    for kind in ("D-selfadjoint", "D-odd"):
+        assert len(checks(report, kind)) == len(poset.elements)
+    for kind in ("D-transport", "superderivation-covariance"):
+        assert len(checks(report, kind)) == len(poset.strict_pairs())
+    assert len(report.entries) == 2 * len(poset.elements) + 2 * len(poset.strict_pairs())
 
 
 def test_broken_transport_is_reported(hexagon_pfp):
@@ -234,8 +235,6 @@ def reference_validate_triple(t, tol=1e-10):
             report.add("grading-coverage", o, float("inf"), tol)
         else:
             report.add("D-odd", o, zero_defect(g @ d + d @ g), tol)
-        report.add("theta-summable", o, 0.0, tol)
-        report.add("superderivation-domain", o, 0.0, tol)
     for o, o1 in sorted(rep.poset.strict_pairs()):
         d, d1 = t.D.get(o), t.D.get(o1)
         if d is None or d1 is None:
