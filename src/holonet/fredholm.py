@@ -12,6 +12,7 @@ the two kernels of the off-diagonal corner of F.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -71,6 +72,7 @@ from .reports import (
 from .shift_calculus import (
     ShiftOp,
     color_corner,
+    dense_blocks,
     finite_op,
     identity_op,
     map_color,
@@ -441,16 +443,53 @@ def _shift_grading_split(g: ShiftOp) -> tuple[list[int], list[int]]:
             [i for i in range(len(d)) if d[i] < 0])
 
 
-def _dense_window(op: ShiftOp, window: int) -> np.ndarray:
-    """Dense block of the first `window` columns of the operator, with
-    every row they reach: the stripes push column s down to row s + k,
-    and the finite part may reach further."""
-    up = max((k for k, _ in op.stripes if k > 0), default=0)
-    return op.materialize(max(window + up, op.finite_extent), window)
+def _pass_through(op: ShiftOp, blocks: dict[tuple[int, int], np.ndarray],
+                  sv_tol: float) -> set[tuple[int, int]]:
+    """The pairs (r, s) of a window whose block is the only nonzero block
+    of row r and of column s, square, with smallest singular value above
+    `sv_tol`.  The pairs share no row or column, so one pass finds all."""
+    rows = Counter(r for r, _ in blocks)
+    cols = Counter(s for _, s in blocks)
+    single = [(r, s) for r, s in blocks if rows[r] == 1 == cols[s]]
+    if op.d_out != op.d_in or not single:
+        return set()
+    # a phase does not change singular values: a block that one stripe
+    # fills alone has the smallest singular value of its colour matrix
+    offsets = Counter(k for k, _ in op.stripes)
+    alone = {k: m for (k, _), m in op.stripes.items() if offsets[k] == 1}
+    mixed = {(r, s) for r, s in single if (r, s) in op.finite or r - s not in alone}
+    mats = np.stack([*alone.values(), *(blocks[rs] for rs in mixed)])
+    good = np.linalg.svd(mats, compute_uv=False)[:, -1] > sv_tol
+    invertible = dict(zip([*alone, *mixed], good.tolist()))
+    return {(r, s) for r, s in single
+            if invertible[(r, s) if (r, s) in mixed else r - s]}
 
 
 def _kernel_window(op: ShiftOp, window: int, sv_tol: float) -> np.ndarray:
-    return null_space(_dense_window(op, window), sv_tol)
+    """Kernel basis of the window of the first `window` columns, with
+    every row they reach, in window coordinates (column site * d +
+    colour), singular values at or below `sv_tol`.
+
+    The window is a sparse set of site blocks.  Its pass-through pairs
+    and its empty rows are removed, and only the residual is dense: row
+    r of a pair (r, s) forces x_s = 0 and column s meets no other row,
+    so the window's singular values are those of the residual and of
+    the pair blocks, all above `sv_tol`.  The residual's kernel is
+    re-embedded with zeros on the peeled sites.
+    """
+    blocks = op.site_blocks(range(window))
+    pairs = _pass_through(op, blocks, sv_tol)
+    rows = sorted({r for r, _ in blocks} - {r for r, _ in pairs})
+    cols = sorted(set(range(window)) - {s for _, s in pairs})
+    kernel = null_space(dense_blocks(blocks, rows, cols, op.d_out, op.d_in), sv_tol)
+    out = np.zeros((window * op.d_in, kernel.shape[1]), dtype=complex)
+    out[_site_rows(cols, op.d_in)] = kernel
+    return out
+
+
+def _site_rows(sites, d: int) -> np.ndarray:
+    """Coordinates of the given sites, colour index fastest."""
+    return (np.asarray(sites, dtype=int)[:, None] * d + np.arange(d)).ravel()
 
 
 def stabilization_window(op: ShiftOp) -> int:
@@ -462,19 +501,25 @@ def stabilization_window(op: ShiftOp) -> int:
 def windowed_kernel(op: ShiftOp) -> tuple[np.ndarray, int]:
     """Kernel basis of a shift-class operator on its stabilization window.
 
-    The window is w0 = `stabilization_window(op)`.  One SVD with
-    singular vectors gives the kernel basis at w0; the probe windows
-    w0 + 1 and w0 + 2 only count the singular values above
-    `DENSE_KERNEL_TOL` (the same absolute rule as the kernel), and all
-    three kernel dimensions must agree, otherwise the operator is not
-    Fredholm in this class.
+    The window is w0 = `stabilization_window(op)`.  Each window is built
+    as a sparse set of site blocks and peeled: a pair (row r, column s)
+    whose block is the only nonzero block of its row and of its column,
+    square with smallest singular value above `DENSE_KERNEL_TOL`, is
+    removed, and so are empty rows.  This is exact: row r forces x_s = 0
+    and column s meets no other row, so the singular values split as
+    those of the residual and of the pair blocks.  Only the residual is
+    dense; for a pinned shift it is one column, whatever the pinned site.
+    The kernel basis is the residual's at w0, re-embedded in window
+    coordinates; the probe windows w0 + 1 and w0 + 2 are taken the same
+    way, and all three kernel dimensions must agree, otherwise the
+    operator is not Fredholm in this class.
 
     A scalar-colour operator S tensor I_d (d > 1, see
     `scalar_color_factor`) has every window equal to the window of S
     tensor I_d, with the same singular values d times over, so its
     kernel is ker S tensor C^d.  The three windows are then taken on S,
     d times narrower, and the kernel basis of S is lifted by
-    `np.kron(., I_d)`; `materialize` puts the colour index fastest
+    `np.kron(., I_d)`; window coordinates put the colour index fastest
     (column site * d + colour), so the lifted columns are orthonormal
     and span the kernel of the full window at the same w0.
     """
@@ -485,12 +530,9 @@ def windowed_kernel(op: ShiftOp) -> tuple[np.ndarray, int]:
     if factor is not None:
         op, lift = factor, op.d_in
     w0 = stabilization_window(op)
-    kernel = _kernel_window(op, w0, DENSE_KERNEL_TOL)
-    dims = [kernel.shape[1]]
-    for w in (w0 + 1, w0 + 2):
-        a = _dense_window(op, w)
-        s = np.linalg.svd(a, compute_uv=False)
-        dims.append(a.shape[1] - int(np.sum(s > DENSE_KERNEL_TOL)))
+    kernel, *probes = (_kernel_window(op, w, DENSE_KERNEL_TOL)
+                       for w in (w0, w0 + 1, w0 + 2))
+    dims = [k.shape[1] for k in (kernel, *probes)]
     if dims[0] != dims[1] or dims[1] != dims[2]:
         raise NotFredholm(f"kernel window does not stabilize: "
                           f"dims {[lift * n for n in dims]}")
@@ -499,13 +541,22 @@ def windowed_kernel(op: ShiftOp) -> tuple[np.ndarray, int]:
     return kernel, w0
 
 
-def _shift_blocks(rows_c: list[int], cols_c: list[int], window: int,
+def _on_sites(op: ShiftOp, sites: list[int]) -> np.ndarray:
+    """The columns of op at `sites`, dense, on the rows `sites` first and
+    then on every other row those columns reach."""
+    blocks = op.site_blocks(sites)
+    rows = sites + sorted({r for r, _ in blocks} - set(sites))
+    return dense_blocks(blocks, rows, sites, op.d_out, op.d_in)
+
+
+def _shift_blocks(rows_c: list[int], cols_c: list[int], sites: list[int],
                   v: ShiftOp) -> tuple[np.ndarray | None, np.ndarray]:
-    """The colour blocks of v leaving and keeping the `cols_c` side, as
-    dense windows; the leaving block is None when it is exactly zero."""
+    """The colour blocks of v leaving and keeping the `cols_c` side, by
+    `_on_sites` on the sites that carry the kernel; the leaving block is
+    None when it is exactly zero."""
     leak = color_corner(v, rows_c, cols_c)
-    return (None if is_exactly_zero(leak) else _dense_window(leak, window),
-            _dense_window(color_corner(v, cols_c, cols_c), window))
+    return (None if is_exactly_zero(leak) else _on_sites(leak, sites),
+            _on_sites(color_corner(v, cols_c, cols_c), sites))
 
 
 def _dense_blocks(basis: np.ndarray, other: np.ndarray,
@@ -518,14 +569,19 @@ def _dense_blocks(basis: np.ndarray, other: np.ndarray,
 def _index_sides(phi, grading):
     """The plus and then the minus side of the index, one at a time:
     (side, kernel of the odd corner on it, blocks), where blocks(v) gives
-    `_shift_blocks` or `_dense_blocks` of a holonomy image v."""
+    `_shift_blocks` or `_dense_blocks` of a holonomy image v.  A shift
+    kernel is kept on its support sites only, the sites where it has a
+    nonzero entry; the rows of the other sites are zero."""
     if isinstance(phi, ShiftOp):
         plus_c, minus_c = _shift_grading_split(grading)
         corner = color_corner(phi, minus_c, plus_c)
         for side, op, cols_c, rows_c in (("plus", corner, plus_c, minus_c),
                                          ("minus", corner.H, minus_c, plus_c)):
-            kernel, window = windowed_kernel(op)
-            yield side, kernel, partial(_shift_blocks, rows_c, cols_c, window)
+            kernel, _ = windowed_kernel(op)
+            d = len(cols_c)
+            sites = np.flatnonzero(np.any(kernel, axis=1).reshape(-1, d).any(axis=1))
+            yield (side, kernel[_site_rows(sites, d)],
+                   partial(_shift_blocks, rows_c, cols_c, sites.tolist()))
     else:
         v_plus, v_minus = _dense_grading_split(grading, DENSE_KERNEL_TOL)
         corner = dagger(v_minus) @ phi @ v_plus
@@ -539,8 +595,9 @@ def _kernel_action(kernel: np.ndarray, side: str, leak: np.ndarray | None,
                    stay: np.ndarray) -> np.ndarray:
     """The action on `kernel` of a holonomy image given by its blocks
     leaving and keeping that side; KernelNotInvariant when either moves
-    the kernel by more than `INDEX_TOL`.  A shift window may reach below
-    the kernel's rows, so the kernel is padded with zeros."""
+    the kernel by more than `INDEX_TOL`.  The keeping block of a shift
+    image has the kernel's support sites as its first rows and may reach
+    further rows, where the kernel is zero, so it is padded with zeros."""
     if leak is not None and opnorm(leak @ kernel) > INDEX_TOL:
         raise KernelNotInvariant(
             f"holonomy pushes the {side} kernel across the grading")
@@ -564,6 +621,16 @@ def pi_index(cycle: EquivariantCycle) -> VirtualRep:
     every window.  Known false negative: for
     `stripe_op(-1, I_2, 1/3) + stripe_op(1, 0.25 I_2, 2/5)` (index 2, a
     kernel decaying like 0.25^n) both windowed kernels come out empty.
+
+    Each window is peeled before its dense SVD: a pair (row r, column s) whose
+    square block is the only nonzero block of its row and of its column,
+    with smallest singular value above `DENSE_KERNEL_TOL`, is removed.
+    This is exact, because row r forces x_s = 0 and column s meets no
+    other row.  The holonomy blocks are then taken only on the kernel's
+    support sites and the rows those reach.  On a sector module the
+    dense matrices are a few colours wide whatever the pinned site; only
+    the sparse assembly of the window is linear in it.
+
     Raises NotFredholm when the window does not stabilize and
     KernelNotInvariant when the holonomy leaks out of a kernel.
     """

@@ -207,8 +207,8 @@ double precision, so checks on accepted data cannot overflow."""
 
 MAX_WINDOW_COLUMNS = 2048
 """Largest accepted `fredholm.sector_window_columns` of a sector module.
-`pi_index` builds dense windows of that many columns, so the declared
-`w_index` and `dims` bound its memory and time."""
+`pi_index` peels its windows before any dense work, so their cost is
+linear in the columns; the declared `w_index` and `dims` bound that."""
 
 
 def _bounded(convert):

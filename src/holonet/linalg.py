@@ -1,9 +1,9 @@
 """Dense linear algebra helpers shared across modules.
 
 Plain numpy SVD/eigendecompositions are used throughout.  Colour and
-fiber matrices are small, but the dense kernel windows of shift-class
-operators have a few hundred rows and columns once a finite part sits
-far out (about 400 at a sector's `w_index=128`).
+fiber matrices are small, and so are the kernel windows of shift-class
+operators: pass-through sites are peeled before the dense SVD, so a
+sector's window is a few columns wide at any `w_index`.
 """
 
 from __future__ import annotations

@@ -107,30 +107,54 @@ class ShiftOp:
         bound = sum(opnorm(m) for m in self.stripes.values())
         n = self.finite_extent
         if n:
-            bound += opnorm(self._finite_dense(n, n))
+            bound += opnorm(dense_blocks(self.finite, range(n), range(n),
+                                         self.d_out, self.d_in))
         return float(bound)
 
-    def _finite_dense(self, rows: int, cols: int) -> np.ndarray:
-        out = np.zeros((rows * self.d_out, cols * self.d_in), dtype=complex)
-        for (r, s), m in self.finite.items():
-            if r < rows and s < cols:
-                out[r * self.d_out:(r + 1) * self.d_out,
-                    s * self.d_in:(s + 1) * self.d_in] += m
+    def site_blocks(self, cols) -> dict[tuple[int, int], np.ndarray]:
+        """The nonzero site blocks (r, s) in the column sites `cols`, on
+        every row they reach.
+
+        Each block starts from zero and adds the finite block, then the
+        stripes in order, so a stripe and a finite entry that cancel
+        leave an exact zero block, which is dropped.  Blocks may be shared
+        between sites and must not be written to.
+        """
+        cols = set(cols)
+        # a block starts as 0 + m (bitwise, as if added to a zero block)
+        out = {(r, s): 0 + m for (r, s), m in self.finite.items() if s in cols}
+        summed = set()
+        for (k, c), m in self.stripes.items():
+            # the phase of row r depends on r mod its denominator only
+            q = c.denominator
+            by_residue: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+            for s in cols:
+                row = s + k
+                if row < 0:
+                    continue
+                if row % q not in by_residue:
+                    # an unmodulated stripe adds m itself, as _scale(1.0, m) would
+                    v = m if c == 0 else _scale(cispi_frac(c * row), m)
+                    by_residue[row % q] = v, 0 + v
+                v, fresh = by_residue[row % q]
+                old = out.get((row, s))
+                if old is None:
+                    out[(row, s)] = fresh
+                else:
+                    out[(row, s)] = old + v
+                    summed.add((row, s))
+        # one nonzero term stays nonzero; only a sum can cancel
+        for rs in summed:
+            if not np.any(out[rs]):
+                del out[rs]
         return out
 
     def materialize(self, rows: int, cols: int | None = None) -> np.ndarray:
         """Dense window: the first `rows` x `cols` sites of the operator."""
         if cols is None:
             cols = rows
-        out = self._finite_dense(rows, cols)
-        for (k, c), m in self.stripes.items():
-            for row in range(max(0, k), min(rows, cols + k)):
-                col = row - k
-                # an unmodulated stripe adds m itself, as _scale(1.0, m) would
-                out[row * self.d_out:(row + 1) * self.d_out,
-                    col * self.d_in:(col + 1) * self.d_in] += (
-                        m if c == 0 else _scale(cispi_frac(c * row), m))
-        return out
+        return dense_blocks(self.site_blocks(range(cols)),
+                            range(rows), range(cols), self.d_out, self.d_in)
 
     def __repr__(self) -> str:
         ks = sorted((k, str(c)) for k, c in self.stripes)
@@ -218,6 +242,20 @@ class ShiftOp:
             stripes[(-k, -c % 1)] = _scale(cispi_frac(-c * k), dagger(m))
         finite = {(s, r): dagger(m) for (r, s), m in self.finite.items()}
         return ShiftOp(self.d_in, self.d_out, stripes, finite)
+
+
+def dense_blocks(blocks: dict[tuple[int, int], np.ndarray], rows, cols,
+                 d_out: int, d_in: int) -> np.ndarray:
+    """Dense matrix of site blocks on the row and column sites given, in
+    that order; blocks outside them are left out."""
+    at_row = {r: i * d_out for i, r in enumerate(rows)}
+    at_col = {s: j * d_in for j, s in enumerate(cols)}
+    out = np.zeros((len(at_row) * d_out, len(at_col) * d_in), dtype=complex)
+    for (r, s), b in blocks.items():
+        if r in at_row and s in at_col:
+            i, j = at_row[r], at_col[s]
+            out[i:i + d_out, j:j + d_in] = b
+    return out
 
 
 # ------------------------------------------------------------ constructors

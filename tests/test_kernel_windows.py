@@ -1,0 +1,227 @@
+"""Peeled kernel windows against the dense windows they replace.
+
+The reference is the dense window of the first `window` columns, with
+every row they reach, and the kernel of its full SVD: the windows
+`windowed_kernel` took before pass-through pairs were peeled.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from conftest import rng_for
+
+from holonet.errors import NotFredholm
+from holonet.fredholm import (
+    EquivariantCycle,
+    _kernel_window,
+    _pinned_shift,
+    build_sector_module,
+    equivariant_cycle,
+    localize,
+    pi_index,
+    stabilization_window,
+    windowed_kernel,
+)
+from holonet.linalg import dagger, null_space, opnorm, random_unitary
+from holonet.reports import DENSE_KERNEL_TOL
+from holonet.shift_calculus import (
+    ShiftOp,
+    finite_op,
+    identity_op,
+    map_color,
+    scalar_color_factor,
+    stripe_op,
+)
+
+
+def dense_window(op, window):
+    """The dense window as built before peeling."""
+    up = max((k for k, _ in op.stripes if k > 0), default=0)
+    return op.materialize(max(window + up, op.finite_extent), window)
+
+
+def dense_reference(op):
+    """(kernel dimensions at w0, w0 + 1 and w0 + 2, kernel basis at w0)
+    from full SVDs of the dense windows."""
+    w0 = stabilization_window(op)
+    kernels = [null_space(dense_window(op, w), DENSE_KERNEL_TOL)
+               for w in (w0, w0 + 1, w0 + 2)]
+    return [k.shape[1] for k in kernels], kernels[0]
+
+
+def projector(basis):
+    return basis @ dagger(basis)
+
+
+def random_window_op(rng):
+    """A shift-class operator on 1 to 3 colours: one or two stripes with
+    offsets -2..2 and rational phases, colour matrices that are scalar
+    multiples of I_d, unitaries or projections, and up to three
+    finite blocks on the first five sites, some of them cancelling a
+    stripe entry exactly."""
+    d = int(rng.integers(1, 4))
+    scalar = d > 1 and bool(rng.integers(0, 2))
+    eye = np.eye(d, dtype=complex)
+
+    def colour(scale):
+        if scalar:
+            return scale * np.exp(2j * np.pi * rng.random()) * eye
+        if rng.random() < 0.3:
+            return scale * np.diag((rng.random(d) < 0.5).astype(complex))
+        return scale * random_unitary(rng, d)
+
+    def phase():
+        return Fraction(int(rng.integers(0, 5)), int(rng.integers(1, 6)))
+
+    op = stripe_op(int(rng.integers(-2, 3)), colour(1.0), phase())
+    if rng.random() < 0.4:
+        op = op + stripe_op(int(rng.integers(-2, 3)), colour(0.3), phase())
+    blocks = {}
+    for _ in range(int(rng.integers(0, 4))):
+        r, s = int(rng.integers(5)), int(rng.integers(5))
+        m = (complex(rng.standard_normal(), rng.standard_normal()) * eye if scalar
+             else rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        blocks[(r, s)] = m
+    if op.stripes and rng.random() < 0.3:
+        # cancel the stripe entry of some site exactly
+        (k, c), m = next(iter(op.stripes.items()))
+        s = int(rng.integers(max(0, -k), 5))
+        blocks[(s + k, s)] = -op.site_blocks([s])[(s + k, s)]
+    return op + finite_op(blocks, d)
+
+
+def test_peeled_windows_match_the_dense_windows():
+    counts = {"scalar": 0, "matrix": 0, "phased": 0, "kernel": 0, "not_fredholm": 0}
+    for seed in range(200):
+        op = random_window_op(rng_for(9100 + seed))
+        dims, ref = dense_reference(op)
+        w0 = stabilization_window(op)
+        peeled = [_kernel_window(op, w, DENSE_KERNEL_TOL) for w in (w0, w0 + 1, w0 + 2)]
+        assert [k.shape[1] for k in peeled] == dims, seed
+        assert opnorm(projector(peeled[0]) - projector(ref)) <= 1e-10, seed
+        if op.stripes and dims[0] == dims[1] == dims[2]:
+            kernel, window = windowed_kernel(op)
+            assert window == w0
+            assert opnorm(projector(kernel) - projector(ref)) <= 1e-10, seed
+            counts["kernel"] += dims[0] > 0
+        else:
+            with pytest.raises(NotFredholm):
+                windowed_kernel(op)
+            counts["not_fredholm"] += 1
+        counts["scalar" if scalar_color_factor(op) is not None else "matrix"] += op.d_in > 1
+        counts["phased"] += any(c != 0 for _, c in op.stripes)
+    assert min(counts.values()) >= 10, counts
+
+
+@pytest.mark.parametrize("w", [0, 1, 5, 128])
+def test_pinned_shift_kernel_is_one_site(w):
+    kernel, w0 = windowed_kernel(_pinned_shift(w).H)
+    assert kernel.shape == (w0, 1)
+    assert np.flatnonzero(kernel[:, 0]).tolist() == [w]
+    assert abs(kernel[w, 0]) == 1.0
+    assert windowed_kernel(_pinned_shift(w))[0].shape[1] == 0
+
+
+def test_a_cancelled_stripe_entry_is_a_kernel_site():
+    op = identity_op(2) + finite_op({(2, 2): -np.eye(2)}, 2)
+    assert (2, 2) not in op.site_blocks(range(4))
+    kernel, w0 = windowed_kernel(op)
+    dims, ref = dense_reference(op)
+    assert dims == [2, 2, 2]
+    assert opnorm(projector(kernel) - projector(ref)) <= 1e-12
+    assert np.flatnonzero(np.any(kernel, axis=1)).tolist() == [4, 5]
+
+
+def test_an_isolated_singular_block_is_not_peeled():
+    # the block at site 1 is diag(1, 0): the only block of its row and
+    # column, square, but singular, so its second colour is a kernel
+    op = identity_op(2) + finite_op({(1, 1): np.diag([0.0, -1.0])}, 2)
+    assert list(op.site_blocks([1])) == [(1, 1)]
+    kernel, w0 = windowed_kernel(op)
+    expected = np.zeros((2 * w0, 1))
+    expected[3, 0] = 1.0
+    assert np.array_equal(np.abs(kernel), expected)
+
+
+def widest_svd(monkeypatch, call):
+    """The widest matrix side that `call()` hands to numpy's SVD."""
+    seen = [0]
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        seen[0] = max(seen[0], *np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", recording)
+        call()
+    return seen[0]
+
+
+def test_sector_index_decomposes_matrices_of_a_few_sites(hexagon_pfp, monkeypatch):
+    poset, pres, frame = hexagon_pfp
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[:2, :2] = random_unitary(rng_for(23), 2)
+    rho[2, 2] = np.exp(0.7j)
+    widths = []
+    for w in (16, 1024):
+        sec = build_sector_module(poset, pres, frame, (2, 1), {1: rho}, w_index=w)
+        cycle = equivariant_cycle(localize(sec.module, frame.base))
+        widths.append(widest_svd(monkeypatch, lambda: pi_index(cycle)))
+    assert widths[0] == widths[1] <= 2 * 3  # two sites of three colours
+
+
+def test_sector_index_materializes_no_window(hexagon_pfp, monkeypatch):
+    poset, pres, frame = hexagon_pfp
+    sec = build_sector_module(poset, pres, frame, (2, 1),
+                              {1: np.diag(np.exp([0.3j, 0.3j, 1.1j]))}, w_index=1024)
+    cycle = equivariant_cycle(localize(sec.module, frame.base))
+
+    def refuse(*args):
+        raise AssertionError("a dense window was materialized")
+
+    with monkeypatch.context() as m:
+        m.setattr(ShiftOp, "materialize", refuse)
+        idx = pi_index(cycle)
+    assert [b.dim for b in idx.plus] == [3] and idx.minus == ()
+    assert abs(idx.character((1,)) - (2 * np.exp(0.3j) + np.exp(1.1j))) <= 1e-12
+
+
+def test_a_block_alone_in_its_row_only_is_not_peeled():
+    # row 0 holds only the block at column 0, but column 0 also reaches
+    # row 1: peeling it would leave [1e-6], while the window's smallest
+    # singular value is about 1e-9, a kernel at the 1e-8 threshold
+    op = finite_op({(0, 0): np.eye(1), (1, 0): 1e3 * np.eye(1),
+                    (1, 1): 1e-6 * np.eye(1)}, 1)
+    assert null_space(dense_window(op, 2), DENSE_KERNEL_TOL).shape[1] == 1
+    assert _kernel_window(op, 2, DENSE_KERNEL_TOL).shape[1] == 1
+
+
+def test_kernel_action_on_two_sites_with_a_row_outside_them(hexagon_pfp):
+    # the odd corner 1 - P, P the projection onto (e1 + e2) / sqrt 2, has
+    # that vector as kernel on both sides; the holonomy adds e0 (x1 - x2),
+    # which vanishes on the kernel but reaches row 0, below its sites
+    poset, pres, frame = hexagon_pfp
+    half = 0.5 * np.eye(1, dtype=complex)
+    t = identity_op(1) - finite_op({(1, 1): half, (1, 2): half,
+                                    (2, 1): half, (2, 2): half}, 1)
+    down, up = np.array([[0, 0], [1, 0]]), np.array([[0, 1], [0, 0]])
+    phi = (map_color(t, lambda m: m[0, 0] * down)
+           + map_color(t.H, lambda m: m[0, 0] * up))
+    grad = stripe_op(0, np.diag([1.0, -1.0]))
+    u = identity_op(2) + finite_op({(0, 1): np.eye(2), (0, 2): -np.eye(2)}, 2)
+    idx = pi_index(EquivariantCycle({}, {1: u}, phi, grad, "even", pres))
+    assert [b.dim for b in idx.plus] == [b.dim for b in idx.minus] == [1]
+    for b in idx.plus + idx.minus:
+        assert abs(b.images[1][0, 0] - 1.0) <= 1e-12
+
+
+def test_non_square_blocks_are_not_peeled():
+    # a 1 x 2 block has a kernel of its own; neither block is square
+    for m in (np.array([[1.0, 1.0]]), np.array([[1.0], [1.0]])):
+        op = stripe_op(-1, m)
+        for w in (1, 2, 5):
+            want = null_space(dense_window(op, w), DENSE_KERNEL_TOL).shape[1]
+            assert _kernel_window(op, w, DENSE_KERNEL_TOL).shape[1] == want

@@ -11,6 +11,7 @@ from holonet.shift_calculus import (
     _scale,
     cispi_frac,
     color_corner,
+    dense_blocks,
     finite_op,
     identity_op,
     map_color,
@@ -325,3 +326,25 @@ def test_materialize_bitwise_matches_per_row_phases():
         want = materialize_per_row(op, rows, cols)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_site_blocks_are_the_nonzero_blocks_of_the_window():
+    rng = np.random.default_rng(29)
+
+    def color():
+        return rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+
+    m = color()
+    stripes = {(0, F(0)): m, (1, F(1, 3)): color(), (-2, F(2, 5)): color()}
+    # cancels the unmodulated stripe at site 3 exactly
+    op = ShiftOp(2, 3, stripes, {(3, 3): -m, (1, 4): color()})
+    sites = [5, 0, 3, 4]
+    blocks = op.site_blocks(sites)
+    assert (3, 3) not in blocks and all(np.any(b) for b in blocks.values())
+    assert {s for _, s in blocks} <= set(sites)
+    window = op.materialize(9, 6)
+    dense = dense_blocks(blocks, range(9), sites, 2, 3)
+    want = window.reshape(9, 2, 6, 3)[:, :, sites].reshape(18, 12)
+    assert dense.tobytes() == want.tobytes()
+    # every row the columns reach is there
+    assert max(r for r, _ in blocks) == 6
