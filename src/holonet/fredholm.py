@@ -76,7 +76,6 @@ from .shift_calculus import (
     finite_op,
     identity_op,
     map_color,
-    scalar_color_factor,
     shift_op,
     stripe_op,
 )
@@ -512,32 +511,18 @@ def windowed_kernel(op: ShiftOp) -> tuple[np.ndarray, int]:
     The kernel basis is the residual's at w0, re-embedded in window
     coordinates; the probe windows w0 + 1 and w0 + 2 are taken the same
     way, and all three kernel dimensions must agree, otherwise the
-    operator is not Fredholm in this class.
-
-    A scalar-colour operator S tensor I_d (d > 1, see
-    `scalar_color_factor`) has every window equal to the window of S
-    tensor I_d, with the same singular values d times over, so its
-    kernel is ker S tensor C^d.  The three windows are then taken on S,
-    d times narrower, and the kernel basis of S is lifted by
-    `np.kron(., I_d)`; window coordinates put the colour index fastest
-    (column site * d + colour), so the lifted columns are orthonormal
-    and span the kernel of the full window at the same w0.
+    operator is not Fredholm in this class.  Every colour dimension takes
+    this one path: a scalar-colour operator S tensor I_d peels the same
+    sites as S, so its dense residual is only d times as wide as that of S.
     """
     if not op.stripes:
         raise NotFredholm("no shift part: every window has a kernel beyond it")
-    lift = 1
-    factor = scalar_color_factor(op)
-    if factor is not None:
-        op, lift = factor, op.d_in
     w0 = stabilization_window(op)
     kernel, *probes = (_kernel_window(op, w, DENSE_KERNEL_TOL)
                        for w in (w0, w0 + 1, w0 + 2))
     dims = [k.shape[1] for k in (kernel, *probes)]
     if dims[0] != dims[1] or dims[1] != dims[2]:
-        raise NotFredholm(f"kernel window does not stabilize: "
-                          f"dims {[lift * n for n in dims]}")
-    if lift > 1:
-        kernel = np.kron(kernel, np.eye(lift))
+        raise NotFredholm(f"kernel window does not stabilize: dims {dims}")
     return kernel, w0
 
 
@@ -622,14 +607,15 @@ def pi_index(cycle: EquivariantCycle) -> VirtualRep:
     `stripe_op(-1, I_2, 1/3) + stripe_op(1, 0.25 I_2, 2/5)` (index 2, a
     kernel decaying like 0.25^n) both windowed kernels come out empty.
 
-    Each window is peeled before its dense SVD: a pair (row r, column s) whose
-    square block is the only nonzero block of its row and of its column,
-    with smallest singular value above `DENSE_KERNEL_TOL`, is removed.
-    This is exact, because row r forces x_s = 0 and column s meets no
-    other row.  The holonomy blocks are then taken only on the kernel's
-    support sites and the rows those reach.  On a sector module the
-    dense matrices are a few colours wide whatever the pinned site; only
-    the sparse assembly of the window is linear in it.
+    Each window is peeled before its dense SVD, in every colour
+    dimension alike: a pair (row r, column s) whose square block is the
+    only nonzero block of its row and of its column, with smallest
+    singular value above `DENSE_KERNEL_TOL`, is removed.  This is exact,
+    because row r forces x_s = 0 and column s meets no other row.  The
+    holonomy blocks are then taken only on the kernel's support sites
+    and the rows those reach.  On a sector module the dense matrices are
+    a few colours wide whatever the pinned site; only the sparse
+    assembly of the window is linear in it.
 
     Raises NotFredholm when the window does not stabilize and
     KernelNotInvariant when the holonomy leaks out of a kernel.
@@ -805,16 +791,16 @@ def _default_sector_samples(w_index: int) -> dict[str, ShiftOp]:
 def build_sector_module(poset: Poset, pres: GroupPresentation,
                         frame: PathFrame, sector_dims: tuple[int, ...],
                         rho_images: dict[int, np.ndarray],
-                        pi_samples: dict[str, tuple[ShiftOp, ...]] | None = None,
                         w_index: int = 0,
                         tol: float = CHECK_TOL) -> SectorModule:
     """Even module of a superselection sector with multiplicity blocks.
 
     The holonomy images must be block-diagonal along `sector_dims`
     (CentralityViolated otherwise) and kill the relators.  Observables
-    are sector families of scalar-color shift operators, represented
-    diagonally across the multiplicity blocks; F pins the cyclic vector
-    at `w_index`, so the index carries exactly the block action.
+    are the one, the pinned charge shift and the vacuum corner at
+    `w_index`, as scalar-colour shift operators repeated in every
+    multiplicity block; F pins the cyclic vector at `w_index`, so the
+    index carries exactly the block action.
     """
     sector_dims = tuple(int(d) for d in sector_dims)
     if not sector_dims or any(d <= 0 for d in sector_dims):
@@ -833,18 +819,10 @@ def build_sector_module(poset: Poset, pres: GroupPresentation,
                 f"generator {g} image leaks across sectors ({leak:.3e})")
     require_unitary_rep(pres, rho_images, total, tol)
 
-    if pi_samples is None:
-        base = _default_sector_samples(w_index)
-        pi_samples = {l: tuple(t for _ in sector_dims)
-                      for l, t in base.items()}
     samples: dict[str, ShiftOp] = {}
-    for label, per_sector in sorted(pi_samples.items()):
-        if len(per_sector) != len(sector_dims):
-            raise FiberMismatch(
-                f"sample {label!r} has {len(per_sector)} sector entries, "
-                f"expected {len(sector_dims)}")
+    for label, t in sorted(_default_sector_samples(w_index).items()):
         total_op = None
-        for t, block in zip(per_sector, blocks):
+        for block in blocks:
             lifted = _embed_sector(t, block, total)
             total_op = lifted if total_op is None else total_op + lifted
         samples[label] = total_op

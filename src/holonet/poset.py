@@ -175,13 +175,8 @@ def opposite_path(p: Path) -> Path:
     return Path(tuple(b.opposite for b in reversed(p.simplices)), p.end, p.start)
 
 
-def compose_paths(poset: Poset, p: Path, q: Path, reverse_q: bool = False) -> Path:
-    """The composite p * q: q is traversed first, then p.
-
-    With reverse_q, q is replaced by its opposite before composing.
-    """
-    if reverse_q:
-        q = opposite_path(q)
+def compose_paths(poset: Poset, p: Path, q: Path) -> Path:
+    """The composite p * q: q is traversed first, then p."""
     if q.end != p.start:
         raise EndpointMismatch(
             f"cannot compose: first factor ends at {q.end!r}, second starts at {p.start!r}"

@@ -310,23 +310,6 @@ def color_corner(op: ShiftOp, rows, cols) -> ShiftOp:
     return ShiftOp(len(rows), len(cols), stripes, finite)
 
 
-def scalar_color_factor(op: ShiftOp) -> ShiftOp | None:
-    """The one-colour S with op == S tensor I_d, or None.
-
-    Only for square colour d > 1 where every stripe and finite colour
-    matrix is exactly m[0, 0] times the identity.
-    """
-    d = op.d_out
-    if d != op.d_in or d == 1:
-        return None
-    eye = np.eye(d)
-    mats = (*op.stripes.values(), *op.finite.values())
-    if not all(np.array_equal(m, m[0, 0] * eye) for m in mats):
-        return None
-    return ShiftOp(1, 1, {k: m[:1, :1] for k, m in op.stripes.items()},
-                   {k: m[:1, :1] for k, m in op.finite.items()})
-
-
 def op_equal(a: ShiftOp, b: ShiftOp) -> bool:
     """Bitwise equality of the normal forms."""
     if (a.d_out, a.d_in) != (b.d_out, b.d_in):

@@ -8,8 +8,8 @@ acting by unitaries that commute with the operator.  The two are
 interchangeable, and the conversions here are exact on matrices.
 
 Everything is finite dimensional, so theta-summability and the
-superderivation domains are automatic; the validator records them as
-zero-defect entries instead of testing convergence.
+superderivation domains are automatic; the validator checks neither
+and reports only the fiber and edge relations of D.
 """
 
 from __future__ import annotations

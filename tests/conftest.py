@@ -71,6 +71,14 @@ def nearly_flat_bundle():
     return poset, pres, frame, HilbertNetBundle(poset, 2, incl)
 
 
+def dense_window(op, window):
+    """The dense window of the first `window` columns, with every row
+    they reach, unpeeled: the window `windowed_kernel` took before
+    pass-through pairs were peeled."""
+    up = max((k for k, _ in op.stripes if k > 0), default=0)
+    return op.materialize(max(window + up, op.finite_extent), window)
+
+
 def random_scalar_color_op(rng, d):
     """A ShiftOp on d colours whose colour matrices are all multiples of
     I_d: a unit-modulus co-shift stripe (offset -1 or -2), up to two

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import pfp, random_scalar_color_op, rng_for, virtual_reps_match
+from conftest import dense_window, pfp, random_scalar_color_op, rng_for, virtual_reps_match
 
 import holonet.bundle
 import holonet.fredholm
@@ -76,8 +76,8 @@ from holonet.shift_calculus import (
     ShiftOp,
     finite_op,
     identity_op,
+    map_color,
     op_equal,
-    scalar_color_factor,
     shift_op,
     stripe_op,
 )
@@ -531,7 +531,6 @@ def test_windowed_kernel_probes_agree_with_kernel_window():
             blocks[(r, s)] = rng.standard_normal((2, 2)) \
                 + 1j * rng.standard_normal((2, 2))
         op = stripe_op(-1, np.eye(2), Fraction(1, 3)) + finite_op(blocks, 2)
-        assert scalar_color_factor(op) is None
         kernel, w0 = windowed_kernel(op)
         assert kernel.shape[1] > 0
         for extra in (1, 2):
@@ -539,11 +538,12 @@ def test_windowed_kernel_probes_agree_with_kernel_window():
         assert np.array_equal(kernel, _kernel_window(op, w0, 1e-8))
 
 
-def _unfactored(monkeypatch, call, *args):
-    """`call(*args)` with every kernel window taken on the full colour
-    space, as before colour factorization."""
+def _with_dense_windows(monkeypatch, call, *args):
+    """`call(*args)` with every kernel window taken densely, unpeeled,
+    by a full SVD."""
     with monkeypatch.context() as m:
-        m.setattr(holonet.fredholm, "scalar_color_factor", lambda op: None)
+        m.setattr(holonet.fredholm, "_kernel_window",
+                  lambda op, window, sv_tol: null_space(dense_window(op, window), sv_tol))
         return call(*args)
 
 
@@ -551,18 +551,23 @@ def _projector(basis):
     return basis @ dagger(basis)
 
 
-def test_windowed_kernel_factors_scalar_colour_operators(monkeypatch):
+def test_windowed_kernel_factors_scalar_colour_operators():
+    # the kernel of S tensor I_d is ker S tensor C^d, on the same window
     found = 0
     for seed in range(60):
         rng = rng_for(700 + seed)
         d = int(rng.integers(2, 5))
         op = random_scalar_color_op(rng, d)
-        assert scalar_color_factor(op) is not None
+        one = map_color(op, lambda m: m[:1, :1])
+        for rows, cols in ((6, 6), (8, 5)):
+            assert np.array_equal(op.materialize(rows, cols),
+                                  np.kron(one.materialize(rows, cols), np.eye(d)))
         kernel, w0 = windowed_kernel(op)
-        full = _kernel_window(op, w0, 1e-8)
-        assert _unfactored(monkeypatch, windowed_kernel, op)[1] == w0
-        assert kernel.shape == full.shape
-        assert opnorm(_projector(kernel) - _projector(full)) <= 1e-10
+        one_kernel, one_w0 = windowed_kernel(one)
+        assert one_w0 == w0
+        assert kernel.shape == (w0 * d, one_kernel.shape[1] * d)
+        assert opnorm(_projector(kernel)
+                      - np.kron(_projector(one_kernel), np.eye(d))) <= 1e-10
         assert opnorm(dagger(kernel) @ kernel - np.eye(kernel.shape[1])) <= 1e-12
         found += kernel.shape[1] > 0
     assert found >= 20
@@ -570,12 +575,13 @@ def test_windowed_kernel_factors_scalar_colour_operators(monkeypatch):
 
 def test_windowed_kernel_scalar_colour_projection_is_not_fredholm():
     # (1 + (-1)^m) / 2 projects onto the even sites: every window has
-    # more kernel than the last
+    # more kernel than the last, all d colours of each odd site
     for d in (2, 3):
         op = 0.5 * (identity_op(d) + stripe_op(0, np.eye(d), Fraction(1, 2)))
-        assert scalar_color_factor(op) is not None
-        with pytest.raises(NotFredholm, match="does not stabilize"):
+        with pytest.raises(NotFredholm) as err:
             windowed_kernel(op)
+        assert str(err.value) == (
+            f"kernel window does not stabilize: dims [0, {d}, {d}]")
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -585,7 +591,6 @@ def test_windowed_kernel_scalar_colour_projection_is_not_fredholm():
 def test_windowed_kernel_sees_the_index_of_mixed_shift_stripes():
     op = (stripe_op(-1, np.eye(2), Fraction(1, 3))
           + stripe_op(1, 0.25 * np.eye(2), Fraction(2, 5)))
-    assert scalar_color_factor(op) is not None
     try:
         dims = windowed_kernel(op)[0].shape[1], windowed_kernel(op.H)[0].shape[1]
     except NotFredholm:
@@ -606,7 +611,7 @@ def test_deep_sector_index_matches_the_unfactored_windows(hexagon_pfp, monkeypat
     sec = build_sector_module(poset, pres, frame, (2, 1), {1: rho}, w_index=128)
     cycle = equivariant_cycle(localize(sec.module, frame.base))
     idx = pi_index(cycle)
-    ref = _unfactored(monkeypatch, pi_index, cycle)
+    ref = _with_dense_windows(monkeypatch, pi_index, cycle)
     assert [b.dim for b in idx.plus] == [b.dim for b in ref.plus] == [3]
     assert [b.dim for b in idx.minus] == [b.dim for b in ref.minus] == []
     assert (ccs_of_module(sec.module, declared, index=idx)
@@ -758,10 +763,6 @@ def test_sector_rejects_bad_shapes(hexagon_pfp):
     with pytest.raises(FiberMismatch):
         build_sector_module(poset, pres, frame, (1, 1),
                             {1: np.eye(3, dtype=complex)})
-    with pytest.raises(FiberMismatch):
-        build_sector_module(poset, pres, frame, (1, 1),
-                            {1: np.eye(2, dtype=complex)},
-                            pi_samples={"one": (identity_op(1),)})
 
 
 def closure_dimension(mats):

@@ -24,7 +24,7 @@ from holonet.homotopy import (
     smith_diagonal,
 )
 from holonet.operators import evaluate_word_ops
-from holonet.poset import build_poset, compose_paths, edge_simplex, make_path
+from holonet.poset import build_poset, compose_paths, edge_simplex, make_path, opposite_path
 from holonet.randomgen import random_poset_with_frame, random_representation
 from holonet.standard import chain_poset, circle_poset, hexagon_poset, with_top
 from conftest import homotopic_variant, path_to_word, pfp, random_loop
@@ -134,7 +134,7 @@ def test_path_frame_paths_run_from_base(hexagon_pfp):
         p = frame.to(o)
         assert p.start == frame.base and p.end == o
         # tree paths collapse to the empty word
-        loop = compose_paths(poset, p, p, reverse_q=True)
+        loop = compose_paths(poset, p, opposite_path(p))
         # loop based at o, not the base, unless o is the base
         if o == frame.base:
             assert path_to_word(pres, poset, loop).is_empty

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import rng_for
+from conftest import dense_window, rng_for
 
 from holonet.errors import NotFredholm
 from holonet.fredholm import (
@@ -31,15 +31,8 @@ from holonet.shift_calculus import (
     finite_op,
     identity_op,
     map_color,
-    scalar_color_factor,
     stripe_op,
 )
-
-
-def dense_window(op, window):
-    """The dense window as built before peeling."""
-    up = max((k for k, _ in op.stripes if k > 0), default=0)
-    return op.materialize(max(window + up, op.finite_extent), window)
 
 
 def dense_reference(op):
@@ -53,6 +46,14 @@ def dense_reference(op):
 
 def projector(basis):
     return basis @ dagger(basis)
+
+
+def is_scalar_colour(op):
+    """Whether op is S tensor I_d for d > 1: every colour matrix is
+    exactly m[0, 0] times the identity."""
+    eye = np.eye(op.d_in)
+    return op.d_in > 1 and all(np.array_equal(m, m[0, 0] * eye)
+                               for m in (*op.stripes.values(), *op.finite.values()))
 
 
 def random_window_op(rng):
@@ -110,7 +111,7 @@ def test_peeled_windows_match_the_dense_windows():
             with pytest.raises(NotFredholm):
                 windowed_kernel(op)
             counts["not_fredholm"] += 1
-        counts["scalar" if scalar_color_factor(op) is not None else "matrix"] += op.d_in > 1
+        counts["scalar" if is_scalar_colour(op) else "matrix"] += op.d_in > 1
         counts["phased"] += any(c != 0 for _, c in op.stripes)
     assert min(counts.values()) >= 10, counts
 

@@ -172,7 +172,7 @@ def test_compose_with_reversal_gives_loop():
     b1 = edge_simplex(p, "o1", "o2")
     b2 = edge_simplex(p, "o2", "o3")
     path = make_path(p, [b1, b2])
-    loop = compose_paths(p, path, path, reverse_q=True)
+    loop = compose_paths(p, path, opposite_path(path))
     assert loop.start == loop.end
     assert len(loop) == 4
 

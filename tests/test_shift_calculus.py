@@ -3,8 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_scalar_color_op
-
 from holonet.errors import FiberMismatch
 from holonet.shift_calculus import (
     ShiftOp,
@@ -16,7 +14,6 @@ from holonet.shift_calculus import (
     identity_op,
     map_color,
     op_equal,
-    scalar_color_factor,
     shift_op,
     site_projection_op,
     stripe_op,
@@ -237,29 +234,6 @@ def test_map_color_rejects_mixed_shapes():
 
     with pytest.raises(FiberMismatch):
         map_color(op, f)
-
-
-def test_scalar_color_factor_is_the_one_colour_window():
-    for seed in range(20):
-        rng = np.random.default_rng(900 + seed)
-        d = int(rng.integers(2, 5))
-        op = random_scalar_color_op(rng, d)
-        s = scalar_color_factor(op)
-        assert s.d_out == s.d_in == 1
-        for rows, cols in ((6, 6), (8, 5)):
-            assert np.array_equal(op.materialize(rows, cols),
-                                  np.kron(s.materialize(rows, cols), np.eye(d)))
-
-
-def test_scalar_color_factor_declines_other_colours():
-    z = 0.5 - 0.25j
-    assert scalar_color_factor(shift_op(1)) is None
-    assert scalar_color_factor(stripe_op(1, np.ones((2, 3)))) is None
-    assert scalar_color_factor(stripe_op(1, np.diag([z, z]))) is not None
-    # exact equality: one bit off is another colour matrix
-    assert scalar_color_factor(stripe_op(1, np.diag([z, z * (1 + 2**-52)]))) is None
-    op = shift_op(2) + finite_op({(3, 1): np.array([[0, 1], [0, 0]])}, 2)
-    assert scalar_color_factor(op) is None
 
 
 # ------------------------------------------------------------- validation
