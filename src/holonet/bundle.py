@@ -33,27 +33,22 @@ from .homotopy import (
 )
 from .linalg import dagger, joint_fixed_space, opnorm
 from .operators import (
-    coherence_defect,
+    coherence_residual,
+    compose,
     evaluate_word_ops,
-    intertwining_defect,
-    involution_defect,
+    intertwining_residual,
+    involution_residual,
     require_generators,
     require_relators,
     require_unitary,
-    selfadjoint_defect,
+    residual_defects,
+    selfadjoint_residual,
     transport_step,
     unitarity_defect,
+    unitarity_residual,
 )
-from .poset import (
-    Path,
-    Poset,
-    check_simplex,
-    compose_paths,
-    edge_simplex,
-    make_path,
-    opposite_path,
-)
-from .reports import CHECK_TOL, CONSTRUCTION_TOL, ValidationReport
+from .poset import Path, Poset, check_simplex, edge_simplex
+from .reports import CHECK_TOL, CONSTRUCTION_TOL, ValidationReport, relation_memo
 
 Edge = tuple[str, str]
 
@@ -126,29 +121,31 @@ def validate_bundle(b: HilbertNetBundle | CStarNetBundle,
             rep.add("inclusion-coverage", f"{e}", float("inf"), tol)
 
     if isinstance(b, HilbertNetBundle):
+        relate, measure = relation_memo(rep)
         for e, u in sorted(b.incl.items()):
             if u.shape != (b.dim, b.dim):
                 rep.add("inclusion-shape", f"{e}", float("inf"), tol)
                 continue
-            rep.add("inclusion-unitarity", f"{e}", unitarity_defect(u), tol)
+            relate("inclusion-unitarity", f"{e}", tol, unitarity_residual, u)
         for o, o1, o2 in poset.two_chains():
             if any((x, y) not in b.incl for x, y in [(o, o2), (o1, o2), (o, o1)]):
                 continue
-            d = coherence_defect(b.u(o, o2), b.u(o1, o2), b.u(o, o1))
-            rep.add("chain-coherence", f"{o}<{o1}<{o2}", d, tol)
+            relate("chain-coherence", f"{o}<{o1}<{o2}", tol, coherence_residual,
+                   b.u(o, o2), b.u(o1, o2), b.u(o, o1))
         if b.grading is not None:
             for o in poset.elements:
                 if o not in b.grading:
                     rep.add("grading-coverage", o, float("inf"), tol)
                     continue
                 g = b.grading[o]
-                rep.add("grading-involution", o, involution_defect(g), tol)
-                rep.add("grading-selfadjoint", o, selfadjoint_defect(g), tol)
+                relate("grading-involution", o, tol, involution_residual, g)
+                relate("grading-selfadjoint", o, tol, selfadjoint_residual, g)
             for o, o1 in sorted(pairs):
                 if (o, o1) not in b.incl or o not in (b.grading or {}) or o1 not in b.grading:
                     continue
-                d = intertwining_defect(b.u(o, o1), b.grading[o], b.grading[o1])
-                rep.add("grading-transport", f"{o}<{o1}", d, tol)
+                relate("grading-transport", f"{o}<{o1}", tol, intertwining_residual,
+                       b.u(o, o1), b.grading[o], b.grading[o1])
+        measure()
     else:
         for e, iso in sorted(b.incl.items()):
             if iso.sizes != b.sizes:
@@ -166,19 +163,9 @@ def validate_bundle(b: HilbertNetBundle | CStarNetBundle,
 
 
 def evaluate_path(x, p: Path):
-    """Evaluate edge operators along a path.
-
-    `x` is anything holding edge operators: a Hilbert or C* net bundle,
-    or a sampled representation (`fredholm.SampledRep`); each answers
-    `x.u(o, o1)` and `x.ident`.  Every segment is checked against the
-    poset, then contributes one transport step (up into the support,
-    then down to the other face); segments compose in traversal order.
-    Returns a unitary, a ShiftOp or a StarIso, like the edge operators.
-    Products with the identity object x.ident are skipped (see
-    `operators.transport_step`), so a path of identity edges evaluates
-    to x.ident itself and a path with one non-identity edge to that
-    edge operator itself or its adjoint.
-    """
+    """Evaluate the edge operators `x.u` of a bundle or a `SampledRep`
+    along a path: one `transport_step` per segment, in traversal order,
+    after checking every segment against the poset."""
     for s in p.simplices:
         check_simplex(x.poset, s)
     out = x.ident
@@ -187,17 +174,28 @@ def evaluate_path(x, p: Path):
     return out
 
 
-def edge_loop_path(poset: Poset, frame: PathFrame, o: str, o1: str) -> Path:
-    """The loop frame(o1)^-1 * (hop o -> o1) * frame(o) at the frame base."""
-    hop = make_path(poset, [edge_simplex(poset, o, o1)])
-    out = compose_paths(poset, hop, frame.to(o))
-    return compose_paths(poset, opposite_path(frame.to(o1)), out)
-
-
 def holonomy_images(x, pres: GroupPresentation, frame: PathFrame) -> dict:
-    """Generator index -> evaluation of its edge loop at the frame base."""
-    return {idx: evaluate_path(x, edge_loop_path(x.poset, frame, e[0], e[1]))
-            for e, idx in pres.gen_index.items()}
+    """Generator index -> evaluation of its edge loop at the frame base.
+
+    The loop of (o, o1) is frame.to(o), the hop o -> o1, then frame.to(o1)
+    backwards.  It is read off the frame transports: the transport to o,
+    the hop, then the reversed segments of frame.to(o1), whose operators
+    (their steps from x.ident) are formed once per element.  These are
+    the products `evaluate_path` takes on the loop, in the same order, so
+    the bits are the same; no path is built, and each hop is checked once."""
+    step = partial(transport_step, x)
+    t = frame_transports(x.poset, frame, x.ident, step)
+    back: dict[str, list] = {}
+    out = {}
+    for (o, o1), idx in pres.gen_index.items():
+        if o1 not in back:
+            back[o1] = [step(x.ident, s.opposite)
+                        for s in reversed(frame.to(o1).simplices)]
+        v = step(t[o], edge_simplex(x.poset, o, o1))
+        for op in back[o1]:
+            v = compose(op, v, x.ident)
+        out[idx] = v
+    return out
 
 
 def holonomy_rep(b: HilbertNetBundle | CStarNetBundle, pres: GroupPresentation,
@@ -324,10 +322,9 @@ def roundtrip_iso(b: HilbertNetBundle, pres: GroupPresentation,
     t_rebuilt = frame_transports(b.poset, frame, rebuilt.ident,
                                  partial(transport_step, rebuilt))
     inter = {o: t[o] @ dagger(t_rebuilt[o]) for o in b.poset.elements}
-    worst = 0.0
-    for o, o1 in b.poset.strict_pairs():
-        worst = max(worst, opnorm(inter[o1] @ rebuilt.u(o, o1) - b.u(o, o1) @ inter[o]))
-    return RoundTrip(rebuilt, inter, worst)
+    defects = residual_defects([inter[o1] @ rebuilt.u(o, o1) - b.u(o, o1) @ inter[o]
+                                for o, o1 in b.poset.strict_pairs()])
+    return RoundTrip(rebuilt, inter, max([0.0, *defects.tolist()]))
 
 
 def hilbert_section_dimension_oracle(b: HilbertNetBundle, pres: GroupPresentation,

@@ -24,10 +24,6 @@ class UnknownElement(HolonetError):
     pass
 
 
-class EndpointMismatch(HolonetError):
-    pass
-
-
 class PathOutsidePoset(HolonetError):
     pass
 

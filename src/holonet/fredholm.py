@@ -35,28 +35,29 @@ from .homotopy import (
     edge_loop_word,
     frame_transports,
 )
-from .linalg import dagger, null_space, opnorm
+from .linalg import dagger, first_over, null_space, opnorm
 from .operators import (
     adj,
-    anticommutator_defect,
-    coherence_defect,
+    anticommutator_residual,
+    coherence_residual,
     commutator,
     commutator_compact_defect,
-    commutator_defect,
     compact_defect,
     conjugate,
     evaluate_word_ops,
     identity_like,
-    intertwining_defect,
-    involution_defect,
+    intertwining_residual,
+    involution_residual,
     is_exactly_zero,
     require_generators,
     require_relators,
     require_unitary,
+    residual_defects,
     selfadjoint_defect,
+    selfadjoint_residual,
     square_compact_defect,
     transport_step,
-    unitarity_defect,
+    unitarity_residual,
     zero_defect,
 )
 from .poset import Poset
@@ -161,17 +162,6 @@ class LocalizedModule:
     parity: str
 
 
-def _check_grading_at(rep_out: ValidationReport, defect, g, f, samples: dict,
-                      where: str, tol: float) -> None:
-    rep_out.add("grading-selfadjoint", where, defect(selfadjoint_defect, g), tol)
-    rep_out.add("grading-involution", where, defect(involution_defect, g), tol)
-    rep_out.add("grading-anticommutes", where,
-                defect(anticommutator_defect, g, f), tol)
-    for label, t in sorted(samples.items()):
-        rep_out.add("grading-commutes-with-samples", f"{where}:{label}",
-                    defect(commutator_defect, g, t), tol)
-
-
 def validate_module(m: FredholmModule, tol: float = CHECK_TOL) -> ValidationReport:
     """Defect report for every module relation, per fiber and per edge.
 
@@ -185,26 +175,25 @@ def validate_module(m: FredholmModule, tol: float = CHECK_TOL) -> ValidationRepo
     reported at each of those locations.
     """
     out = ValidationReport()
-    defect = relation_memo()
+    relate, measure = relation_memo(out)
     rep = m.rep
     for o in rep.poset.elements:
         if o not in m.F:
             out.add("F-coverage", o, float("inf"), tol)
             continue
         f = m.F[o]
-        out.add("F-selfadjoint", o, defect(selfadjoint_defect, f), tol)
-        out.add("F-square-compact", o, defect(square_compact_defect, f),
-                COMPACT_TOL)
+        relate("F-selfadjoint", o, tol, selfadjoint_residual, f)
+        relate("F-square-compact", o, COMPACT_TOL, square_compact_defect, f)
         for label, t in sorted(rep.samples.get(o, {}).items()):
-            out.add("F-commutes-with-samples", f"{o}:{label}",
-                    defect(commutator_compact_defect, f, t), COMPACT_TOL)
+            relate("F-commutes-with-samples", f"{o}:{label}", COMPACT_TOL,
+                   commutator_compact_defect, f, t)
     for e in sorted(rep.u_incl):
         o, o1 = e
         u = rep.u_incl[e]
-        out.add("edge-unitarity", f"{e}", defect(unitarity_defect, u), tol)
+        relate("edge-unitarity", f"{e}", tol, unitarity_residual, u)
         if o in m.F and o1 in m.F:
-            out.add("F-transport", f"{e}",
-                    defect(intertwining_defect, u, m.F[o], m.F[o1]), tol)
+            relate("F-transport", f"{e}", tol, intertwining_residual,
+                   u, m.F[o], m.F[o1])
         for label, t in sorted(rep.samples.get(o, {}).items()):
             if rep.transported is not None:
                 target = rep.transported.get((e, label))
@@ -214,14 +203,12 @@ def validate_module(m: FredholmModule, tol: float = CHECK_TOL) -> ValidationRepo
                 out.add("sample-covariance", f"{e}:{label}",
                         float("inf"), tol)
                 continue
-            out.add("sample-covariance", f"{e}:{label}",
-                    defect(intertwining_defect, u, t, target), tol)
+            relate("sample-covariance", f"{e}:{label}", tol,
+                   intertwining_residual, u, t, target)
     for o, o1, o2 in rep.poset.two_chains():
         if all((x, y) in rep.u_incl for x, y in [(o, o2), (o1, o2), (o, o1)]):
-            out.add("chain-coherence", f"{o}<{o1}<{o2}",
-                    defect(coherence_defect, rep.u(o, o2), rep.u(o1, o2),
-                           rep.u(o, o1)),
-                    tol)
+            relate("chain-coherence", f"{o}<{o1}<{o2}", tol, coherence_residual,
+                   rep.u(o, o2), rep.u(o1, o2), rep.u(o, o1))
     if m.parity == "even":
         if rep.grading is None:
             out.add("grading-coverage", "-", float("inf"), tol)
@@ -230,18 +217,23 @@ def validate_module(m: FredholmModule, tol: float = CHECK_TOL) -> ValidationRepo
                 if o not in rep.grading:
                     out.add("grading-coverage", o, float("inf"), tol)
                     continue
-                if o in m.F:
-                    _check_grading_at(out, defect, rep.grading[o], m.F[o],
-                                      rep.samples.get(o, {}), o, tol)
+                if o not in m.F:
+                    continue
+                g = rep.grading[o]
+                relate("grading-selfadjoint", o, tol, selfadjoint_residual, g)
+                relate("grading-involution", o, tol, involution_residual, g)
+                relate("grading-anticommutes", o, tol, anticommutator_residual, g, m.F[o])
+                for label, t in sorted(rep.samples.get(o, {}).items()):
+                    relate("grading-commutes-with-samples", f"{o}:{label}", tol,
+                           commutator, g, t)
             for e in sorted(rep.u_incl):
                 o, o1 = e
                 if o in (rep.grading or {}) and o1 in rep.grading:
-                    out.add("grading-transport", f"{e}",
-                            defect(intertwining_defect, rep.u_incl[e],
-                                   rep.grading[o], rep.grading[o1]),
-                            tol)
+                    relate("grading-transport", f"{e}", tol, intertwining_residual,
+                           rep.u_incl[e], rep.grading[o], rep.grading[o1])
     elif rep.grading is not None:
         out.add("parity-grading", "-", float("inf"), tol)
+    measure()
     return out
 
 
@@ -281,7 +273,7 @@ def extend_localized(loc: LocalizedModule) -> FredholmModule | ExtensionObstruct
     rep = loc.rep
     for g, w in sorted(_loop_images_at(rep, loc.at).items()):
         d = zero_defect(conjugate(w, loc.f, rep.ident) - loc.f)
-        if d > INDEX_TOL:
+        if not d <= INDEX_TOL:
             return ExtensionObstruction(g, d)
     t = frame_transports(rep.poset, rep.frame, rep.ident,
                          partial(transport_step, rep))
@@ -352,18 +344,18 @@ def from_cycle(samples: dict[str, object], v_images: dict[int, object],
         ]
         for name, x in checks:
             d = compact_defect(x)
-            if d > COMPACT_TOL:
+            if not d <= COMPACT_TOL:
                 raise RelationDefect(
                     f"{name} relation fails on {label!r}: defect {d:.3e}")
     if parity == "even":
         if grading is None:
             raise RelationDefect("even cycle needs a grading")
-        d = max([selfadjoint_defect(grading), involution_defect(grading),
-                 anticommutator_defect(grading, phi)]
-                + [commutator_defect(grading, x)
-                   for x in (*v_images.values(), *samples.values())])
-        if d > tol:
-            raise RelationDefect(f"grading relations fail: defect {d:.3e}")
+        d = residual_defects(
+            [selfadjoint_residual(grading), involution_residual(grading),
+             anticommutator_residual(grading, phi)]
+            + [commutator(grading, x) for x in (*v_images.values(), *samples.values())])
+        if first_over(d, tol) is not None:
+            raise RelationDefect(f"grading relations fail: defect {d.max():.3e}")
     elif grading is not None:
         raise RelationDefect("odd cycle must not carry a grading")
     rep = flat_rep(poset, pres, frame, v_images, ident, samples,
@@ -425,7 +417,7 @@ def sample_words(pres: GroupPresentation, seed: int = 0) -> list[tuple[int, ...]
 
 def _dense_grading_split(g: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(g)
-    if np.any(np.abs(np.abs(vals) - 1.0) > tol):
+    if not np.all(np.abs(np.abs(vals) - 1.0) <= tol):
         raise FiberMismatch("grading is not a self-adjoint unitary")
     return vecs[:, vals > 0], vecs[:, vals < 0]
 
@@ -583,14 +575,14 @@ def _kernel_action(kernel: np.ndarray, side: str, leak: np.ndarray | None,
     the kernel by more than `INDEX_TOL`.  The keeping block of a shift
     image has the kernel's support sites as its first rows and may reach
     further rows, where the kernel is zero, so it is padded with zeros."""
-    if leak is not None and opnorm(leak @ kernel) > INDEX_TOL:
+    if leak is not None and not opnorm(leak @ kernel) <= INDEX_TOL:
         raise KernelNotInvariant(
             f"holonomy pushes the {side} kernel across the grading")
     uk = stay @ kernel
     pad = np.zeros((stay.shape[0] - kernel.shape[0], kernel.shape[1]))
     k_pad = np.vstack([kernel, pad])
     m = dagger(k_pad) @ uk
-    if opnorm(uk - k_pad @ m) > INDEX_TOL:
+    if not opnorm(uk - k_pad @ m) <= INDEX_TOL:
         raise KernelNotInvariant(f"holonomy does not preserve the {side} kernel")
     return m
 
@@ -814,7 +806,7 @@ def build_sector_module(poset: Poset, pres: GroupPresentation,
         if m.shape != (total, total):
             raise FiberMismatch(f"generator {g} image has shape {m.shape}")
         leak = opnorm(np.where(mask, m, 0.0))
-        if leak > tol:
+        if not leak <= tol:
             raise CentralityViolated(
                 f"generator {g} image leaks across sectors ({leak:.3e})")
     require_unitary_rep(pres, rho_images, total, tol)
@@ -856,6 +848,6 @@ def bounded_transform(d: np.ndarray) -> np.ndarray:
     d = np.asarray(d, dtype=complex)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NotSelfAdjoint("need a square matrix")
-    if selfadjoint_defect(d) > CHECK_TOL:
+    if not selfadjoint_defect(d) <= CHECK_TOL:
         raise NotSelfAdjoint("matrix is not self-adjoint")
     return np.linalg.solve(np.eye(d.shape[0], dtype=complex) + d @ d, d)

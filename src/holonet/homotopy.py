@@ -9,6 +9,7 @@ of loops are represented as freely reduced words in the generators.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,12 +49,6 @@ class Word:
     @property
     def is_empty(self) -> bool:
         return not self.letters
-
-    def cyclically_reduced(self) -> "Word":
-        ls = list(self.letters)
-        while len(ls) >= 2 and ls[0] == -ls[-1]:
-            ls = ls[1:-1]
-        return Word(tuple(ls))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -315,63 +310,72 @@ def abelianization_rank(pres: GroupPresentation) -> int:
     return len(pres.generators) - len(smith_diagonal(relator_exponent_matrix(pres)))
 
 
+def _cyclically_reduced(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """A freely reduced word with its cancelling end letters stripped."""
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i, j = i + 1, j - 1
+    return letters[i:j + 1]
+
+
+def _single_position(letters: tuple[int, ...]) -> int | None:
+    """Position of the first letter whose generator occurs only there."""
+    counts = Counter(map(abs, letters))
+    return next((k for k, l in enumerate(letters) if counts[abs(l)] == 1), None)
+
+
 def simplify_presentation(pres: GroupPresentation) -> tuple[GroupPresentation, str]:
     """Tietze-style simplification with a three-valued triviality verdict.
 
-    Eliminates generators occurring exactly once in some relator, drops
-    empty relators, and settles the verdict ("Trivial", "Nontrivial",
-    "Unknown") via the abelianization when generators remain.
+    Takes the first relator, in presentation order, in which a generator
+    occurs once, solves it for the first such generator, substitutes that
+    into the other relators and drops both (Magnus-Karrass-Solitar,
+    Combinatorial Group Theory, 1.5); empty relators are dropped.
+    Relators are cyclically reduced letter tuples.  A worklist of the
+    relators with a single-occurrence generator, and an index from each
+    generator to the relators holding it, confine an elimination to the
+    relators it rewrites.  The verdict ("Trivial", "Nontrivial",
+    "Unknown") is settled via the abelianization when generators remain.
     """
-    gens = list(pres.generators)
-    relators = [r.cyclically_reduced() for r in pres.relators if not r.is_empty]
+    rels = {i: _cyclically_reduced(r.letters) for i, r in enumerate(pres.relators)
+            if r.letters}
+    occurs: dict[int, set[int]] = {g: set() for g in range(1, len(pres.generators) + 1)}
+    for i, ls in rels.items():
+        for l in ls:
+            occurs[abs(l)].add(i)
+    queue = {i: k for i, ls in rels.items() if (k := _single_position(ls)) is not None}
+    while queue:
+        ri = min(queue)
+        ls, k = rels.pop(ri), queue.pop(ri)
+        # head * rest = 1 with head the single occurrence of g: g = rest^-1
+        head, rest = ls[k], ls[k + 1:] + ls[:k]
+        g = abs(head)
+        repl = tuple(-x for x in reversed(rest)) if head > 0 else rest
+        inv = tuple(-x for x in reversed(repl))
+        for l in ls:
+            occurs[abs(l)].discard(ri)
+        for j in occurs.pop(g):
+            old = rels.pop(j)
+            queue.pop(j, None)
+            for h in {abs(l) for l in old} - {g}:
+                occurs[h].discard(j)
+            out: list[int] = []
+            for l in old:
+                out.extend(repl if l == g else inv if l == -g else (l,))
+            new = _cyclically_reduced(_free_reduce(tuple(out)))
+            if new:
+                rels[j] = new
+                for l in new:
+                    occurs[abs(l)].add(j)
+                if (k := _single_position(new)) is not None:
+                    queue[j] = k
 
-    def substitute(word: Word, g: int, repl: tuple[int, ...]) -> Word:
-        out: list[int] = []
-        for l in word.letters:
-            if l == g:
-                out.extend(repl)
-            elif l == -g:
-                out.extend(-x for x in reversed(repl))
-            else:
-                out.append(l)
-        return Word(tuple(out))
-
-    changed = True
-    alive = {i + 1 for i in range(len(gens))}
-    while changed:
-        changed = False
-        relators = [r.cyclically_reduced() for r in relators if not r.is_empty]
-        for ri, r in enumerate(relators):
-            counts: dict[int, int] = {}
-            for l in r.letters:
-                counts[abs(l)] = counts.get(abs(l), 0) + 1
-            single = next((g for g, c in counts.items() if c == 1 and g in alive), None)
-            if single is None:
-                continue
-            # rotate the single occurrence to the front and solve for it
-            ls = list(r.letters)
-            k = next(i for i, l in enumerate(ls) if abs(l) == single)
-            ls = ls[k:] + ls[:k]
-            head, rest = ls[0], tuple(ls[1:])
-            # head * rest = 1  =>  head = rest^-1
-            repl = tuple(-x for x in reversed(rest)) if head > 0 else rest
-            # repl expresses g = single (positive letter) in the others
-            alive.discard(single)
-            new_rel = []
-            for j, other in enumerate(relators):
-                if j == ri:
-                    continue
-                new_rel.append(substitute(other, single, repl).cyclically_reduced())
-            relators = [w for w in new_rel if not w.is_empty]
-            changed = True
-            break
-
-    kept = sorted(alive)
+    kept = sorted(occurs)
     remap = {g: i + 1 for i, g in enumerate(kept)}
     new_gens = tuple(pres.generators[g - 1] for g in kept)
     new_relators = tuple(
-        Word(tuple((1 if l > 0 else -1) * remap[abs(l)] for l in r.letters))
-        for r in relators
+        Word(tuple((1 if l > 0 else -1) * remap[abs(l)] for l in rels[i]))
+        for i in sorted(rels)
     )
     out = GroupPresentation(pres.base, new_gens, new_relators, pres.tree_edges)
 

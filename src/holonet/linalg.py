@@ -84,7 +84,7 @@ def eigenphase_multiset_match(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
     for z in lu:
         dists = [abs(z - w) for w in lv]
         j = int(np.argmin(dists))
-        if dists[j] > tol:
+        if not dists[j] <= tol:
             return False
         lv.pop(j)
     return True

@@ -59,47 +59,71 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-# Relation defects.  Each is a pure function of its operands, so a
-# validator may evaluate it once per distinct tuple of operand objects
-# (see `reports.relation_memo`).
+# Relations, each written once as a residual: a pure function of its
+# operands, zero exactly when the relation holds.  Its defect is the norm
+# of the residual, alone (`zero_defect`) or in a stack (`residual_defects`).
+
+def selfadjoint_residual(x):
+    return x - adj(x)
+
+
+def unitarity_residual(u):
+    return adj(u) @ u - identity_like(u)
+
+
+def involution_residual(g):
+    return g @ g - identity_like(g)
+
+
+def anticommutator_residual(a, b):
+    return a @ b + b @ a
+
+
+def intertwining_residual(u, a, b):
+    """Residual of u a = b u: u carries a to b."""
+    return u @ a - b @ u
+
+
+def coherence_residual(u02, u12, u01):
+    """Residual of u02 = u12 u01 along a 2-chain."""
+    return u02 - u12 @ u01
+
 
 def selfadjoint_defect(x) -> float:
-    return zero_defect(x - adj(x))
+    return zero_defect(selfadjoint_residual(x))
 
 
 def unitarity_defect(u) -> float:
-    return zero_defect(adj(u) @ u - identity_like(u))
-
-
-def involution_defect(g) -> float:
-    return zero_defect(g @ g - identity_like(g))
+    return zero_defect(unitarity_residual(u))
 
 
 def square_compact_defect(f) -> float:
     """How far f squared is from the identity, modulo compacts."""
-    return compact_defect(f @ f - identity_like(f))
-
-
-def commutator_defect(a, b) -> float:
-    return zero_defect(commutator(a, b))
+    return compact_defect(involution_residual(f))
 
 
 def commutator_compact_defect(a, b) -> float:
     return compact_defect(commutator(a, b))
 
 
-def anticommutator_defect(a, b) -> float:
-    return zero_defect(a @ b + b @ a)
-
-
-def intertwining_defect(u, a, b) -> float:
-    """Defect of u a = b u: u carries a to b."""
-    return zero_defect(u @ a - b @ u)
-
-
-def coherence_defect(u02, u12, u01) -> float:
-    """Defect of u02 = u12 u01 along a 2-chain."""
-    return zero_defect(u02 - u12 @ u01)
+def residual_defects(residuals: list) -> np.ndarray:
+    """The defect of each residual, bitwise as measured one by one: a
+    matrix's norm, a stack's largest norm, a ShiftOp's `zero_defect`; a
+    float is a defect measured already.  Dense residuals of one dtype and
+    matrix shape are measured in one `opnorms` call."""
+    out = [r if isinstance(r, (float, np.ndarray)) else zero_defect(r) for r in residuals]
+    groups: dict = {}
+    for i, r in enumerate(residuals):
+        if isinstance(r, np.ndarray):
+            groups.setdefault((r.dtype, r.shape[-2:]), []).append(i)
+    for (_, shape), idx in groups.items():
+        norms = opnorms(np.concatenate([residuals[i].reshape((-1,) + shape) for i in idx]))
+        k = 0
+        for i in idx:
+            n = len(residuals[i]) if residuals[i].ndim == 3 else None
+            out[i] = norms[k] if n is None else norms[k:k + n].max(initial=0.0)
+            k += 1 if n is None else n
+    return np.array(out, dtype=float)
 
 
 def is_exactly_zero(x) -> bool:
@@ -147,10 +171,11 @@ def evaluate_word_ops(letters, images: dict, ident):
 def require_unitary(images: dict, tol: float, error) -> None:
     """Raise `error` on the first generator image, in generator order,
     whose unitarity defect is not within `tol`."""
-    for g, v in sorted(images.items()):
-        d = unitarity_defect(v)
-        if not d <= tol:
-            raise error(f"generator {g} image is not unitary ({d:.3e})")
+    gens = sorted(images)
+    defects = residual_defects([unitarity_residual(images[g]) for g in gens])
+    k = first_over(defects, tol)
+    if k is not None:
+        raise error(f"generator {gens[k]} image is not unitary ({defects[k]:.3e})")
 
 
 def relator_defects(pres, images: dict, ident) -> np.ndarray:
@@ -187,7 +212,8 @@ def transport_step(x, t, s):
     Evaluated as (adj(down) @ up) @ t, skipping each product with the
     carrier's identity object x.ident: one face of a hop is its support,
     where x.u is x.ident, and on a flat carrier every tree edge is
-    x.ident, so a frame transport there is x.ident itself."""
+    x.ident, so a frame transport there is x.ident itself.  From
+    t = x.ident, the step is the segment's operator itself."""
     ident = x.ident
     down = x.u(s.face0, s.support)
     up = x.u(s.face1, s.support)

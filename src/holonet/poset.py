@@ -2,8 +2,8 @@
 
 A 1-simplex b = (|b|; d0(b), d1(b)) is a segment from the element d1(b)
 to the element d0(b) travelling inside the support |b|, where both faces
-lie below the support.  A path is a chain of 1-simplices, written and
-composed so that the rightmost factor is traversed first.
+lie below the support.  A path is a chain of 1-simplices, traversed
+first to last.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from itertools import combinations
 from .errors import (
     CycleInOrder,
     DuplicateElement,
-    EndpointMismatch,
     NotComparable,
     PathOutsidePoset,
     UnknownElement,
@@ -148,40 +147,6 @@ class Path:
 
     def __str__(self) -> str:
         return f"path {self.start} -> {self.end} ({len(self)} segments)"
-
-
-def make_path(poset: Poset, simplices: list[OneSimplex], at: str | None = None) -> Path:
-    """Assemble a path, validating supports and endpoint chaining.
-
-    An empty simplex list needs `at` to fix the (stationary) basepoint.
-    """
-    if not simplices:
-        if at is None:
-            raise EndpointMismatch("empty path needs an explicit basepoint")
-        poset.require(at)
-        return Path((), at, at)
-    for b in simplices:
-        check_simplex(poset, b)
-    for b, c in zip(simplices, simplices[1:]):
-        if b.face0 != c.face1:
-            raise EndpointMismatch(f"segments {b} and {c} do not chain")
-    p = Path(tuple(simplices), simplices[0].face1, simplices[-1].face0)
-    if at is not None and p.start != at:
-        raise EndpointMismatch(f"path starts at {p.start!r}, expected {at!r}")
-    return p
-
-
-def opposite_path(p: Path) -> Path:
-    return Path(tuple(b.opposite for b in reversed(p.simplices)), p.end, p.start)
-
-
-def compose_paths(poset: Poset, p: Path, q: Path) -> Path:
-    """The composite p * q: q is traversed first, then p."""
-    if q.end != p.start:
-        raise EndpointMismatch(
-            f"cannot compose: first factor ends at {q.end!r}, second starts at {p.start!r}"
-        )
-    return make_path(poset, list(q.simplices) + list(p.simplices), at=q.start)
 
 
 def comparability_adjacency(poset: Poset) -> dict[str, list[str]]:

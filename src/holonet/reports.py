@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .operators import residual_defects
+
 # Every threshold of the package.  A function takes a `tol` parameter
 # only where some caller passes one; the CLI passes its --tolerance
 # (default CHECK_TOL) there and never changes the other constants.
@@ -16,26 +18,6 @@ INDEX_TOL = 1e-9  # holonomy invariance: extension, index kernels, characters
 DENSE_KERNEL_TOL = 1e-8  # singular values at or below this span a kernel
 SPAN_TOL = 1e-9  # relative singular value of a product that adds to a span
 PHASE_TOL = 1e-9  # turns between a recovered and a declared eigenphase
-
-
-def relation_memo():
-    """A per-call memo of relation defects keyed on operand identity.
-
-    `defect(check, *ops)` returns `check(*ops)`, evaluated once for each
-    distinct tuple of operand objects and reused afterwards.  Keys hold
-    the `id` of each operand, so the memo must not outlive them: make one
-    per validator call, over operands that the validated object keeps
-    alive, and never pass a temporary.
-    """
-    seen: dict = {}
-
-    def defect(check, *ops) -> float:
-        key = (check, *map(id, ops))
-        if key not in seen:
-            seen[key] = check(*ops)
-        return seen[key]
-
-    return defect
 
 
 @dataclass
@@ -79,3 +61,34 @@ class ValidationReport:
             return f"valid ({len(self.entries)} checks, max defect {self.max_defect:.3e})"
         lines = [str(e) for e in self.violations]
         return "\n".join([f"INVALID ({len(self.violations)} violations)"] + lines)
+
+
+def relation_memo(report: ValidationReport):
+    """A per-call memo of relation residuals keyed on operand identity.
+
+    Returns `(relate, measure)`.  `relate(check, location, tolerance,
+    residual, *ops)` appends an entry to `report` for `residual(*ops)`,
+    computed once per distinct tuple of operand objects.  `measure()`
+    measures every residual at once (`operators.residual_defects`) and
+    writes the defects in; until then the entries read NaN, which no
+    tolerance passes.  Keys hold the `id` of each operand: make one memo
+    per validator call, over operands it keeps alive, never a temporary.
+    """
+    slots: dict = {}
+    residuals: list = []
+    pending: list[tuple[CheckEntry, int]] = []
+
+    def relate(check: str, location: str, tolerance: float, residual, *ops) -> None:
+        key = (residual, *map(id, ops))
+        if key not in slots:
+            slots[key] = len(residuals)
+            residuals.append(residual(*ops))
+        report.entries.append(CheckEntry(check, location, float("nan"), tolerance))
+        pending.append((report.entries[-1], slots[key]))
+
+    def measure() -> None:
+        defects = residual_defects(residuals).tolist()
+        for entry, slot in pending:
+            entry.defect = defects[slot]
+
+    return relate, measure

@@ -19,7 +19,8 @@ from .bundle import CStarNetBundle, HilbertNetBundle, holonomy_images, holonomy_
 from .cstar import BlockElement, StarIso, apply_iso, basis_stack, block_diag
 from .errors import FiberMismatch, InvalidRepresentation, NotANetBundle
 from .homotopy import GroupPresentation, PathFrame
-from .linalg import dagger, first_over, opnorms
+from .linalg import dagger, first_over
+from .operators import residual_defects
 from .poset import Poset
 from .reports import CHECK_TOL, ValidationReport
 
@@ -153,11 +154,12 @@ def validate_representation(r: NetRepresentation,
         return rep
     basis = {o: basis_stack(r.net.fibers[o]) for o in r.net.poset.elements}
     images = {o: r.pi_matrix(o, t) for o, t in basis.items()}
-    for o, o1 in sorted(r.net.poset.strict_pairs()):
-        u = r.target.u(o, o1)
-        rhs = r.pi_matrix(o1, apply_hom(r.net.hom(o, o1), basis[o]))
-        rep.add("morphism", f"{o}<{o1}",
-                opnorms(u @ images[o] @ dagger(u) - rhs).max(initial=0.0), tol)
+    pairs = sorted(r.net.poset.strict_pairs())
+    residuals = [r.target.u(o, o1) @ images[o] @ dagger(r.target.u(o, o1))
+                 - r.pi_matrix(o1, apply_hom(r.net.hom(o, o1), basis[o]))
+                 for o, o1 in pairs]
+    for (o, o1), d in zip(pairs, residual_defects(residuals).tolist()):
+        rep.add("morphism", f"{o}<{o1}", d, tol)
     return rep
 
 
@@ -184,11 +186,13 @@ def covariantize(r: NetRepresentation, pres: GroupPresentation,
     pi_base = r.pi[pres.base]
     t = basis_stack(r.net.fibers[pres.base])
     pi_t = apply_hom(pi_base, t)[0]
-    for idx, act in holonomy_images(cb, pres, frame).items():
-        u = images[idx]
-        d = opnorms(apply_hom(pi_base, apply_iso(act, t))[0] - u @ pi_t @ dagger(u))
-        k = first_over(d, CHECK_TOL)
-        if k is not None:
-            raise InvalidRepresentation(
-                f"covariance fails on generator {idx} (defect {d[k]:.3e})")
+    acts = holonomy_images(cb, pres, frame)
+    residuals = [apply_hom(pi_base, apply_iso(act, t))[0]
+                 - images[idx] @ pi_t @ dagger(images[idx])
+                 for idx, act in acts.items()]
+    d = residual_defects([m for stack in residuals for m in stack])
+    k = first_over(d, CHECK_TOL)
+    if k is not None:
+        raise InvalidRepresentation(f"covariance fails on generator "
+                                    f"{list(acts)[k // len(pi_t)]} (defect {d[k]:.3e})")
     return pi_base, images

@@ -26,10 +26,11 @@ from .homotopy import GroupPresentation, PathFrame
 from .linalg import opnorms
 from .operators import (
     adj,
-    anticommutator_defect,
-    intertwining_defect,
+    anticommutator_residual,
+    intertwining_residual,
     require_generators,
     selfadjoint_defect,
+    selfadjoint_residual,
 )
 from .poset import Poset
 from .reports import CHECK_TOL, ValidationReport, relation_memo
@@ -63,13 +64,10 @@ def superderivation(d: np.ndarray, grading: np.ndarray, t) -> np.ndarray:
     return d @ t - grading @ t @ grading @ d
 
 
-def _superderivation_covariance_defect(u, d, d1, g, g1) -> float:
-    """Worst covariance defect of the superderivation over the matrix-unit
-    basis of the source fiber, all units in one stack."""
-    (units,) = basis_stack((d.shape[0],))
-    lhs = superderivation(d1, g1, u @ units @ adj(u))
-    rhs = u @ superderivation(d, g, units) @ adj(u)
-    return float(opnorms(lhs - rhs).max(initial=0.0))
+def _superderivation_covariance_residual(u, d1, g1, units, delta) -> np.ndarray:
+    """Superderivation covariance on the matrix units of the source
+    fiber, one residual per unit; delta = superderivation(d, g, units)."""
+    return superderivation(d1, g1, u @ units @ adj(u)) - u @ delta @ adj(u)
 
 
 def validate_triple(t: NetSpectralTriple, tol: float = CHECK_TOL) -> ValidationReport:
@@ -81,37 +79,42 @@ def validate_triple(t: NetSpectralTriple, tol: float = CHECK_TOL) -> ValidationR
 
     A relation whose operands are the very same objects at several
     locations (one D and grading shared by every fiber, the one identity
-    on every tree edge) is evaluated once and reported at each of them.
+    on every tree edge) is evaluated once and reported at each of them,
+    and the superderivation of the units once per (D, grading) pair.
     """
     rep = t.rep
     report = ValidationReport()
-    defect = relation_memo()
+    relate, measure = relation_memo(report)
     for o in sorted(rep.poset.elements):
         d = t.D.get(o)
         if d is None:
             report.add("D-coverage", o, float("inf"), tol)
             continue
-        report.add("D-selfadjoint", o, defect(selfadjoint_defect, d), tol)
+        relate("D-selfadjoint", o, tol, selfadjoint_residual, d)
         g = (rep.grading or {}).get(o)
         if g is None:
             report.add("grading-coverage", o, float("inf"), tol)
         else:
-            report.add("D-odd", o, defect(anticommutator_defect, g, d), tol)
+            relate("D-odd", o, tol, anticommutator_residual, g, d)
+    deltas: dict = {}
     for e in sorted(rep.poset.strict_pairs()):
         o, o1 = e
         d, d1 = t.D.get(o), t.D.get(o1)
         if d is None or d1 is None:
             continue
         u = rep.u(o, o1)
-        report.add("D-transport", f"{o}<{o1}",
-                   defect(intertwining_defect, u, d, d1), tol)
+        relate("D-transport", f"{o}<{o1}", tol, intertwining_residual, u, d, d1)
         g = (rep.grading or {}).get(o)
         g1 = (rep.grading or {}).get(o1)
         if g is None or g1 is None:
             continue
-        report.add("superderivation-covariance", f"{o}<{o1}",
-                   defect(_superderivation_covariance_defect, u, d, d1, g, g1),
-                   tol)
+        if (id(d), id(g)) not in deltas:
+            (units,) = basis_stack((d.shape[0],))
+            deltas[id(d), id(g)] = units, superderivation(d, g, units)
+        relate("superderivation-covariance", f"{o}<{o1}", tol,
+               _superderivation_covariance_residual, u, d1, g1,
+               *deltas[id(d), id(g)])
+    measure()
     return report
 
 
@@ -179,7 +182,7 @@ def theta_trace(d, beta: float, tol: float = CHECK_TOL) -> float:
     d = np.asarray(d, dtype=complex)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NotSelfAdjoint(f"need a square matrix, got shape {d.shape}")
-    if selfadjoint_defect(d) > tol:
+    if not selfadjoint_defect(d) <= tol:
         raise NotSelfAdjoint("operator is not self-adjoint")
     if beta <= 0:
         raise ValueError("beta must be positive")

@@ -5,7 +5,13 @@ import pytest
 
 from holonet.bundle import HilbertNetBundle, bundle_from_rep
 from holonet.cstar import StarIso, apply_iso, basis_stack, identity_iso
-from holonet.errors import FiberMismatch, NotALoopAtBase, NotCovariant, RelatorNotSatisfied
+from holonet.errors import (
+    FiberMismatch,
+    HolonetError,
+    NotALoopAtBase,
+    NotCovariant,
+    RelatorNotSatisfied,
+)
 from holonet.fredholm import VirtualRep, sample_words
 from holonet.homotopy import (
     GroupPresentation,
@@ -18,7 +24,7 @@ from holonet.homotopy import (
 )
 from holonet.linalg import dagger, first_over, opnorms
 from holonet.operators import evaluate_word_ops, require_relators
-from holonet.poset import OneSimplex, Path, Poset, compose_paths, make_path, opposite_path
+from holonet.poset import OneSimplex, Path, Poset, check_simplex, edge_simplex
 from holonet.randomgen import random_hilbert_bundle, random_poset_with_frame
 from holonet.reports import CHECK_TOL, INDEX_TOL
 from holonet.representation import BlockHom, NetOfAlgebras, NetRepresentation, apply_hom
@@ -99,6 +105,54 @@ def random_scalar_color_op(rng, d):
     blocks = {(int(rng.integers(4)), int(rng.integers(4))): scalar() * eye
               for _ in range(int(rng.integers(0, 4)))}
     return op + finite_op(blocks, d)
+
+
+# ------------------------------------------------------ path assembly
+
+class EndpointMismatch(HolonetError):
+    """Path segments, or two composed paths, do not meet."""
+
+
+def make_path(poset: Poset, simplices: list[OneSimplex], at: str | None = None) -> Path:
+    """Assemble a path, validating supports and endpoint chaining.
+
+    An empty simplex list needs `at` to fix the (stationary) basepoint.
+    """
+    if not simplices:
+        if at is None:
+            raise EndpointMismatch("empty path needs an explicit basepoint")
+        poset.require(at)
+        return Path((), at, at)
+    for b in simplices:
+        check_simplex(poset, b)
+    for b, c in zip(simplices, simplices[1:]):
+        if b.face0 != c.face1:
+            raise EndpointMismatch(f"segments {b} and {c} do not chain")
+    p = Path(tuple(simplices), simplices[0].face1, simplices[-1].face0)
+    if at is not None and p.start != at:
+        raise EndpointMismatch(f"path starts at {p.start!r}, expected {at!r}")
+    return p
+
+
+def opposite_path(p: Path) -> Path:
+    return Path(tuple(b.opposite for b in reversed(p.simplices)), p.end, p.start)
+
+
+def compose_paths(poset: Poset, p: Path, q: Path) -> Path:
+    """The composite p * q: q is traversed first, then p."""
+    if q.end != p.start:
+        raise EndpointMismatch(
+            f"cannot compose: first factor ends at {q.end!r}, second starts at {p.start!r}"
+        )
+    return make_path(poset, list(q.simplices) + list(p.simplices), at=q.start)
+
+
+def edge_loop_path(poset: Poset, frame: PathFrame, o: str, o1: str) -> Path:
+    """The loop frame(o1)^-1 * (hop o -> o1) * frame(o) at the frame base,
+    the reference for `holonomy_images`."""
+    hop = make_path(poset, [edge_simplex(poset, o, o1)])
+    out = compose_paths(poset, hop, frame.to(o))
+    return compose_paths(poset, opposite_path(frame.to(o1)), out)
 
 
 # ------------------------------------------------------ random paths and loops

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -9,9 +10,9 @@ from holonet.bundle import (
     Section,
     bundle_from_rep,
     compute_sections,
-    edge_loop_path,
     evaluate_path,
     hilbert_section_dimension_oracle,
+    holonomy_images,
     holonomy_rep,
     roundtrip_iso,
     section_defect,
@@ -33,6 +34,7 @@ from holonet.errors import (
     RelatorNotSatisfied,
     UnknownElement,
 )
+from holonet.fredholm import SampledRep, build_shift_module
 from holonet.homotopy import Word, frame_transports
 from holonet.linalg import dagger, random_unitary
 from holonet.operators import adj, evaluate_word_ops, transport_step
@@ -42,8 +44,9 @@ from holonet.randomgen import (
     random_representation,
 )
 from holonet.representation import covariantize, identity_representation
+from holonet.shift_calculus import ShiftOp, op_equal, stripe_op
 from holonet.standard import chain_poset, hexagon_poset, with_top
-from conftest import homotopic_variant, nearly_flat_bundle, pfp, random_loop
+from conftest import edge_loop_path, homotopic_variant, nearly_flat_bundle, pfp, random_loop
 
 TOL = 1e-10
 
@@ -349,6 +352,48 @@ def test_holonomy_images_follow_edge_loops(hexagon_pfp):
         loop = edge_loop_path(poset, frame, e[0], e[1])
         assert loop.start == loop.end == frame.base
         assert np.linalg.norm(images[idx] - evaluate_path(b, loop)) == 0.0
+
+
+def test_holonomy_images_match_the_edge_loop_paths_bitwise():
+    """Images read off the frame transports equal the evaluation of each
+    generator's edge loop as a path, bit for bit: on generic Hilbert and
+    C* bundles, a dense sampled representation, and the shift-class
+    representations of a shift module (flat, and gauged by a colour
+    unitary on every edge)."""
+    checked = 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed + 300)
+        poset, pres, frame = random_poset_with_frame(rng, 12)
+        if not pres.generators:
+            continue
+        sizes = (1, 1, 2)
+        u_images = random_representation(pres, 2, rng)
+        shift = build_shift_module(poset, pres, frame, u_images).rep
+        carriers = [
+            HilbertNetBundle(poset, 3, {e: random_unitary(rng, 3)
+                                        for e in poset.strict_pairs()}),
+            CStarNetBundle(poset, sizes, {
+                e: StarIso(sizes, tuple(int(k) for k in rng.permutation(2)) + (2,),
+                           tuple(random_unitary(rng, k) for k in sizes))
+                for e in poset.strict_pairs()}),
+            SampledRep(poset, pres, frame,
+                       {e: random_unitary(rng, 2) for e in poset.strict_pairs()},
+                       {}, np.eye(2, dtype=complex)),
+            shift,
+            replace(shift, u_incl={e: stripe_op(0, random_unitary(rng, 4)) @ u
+                                   for e, u in shift.u_incl.items()}),
+        ]
+        for x in carriers:
+            got = holonomy_images(x, pres, frame)
+            assert sorted(got) == sorted(pres.gen_index.values())
+            for (o, o1), idx in pres.gen_index.items():
+                want = evaluate_path(x, edge_loop_path(poset, frame, o, o1))
+                if isinstance(want, ShiftOp):
+                    assert op_equal(got[idx], want)
+                else:
+                    assert same_bits(got[idx], want)
+            checked += 1
+    assert checked >= 25
 
 
 # ---------------------------------------------------------------- sections

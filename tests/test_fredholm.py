@@ -5,14 +5,20 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import dense_window, pfp, random_scalar_color_op, rng_for, virtual_reps_match
+from conftest import (
+    dense_window,
+    edge_loop_path,
+    pfp,
+    random_scalar_color_op,
+    rng_for,
+    virtual_reps_match,
+)
 
 import holonet.bundle
 import holonet.fredholm
 from holonet.bundle import (
     HilbertNetBundle,
     compute_sections,
-    edge_loop_path,
     evaluate_path,
     holonomy_images,
     holonomy_rep,
@@ -963,6 +969,40 @@ def gauged_module(m, rng):
     return FredholmModule(rep, {o: at(o, f) for o, f in m.F.items()}, m.parity)
 
 
+def dense_cycle_module(rng):
+    """The dense module of the random-nets chain, extended from its
+    cycle: F+ maps C^2 (x) C^2 onto C^2, so the index is the holonomy."""
+    poset, pres, frame = pfp(hexagon_poset())
+    u = random_unitary(rng, 2)
+    f_plus = np.kron(np.eye(2), np.array([[1.0, 0.0]]))
+    phi = np.block([[np.zeros((4, 4)), f_plus.T],
+                    [f_plus, np.zeros((2, 2))]]).astype(complex)
+    v = np.block([[np.kron(u, np.eye(2)), np.zeros((4, 2))],
+                  [np.zeros((2, 4)), u]])
+    grading = np.diag([1.0] * 4 + [-1.0] * 2).astype(complex)
+    loc = from_cycle({"one": np.eye(6, dtype=complex)}, {1: v}, phi, poset,
+                     pres, frame, grading=grading)
+    return extend_localized(loc)
+
+
+def dense_gauged_module(m, rng):
+    """A dense module conjugated by a unitary per element."""
+    rep = m.rep
+    gauge = {o: random_unitary(rng, rep.ident.shape[0]) for o in rep.poset.elements}
+
+    def at(o, x):
+        return gauge[o] @ x @ dagger(gauge[o])
+
+    rep = replace(rep,
+                  u_incl={e: gauge[e[1]] @ u @ dagger(gauge[e[0]])
+                          for e, u in rep.u_incl.items()},
+                  samples={o: {l: at(o, t) for l, t in ts.items()}
+                           for o, ts in rep.samples.items()},
+                  grading={o: at(o, g) for o, g in rep.grading.items()},
+                  transported=None)
+    return FredholmModule(rep, {o: at(o, f) for o, f in m.F.items()}, m.parity)
+
+
 def shared_fiber_variants():
     """Modules whose fibers share one operator, and ones where they don't."""
     m = circle_shift_module(16, seed=40)
@@ -984,10 +1024,13 @@ def shared_fiber_variants():
     del transported[sorted(transported)[len(transported) // 2]]
     yield "missing", FredholmModule(replace(m.rep, transported=transported),
                                     m.F, m.parity)
+    dense = dense_cycle_module(rng_for(44))
+    yield "dense", dense
+    yield "dense-gauged", dense_gauged_module(dense, rng_for(45))
 
 
 @pytest.mark.parametrize("name", ["shift", "extended", "gauged", "sector",
-                                  "perturbed", "missing"])
+                                  "perturbed", "missing", "dense", "dense-gauged"])
 def test_validate_module_matches_the_per_location_loop(name):
     m = dict(shared_fiber_variants())[name]
     got, want = validate_module(m), reference_validate_module(m)

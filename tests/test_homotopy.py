@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holonet.bundle import edge_loop_path
 from holonet.errors import (
     NotALoopAtBase,
     NotComparable,
@@ -24,10 +23,19 @@ from holonet.homotopy import (
     smith_diagonal,
 )
 from holonet.operators import evaluate_word_ops
-from holonet.poset import build_poset, compose_paths, edge_simplex, make_path, opposite_path
-from holonet.randomgen import random_poset_with_frame, random_representation
+from holonet.poset import build_poset, edge_simplex
+from holonet.randomgen import random_connected_poset, random_poset_with_frame, random_representation
 from holonet.standard import chain_poset, circle_poset, hexagon_poset, with_top
-from conftest import homotopic_variant, path_to_word, pfp, random_loop
+from conftest import (
+    compose_paths,
+    edge_loop_path,
+    homotopic_variant,
+    make_path,
+    opposite_path,
+    path_to_word,
+    pfp,
+    random_loop,
+)
 
 TOL = 1e-10
 
@@ -316,3 +324,86 @@ def test_abelianization_rank_matches_rational_elimination():
             want = "Unknown"
         assert verdict == want
     assert max(sizes) >= 28
+
+
+# ------------------------------- the worklist Tietze pass against the rescan
+
+def reference_tietze(pres):
+    """The rescanning Tietze loop: after every elimination, scan the
+    relators again from the first.  Returns the kept generator indices
+    and the remaining relator letters in the old numbering."""
+    def cyclic(w):
+        ls = list(w.letters)
+        while len(ls) >= 2 and ls[0] == -ls[-1]:
+            ls = ls[1:-1]
+        return Word(tuple(ls))
+
+    def substitute(word, g, repl):
+        out = []
+        for l in word.letters:
+            if l == g:
+                out.extend(repl)
+            elif l == -g:
+                out.extend(-x for x in reversed(repl))
+            else:
+                out.append(l)
+        return Word(tuple(out))
+
+    relators = [cyclic(r) for r in pres.relators if not r.is_empty]
+    alive = set(range(1, len(pres.generators) + 1))
+    changed = True
+    while changed:
+        changed = False
+        for ri, r in enumerate(relators):
+            counts = {}
+            for l in r.letters:
+                counts[abs(l)] = counts.get(abs(l), 0) + 1
+            single = next((g for g, c in counts.items() if c == 1 and g in alive), None)
+            if single is None:
+                continue
+            ls = list(r.letters)
+            k = next(i for i, l in enumerate(ls) if abs(l) == single)
+            head, rest = ls[k], tuple(ls[k + 1:] + ls[:k])
+            repl = tuple(-x for x in reversed(rest)) if head > 0 else rest
+            alive.discard(single)
+            relators = [w for j, other in enumerate(relators) if j != ri
+                        for w in [cyclic(substitute(other, single, repl))]
+                        if not w.is_empty]
+            changed = True
+            break
+    return sorted(alive), [r.letters for r in relators]
+
+
+def random_presentations(count):
+    """Derandomized presentations: every tenth from a random poset, the
+    others up to 30 generators and 180 letters in relators of 1 to 6."""
+    rng = np.random.default_rng(2024)
+    for k in range(count):
+        if k % 10 == 0:
+            poset = random_connected_poset(rng, 24)
+            yield fundamental_presentation(poset, min(poset.elements))
+            continue
+        n = int(rng.integers(1, 31))
+        relators = []
+        budget = int(rng.integers(8, 181))
+        while budget > 0:
+            length = min(int(rng.integers(1, 7)), budget)
+            budget -= length
+            letters = rng.integers(1, n + 1, length) * rng.choice([-1, 1], length)
+            relators.append(Word(tuple(int(l) for l in letters)))
+        yield GroupPresentation("b", tuple((f"x{i}", f"y{i}") for i in range(n)),
+                                tuple(relators))
+
+
+def test_simplify_presentation_matches_the_rescanning_loop():
+    eliminated = kept_relators = 0
+    for pres in random_presentations(200):
+        out, _ = simplify_presentation(pres)
+        kept, relators = reference_tietze(pres)
+        remap = {g: i + 1 for i, g in enumerate(kept)}
+        assert out.generators == tuple(pres.generators[g - 1] for g in kept)
+        assert [r.letters for r in out.relators] == \
+            [tuple((1 if l > 0 else -1) * remap[abs(l)] for l in r) for r in relators]
+        eliminated += len(pres.generators) - len(kept)
+        kept_relators += len(relators)
+    assert eliminated > 2000 and kept_relators > 200

@@ -62,6 +62,36 @@ def test_every_tolerance_parameter_is_read():
     assert unread == []
 
 
+def is_tolerance(node) -> bool:
+    return isinstance(node, ast.Name) and (node.id == "tol" or node.id.endswith("_TOL"))
+
+
+def test_tolerance_gates_fail_on_nan():
+    """A gate written `defect > tol` passes a NaN defect, because every
+    comparison with NaN is False; gates are written `not defect <= tol`.
+    Fails on any `>` comparison against `tol` or a `*_TOL` name.
+    Exempt: the rank count in
+    `linalg.null_space`, which counts singular values above `tol` and
+    gates nothing."""
+    exempt = {("linalg.py", "null_space")}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        spans = [(fn.lineno, fn.end_lineno, fn.name) for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and (path.name, fn.name) in exempt]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            if not any(isinstance(op, ast.Gt) and is_tolerance(right)
+                       for op, right in zip(node.ops, node.comparators)):
+                continue
+            if not any(lo <= node.lineno <= hi for lo, hi, _ in spans):
+                found.append(f"{path.name}:{node.lineno}")
+        assert len(spans) == sum(name == path.name for name, _ in exempt)
+    assert found == []
+
+
 def names_in(nodes) -> set[str]:
     """Every name the nodes mention: identifiers, attribute names, and
     the parts of string constants that are dotted names (`bench/spans.py`

@@ -6,7 +6,6 @@ import pytest
 from holonet.errors import (
     CycleInOrder,
     DuplicateElement,
-    EndpointMismatch,
     NotComparable,
     PathOutsidePoset,
     UnknownElement,
@@ -17,14 +16,11 @@ from holonet.poset import (
     check_connected,
     check_simplex,
     components,
-    compose_paths,
     edge_simplex,
-    make_path,
-    opposite_path,
 )
 from holonet.randomgen import random_connected_poset
 from holonet.standard import chain_poset, circle_poset, hexagon_poset, with_top
-from conftest import random_path
+from conftest import EndpointMismatch, compose_paths, make_path, opposite_path, random_path
 
 
 # oracle: enumerate simplices by filtering all element triples

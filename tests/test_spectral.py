@@ -210,6 +210,15 @@ def test_theta_trace_input_guards():
     assert abs(theta_trace(nearly, 1.0, 1e-6) - 2 * np.exp(-1.0)) < 1e-7
 
 
+def test_theta_trace_rejects_a_nan_selfadjointness_defect():
+    """An infinite entry makes the self-adjointness defect NaN, which no
+    tolerance passes."""
+    d = np.array([[1.0, np.inf], [0.0, 1.0]])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NotSelfAdjoint):
+            theta_trace(d, 1.0)
+
+
 def test_from_equivariant_rejects_missing_generator_images(hexagon_pfp):
     poset, pres, frame = hexagon_pfp
     e = replace(rotation_triple(), u_images={}, group=pres)
@@ -283,10 +292,15 @@ def triple_variants():
     yield "gauged", NetSpectralTriple(
         replace(t.rep, u_incl=u_incl),
         {o: gauge[o] @ d @ dagger(gauge[o]) for o, d in t.D.items()})
+    # real copies of the real-valued D on every other fiber: real and
+    # complex residuals of one shape, measured in separate stacks
+    yield "mixed", NetSpectralTriple(
+        t.rep, {o: d.real.copy() if k % 2 else d
+                for k, (o, d) in enumerate(sorted(t.D.items()))})
 
 
 @pytest.mark.parametrize("name", ["shared", "copies", "perturbed", "missing",
-                                  "gauged"])
+                                  "gauged", "mixed"])
 def test_validate_triple_matches_the_per_location_loop(name):
     t = dict(triple_variants())[name]
     got, want = validate_triple(t), reference_validate_triple(t)
@@ -294,4 +308,4 @@ def test_validate_triple_matches_the_per_location_loop(name):
             for e in got.entries] == \
         [(e.check, e.location, float(e.defect).hex(), e.tolerance)
          for e in want.entries]
-    assert got.ok == (name in ("shared", "copies", "gauged"))
+    assert got.ok == (name in ("shared", "copies", "gauged", "mixed"))
