@@ -466,9 +466,11 @@ def _kernel_window(op: ShiftOp, window: int, sv_tol: float) -> np.ndarray:
     r of a pair (r, s) forces x_s = 0 and column s meets no other row,
     so the window's singular values are those of the residual and of
     the pair blocks, all above `sv_tol`.  The residual's kernel is
-    re-embedded with zeros on the peeled sites.
+    re-embedded with zeros on the peeled sites.  The blocks come from
+    `op.window_blocks`, so a window narrower than one already assembled
+    on `op` costs no assembly.
     """
-    blocks = op.site_blocks(range(window))
+    blocks = op.window_blocks(window)
     pairs = _pass_through(op, blocks, sv_tol)
     rows = sorted({r for r, _ in blocks} - {r for r, _ in pairs})
     cols = sorted(set(range(window)) - {s for _, s in pairs})
@@ -503,13 +505,16 @@ def windowed_kernel(op: ShiftOp) -> tuple[np.ndarray, int]:
     The kernel basis is the residual's at w0, re-embedded in window
     coordinates; the probe windows w0 + 1 and w0 + 2 are taken the same
     way, and all three kernel dimensions must agree, otherwise the
-    operator is not Fredholm in this class.  Every colour dimension takes
+    operator is not Fredholm in this class.  The site blocks are
+    assembled once, for the widest window, and kept on `op`; the two
+    narrower windows are its first columns.  Every colour dimension takes
     this one path: a scalar-colour operator S tensor I_d peels the same
     sites as S, so its dense residual is only d times as wide as that of S.
     """
     if not op.stripes:
         raise NotFredholm("no shift part: every window has a kernel beyond it")
     w0 = stabilization_window(op)
+    op.window_blocks(w0 + 2)  # the one assembly the three windows share
     kernel, *probes = (_kernel_window(op, w, DENSE_KERNEL_TOL)
                        for w in (w0, w0 + 1, w0 + 2))
     dims = [k.shape[1] for k in (kernel, *probes)]
@@ -762,11 +767,13 @@ def _sector_blocks(sector_dims: tuple[int, ...]) -> list[tuple[int, int]]:
 def _embed_sector(t: ShiftOp, block: tuple[int, int], total: int) -> ShiftOp:
     """Color-1 operator -> doubled total-color operator in one sector."""
     lo, hi = block
+    # the diagonal of the sector block, in both halves of the doubled colour
+    diag = np.r_[lo:hi, total + lo:total + hi]
 
     def lift(m: np.ndarray) -> np.ndarray:
-        color = np.zeros((total, total), dtype=complex)
-        color[lo:hi, lo:hi] = m[0, 0] * np.eye(hi - lo)
-        return np.kron(np.eye(2, dtype=complex), color)
+        out = np.zeros((2 * total, 2 * total), dtype=complex)
+        out[diag, diag] = m[0, 0]
+        return out
 
     return map_color(t, lift)
 
@@ -827,8 +834,9 @@ def build_sector_module(poset: Poset, pres: GroupPresentation,
 
     sw = _pinned_shift(w_index)
     eye = np.eye(total, dtype=complex)
-    f = (map_color(sw, lambda m: m[0, 0] * np.kron(_unit(0, 1), eye))
-         + map_color(sw.H, lambda m: m[0, 0] * np.kron(_unit(1, 0), eye)))
+    up, down = np.kron(_unit(0, 1), eye), np.kron(_unit(1, 0), eye)
+    f = (map_color(sw, lambda m: m[0, 0] * up)
+         + map_color(sw.H, lambda m: m[0, 0] * down))
     module = FredholmModule(rep, {o: f for o in poset.elements}, "even")
 
     images = list(rho_images.values()) or [np.eye(total, dtype=complex)]

@@ -17,6 +17,7 @@ into the finite part.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +40,48 @@ def cispi_frac(c: Fraction) -> complex:
     return complex(np.exp(2j * np.pi * float(c)))
 
 
+@lru_cache(maxsize=4096)
+def _root(n: int, q: int) -> complex:
+    """exp(2 pi i n / q) for a residue 0 <= n < q: `cispi_frac` of n / q,
+    looked up by integers, so a loop over sites does no Fraction
+    arithmetic.  The phase c = p / q at site m is `_root(p * m % q, q)`."""
+    return cispi_frac(Fraction(n, q))
+
+
+def _integer(x, what: str) -> int:
+    """x as an int; FiberMismatch unless x is an integer in value."""
+    try:
+        i = int(x)
+        if i == x:
+            return i
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise FiberMismatch(f"{what} {x!r} is not an integer")
+
+
+def _nonzero(blocks: dict) -> dict:
+    """`blocks` without its zero matrices, dropped in place (rebuilding
+    the dictionary would hash every Fraction key again)."""
+    for key in [key for key, m in blocks.items() if not m.any()]:
+        del blocks[key]
+    return blocks
+
+
+def _merged(a: dict, b: dict) -> dict:
+    """a + b blockwise in normal form: the blocks of one side are kept
+    as they are, a shared key is summed (a first) and dropped if zero."""
+    out = dict(a)
+    for key, m in b.items():
+        old = out.get(key)
+        if old is None:
+            out[key] = m
+        elif (total := old + m).any():
+            out[key] = total
+        else:
+            del out[key]
+    return out
+
+
 def _scale(z: complex, m: np.ndarray) -> np.ndarray:
     # multiplying by exactly 1 must be the identity at the bit level
     if z == 1.0:
@@ -50,30 +93,42 @@ class ShiftOp:
     """Finite sum of modulated stripes plus a finite block matrix.
 
     stripes maps (offset k, phase c) to a d_out x d_in color matrix;
-    finite maps a site pair (r, s) to a color matrix.  Zero matrices are
-    dropped on construction, so the representation is a normal form and
-    two operators are equal iff their dictionaries match.
+    finite maps a site pair (r, s) to a color matrix.  The dictionaries
+    are a normal form, so two operators are equal iff they match: offsets
+    and sites are ints, phases are Fractions in [0, 1), every matrix is
+    nonzero, and every matrix is 0 + m for the m it was summed to, so its
+    zeros are +0.0.  The constructor validates its input and brings it to
+    this form.  Arithmetic (+, -, scalar *, @, .H, `map_color`,
+    `color_corner`) builds its result in the normal form directly and is
+    not validated again; a result may share color matrices with its
+    operands, so color matrices must not be written to.
+
+    `window_blocks` keeps the site blocks of the widest window it has
+    assembled, on the operator, for the narrower windows asked next.
     """
 
-    __slots__ = ("d_out", "d_in", "stripes", "finite")
+    __slots__ = ("d_out", "d_in", "stripes", "finite", "_window")
 
     def __init__(self, d_out: int, d_in: int,
                  stripes: dict[tuple[int, Fraction], np.ndarray] | None = None,
                  finite: dict[tuple[int, int], np.ndarray] | None = None):
         self.d_out = int(d_out)
         self.d_in = int(d_in)
+        self._window = None
         self.stripes: dict[tuple[int, Fraction], np.ndarray] = {}
         self.finite: dict[tuple[int, int], np.ndarray] = {}
         for (k, c), m in (stripes or {}).items():
+            k = _integer(k, "stripe offset")
             m = np.asarray(m, dtype=complex)
             if m.shape != (self.d_out, self.d_in):
                 raise FiberMismatch(
                     f"stripe {k} color matrix has shape {m.shape}, "
                     f"expected {(self.d_out, self.d_in)}")
-            if np.any(m):
-                key = (int(k), Fraction(c) % 1)
+            if m.any():
+                key = (k, Fraction(c) % 1)
                 self.stripes[key] = self.stripes.get(key, 0) + m
         for (r, s), m in (finite or {}).items():
+            r, s = _integer(r, "finite site"), _integer(s, "finite site")
             if r < 0 or s < 0:
                 raise FiberMismatch("finite part indexed by negative sites")
             m = np.asarray(m, dtype=complex)
@@ -81,11 +136,19 @@ class ShiftOp:
                 raise FiberMismatch(
                     f"finite block {(r, s)} has shape {m.shape}, "
                     f"expected {(self.d_out, self.d_in)}")
-            if np.any(m):
-                self.finite[(int(r), int(s))] = self.finite.get((r, s), 0) + m
+            if m.any():
+                self.finite[(r, s)] = self.finite.get((r, s), 0) + m
         # summing may have produced fresh zeros
-        self.stripes = {k: v for k, v in self.stripes.items() if np.any(v)}
-        self.finite = {k: v for k, v in self.finite.items() if np.any(v)}
+        self.stripes = _nonzero(self.stripes)
+        self.finite = _nonzero(self.finite)
+
+    @classmethod
+    def _normal(cls, d_out: int, d_in: int, stripes: dict, finite: dict) -> "ShiftOp":
+        """The operator of dictionaries already in normal form, unchecked."""
+        op = object.__new__(cls)
+        op.d_out, op.d_in, op.stripes, op.finite = d_out, d_in, stripes, finite
+        op._window = None
+        return op
 
     # ------------------------------------------------------------ queries
 
@@ -126,7 +189,7 @@ class ShiftOp:
         summed = set()
         for (k, c), m in self.stripes.items():
             # the phase of row r depends on r mod its denominator only
-            q = c.denominator
+            p, q = c.numerator, c.denominator
             by_residue: dict[int, tuple[np.ndarray, np.ndarray]] = {}
             for s in cols:
                 row = s + k
@@ -134,7 +197,7 @@ class ShiftOp:
                     continue
                 if row % q not in by_residue:
                     # an unmodulated stripe adds m itself, as _scale(1.0, m) would
-                    v = m if c == 0 else _scale(cispi_frac(c * row), m)
+                    v = m if q == 1 else _scale(_root(p * row % q, q), m)
                     by_residue[row % q] = v, 0 + v
                 v, fresh = by_residue[row % q]
                 old = out.get((row, s))
@@ -145,9 +208,22 @@ class ShiftOp:
                     summed.add((row, s))
         # one nonzero term stays nonzero; only a sum can cancel
         for rs in summed:
-            if not np.any(out[rs]):
+            if not out[rs].any():
                 del out[rs]
         return out
+
+    def window_blocks(self, window: int) -> dict[tuple[int, int], np.ndarray]:
+        """`site_blocks(range(window))`, from one assembly of the widest
+        window asked for so far.  A block depends on its own column only,
+        so a narrower window is the columns below `window` of a wider
+        one, bit for bit.  The dictionary may be the one kept on the
+        operator and must not be written to."""
+        if self._window is None or self._window[0] < window:
+            self._window = window, self.site_blocks(range(window))
+        widest, blocks = self._window
+        if widest == window:
+            return blocks
+        return {rs: m for rs, m in blocks.items() if rs[1] < window}
 
     def materialize(self, rows: int, cols: int | None = None) -> np.ndarray:
         """Dense window: the first `rows` x `cols` sites of the operator."""
@@ -171,13 +247,9 @@ class ShiftOp:
         if not isinstance(other, ShiftOp):
             return NotImplemented
         self._require_same_space(other)
-        stripes = {k: v.copy() for k, v in self.stripes.items()}
-        for k, v in other.stripes.items():
-            stripes[k] = stripes.get(k, 0) + v
-        finite = {k: v.copy() for k, v in self.finite.items()}
-        for k, v in other.finite.items():
-            finite[k] = finite.get(k, 0) + v
-        return ShiftOp(self.d_out, self.d_in, stripes, finite)
+        return ShiftOp._normal(self.d_out, self.d_in,
+                               _merged(self.stripes, other.stripes),
+                               _merged(self.finite, other.finite))
 
     def __neg__(self) -> "ShiftOp":
         return self * (-1.0)
@@ -190,9 +262,9 @@ class ShiftOp:
     def __mul__(self, z) -> "ShiftOp":
         if not isinstance(z, (int, float, complex)):
             return NotImplemented
-        return ShiftOp(self.d_out, self.d_in,
-                       {k: z * v for k, v in self.stripes.items()},
-                       {k: z * v for k, v in self.finite.items()})
+        return ShiftOp._normal(self.d_out, self.d_in,
+                               _nonzero({k: 0 + z * v for k, v in self.stripes.items()}),
+                               _nonzero({k: 0 + z * v for k, v in self.finite.items()}))
 
     __rmul__ = __mul__
 
@@ -203,45 +275,51 @@ class ShiftOp:
             raise FiberMismatch("color dimensions do not compose")
         stripes: dict[tuple[int, Fraction], np.ndarray] = {}
         finite: dict[tuple[int, int], np.ndarray] = {}
+        # each key starts as 0 + m, then sums in the order of the loops
+        own = [(k, c, c.numerator, c.denominator, m)
+               for (k, c), m in self.stripes.items()]
+        theirs = [(k, c, c.numerator, c.denominator, m)
+                  for (k, c), m in other.stripes.items()]
+        by_row: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for (r, s), m in other.finite.items():
+            by_row.setdefault(r, []).append((s, m))
 
-        def add_stripe(k: int, c: Fraction, m: np.ndarray) -> None:
-            key = (k, c % 1)
-            stripes[key] = stripes.get(key, 0) + m
-
-        def add_finite(r: int, s: int, m: np.ndarray) -> None:
-            finite[(r, s)] = finite.get((r, s), 0) + m
-
-        for (k1, c1), m1 in self.stripes.items():
-            for (k2, c2), m2 in other.stripes.items():
+        for k1, c1, p1, q1, m1 in own:
+            for k2, c2, p2, q2, m2 in theirs:
                 k = k1 + k2
-                c = c1 + c2
-                m = _scale(cispi_frac(-c2 * k1), m1 @ m2)
-                add_stripe(k, c, m)
+                c = c2 if not p1 else c1 if not p2 else (c1 + c2) % 1
+                m = _scale(_root(-p2 * k1 % q2, q2), m1 @ m2)
+                stripes[(k, c)] = stripes.get((k, c), 0) + m
                 # the true product starts at max(0, k1, k); the canonical
                 # stripe starts earlier, so subtract the surplus rows
+                p, q = c.numerator, c.denominator
                 for row in range(max(0, k), max(0, k1, k)):
-                    add_finite(row, row - k, _scale(-cispi_frac(c * row), m))
+                    finite[(row, row - k)] = (finite.get((row, row - k), 0)
+                                              + _scale(-_root(p * row % q, q), m))
             for (r, s), m2 in other.finite.items():
-                if r + k1 >= max(0, k1):
-                    add_finite(r + k1, s,
-                               _scale(cispi_frac(c1 * (r + k1)), m1 @ m2))
+                row = r + k1
+                if row >= max(0, k1):
+                    finite[(row, s)] = (finite.get((row, s), 0)
+                                        + _scale(_root(p1 * row % q1, q1), m1 @ m2))
         for (r, s), m1 in self.finite.items():
-            for (k2, c2), m2 in other.stripes.items():
+            for k2, c2, p2, q2, m2 in theirs:
                 if s >= max(0, k2):
-                    add_finite(r, s - k2, _scale(cispi_frac(c2 * s), m1 @ m2))
-            for (r2, s2), m2 in other.finite.items():
-                if s == r2:
-                    add_finite(r, s2, m1 @ m2)
-        return ShiftOp(self.d_out, other.d_in, stripes, finite)
+                    finite[(r, s - k2)] = (finite.get((r, s - k2), 0)
+                                           + _scale(_root(p2 * s % q2, q2), m1 @ m2))
+            for s2, m2 in by_row.get(s, ()):
+                finite[(r, s2)] = finite.get((r, s2), 0) + m1 @ m2
+        return ShiftOp._normal(self.d_out, other.d_in, _nonzero(stripes), _nonzero(finite))
 
     @property
     def H(self) -> "ShiftOp":
         """Adjoint; stripes map to stripes, exactly."""
         stripes = {}
         for (k, c), m in self.stripes.items():
-            stripes[(-k, -c % 1)] = _scale(cispi_frac(-c * k), dagger(m))
-        finite = {(s, r): dagger(m) for (r, s), m in self.finite.items()}
-        return ShiftOp(self.d_in, self.d_out, stripes, finite)
+            p, q = c.numerator, c.denominator
+            stripes[(-k, -c % 1)] = 0 + _scale(_root(-p * k % q, q), dagger(m))
+        # the adjoint of a nonzero block is nonzero
+        finite = {(s, r): 0 + dagger(m) for (r, s), m in self.finite.items()}
+        return ShiftOp._normal(self.d_in, self.d_out, _nonzero(stripes), finite)
 
 
 def dense_blocks(blocks: dict[tuple[int, int], np.ndarray], rows, cols,
@@ -297,7 +375,9 @@ def map_color(op: ShiftOp, f) -> ShiftOp:
         d_out, d_in = next(iter(shapes))
     else:
         d_out, d_in = op.d_out, op.d_in
-    return ShiftOp(d_out, d_in, stripes, finite)
+    return ShiftOp._normal(d_out, d_in,
+                           _nonzero({k: 0 + m for k, m in stripes.items()}),
+                           _nonzero({k: 0 + m for k, m in finite.items()}))
 
 
 def color_corner(op: ShiftOp, rows, cols) -> ShiftOp:
@@ -305,9 +385,9 @@ def color_corner(op: ShiftOp, rows, cols) -> ShiftOp:
     rows = list(rows)
     cols = list(cols)
     sel = np.ix_(rows, cols)
-    stripes = {k: m[sel] for k, m in op.stripes.items()}
-    finite = {k: m[sel] for k, m in op.finite.items()}
-    return ShiftOp(len(rows), len(cols), stripes, finite)
+    return ShiftOp._normal(len(rows), len(cols),
+                           _nonzero({k: 0 + m[sel] for k, m in op.stripes.items()}),
+                           _nonzero({k: 0 + m[sel] for k, m in op.finite.items()}))
 
 
 def op_equal(a: ShiftOp, b: ShiftOp) -> bool:

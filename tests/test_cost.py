@@ -1,17 +1,29 @@
 """Counted work: deterministic counts of the work a layer does, taken
-with test-local counters at two sizes of random nets.  Unlike a wall
-time, a count does not depend on the host, so a layer whose work grows
-with the number of edges where it should not fails here."""
+with test-local counters at two sizes of random nets and of sector
+windows.  Unlike a wall time, a count does not depend on the host, so a
+layer whose work grows where it should not fails here."""
 
+import sys
 from functools import cache
 
 import numpy as np
 import pytest
 
+import holonet.fredholm
+import holonet.shift_calculus
 from holonet.bundle import holonomy_images, holonomy_rep, roundtrip_iso, validate_bundle
-from holonet.fredholm import from_cycle
+from holonet.fredholm import (
+    build_sector_module,
+    equivariant_cycle,
+    from_cycle,
+    localize,
+    pi_index,
+    validate_module,
+)
+from holonet.linalg import dagger, random_unitary
 from holonet.poset import Path
 from holonet.randomgen import random_hilbert_bundle, random_poset_with_frame
+from holonet.shift_calculus import ShiftOp
 from holonet.spectral import EquivariantTriple, from_equivariant, validate_triple
 
 # seeds of random_poset_with_frame(rng, 30): 24 and 111 strict pairs,
@@ -93,3 +105,75 @@ def test_holonomy_images_build_no_path(monkeypatch):
         poset, pres, frame, b, _ = random_net(seed)
         assert counted(monkeypatch, Path, ("__init__",), holonomy_images,
                        b, pres, frame) == 0
+
+
+# ------------------------------------------------------------ sector index
+
+def sector_2_1(hexagon_pfp, w_index):
+    """The sector-index bench's pinned (2, 1) sector: a 2 x 2 block with
+    two distinct eigenphases and a 1 x 1 block, at cyclic index w_index."""
+    poset, pres, frame = hexagon_pfp
+    v = random_unitary(np.random.default_rng(7), 2)
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[:2, :2] = v @ np.diag(np.exp(2j * np.pi * np.array([0.1, 0.45]))) @ dagger(v)
+    rho[2, 2] = np.exp(2j * np.pi * 0.8)
+    sec = build_sector_module(poset, pres, frame, (2, 1), {1: rho}, w_index=w_index)
+    return sec.module, equivariant_cycle(localize(sec.module, frame.base))
+
+
+@pytest.mark.parametrize("w_index", [32, 128])
+def test_one_site_block_assembly_per_windowed_kernel(monkeypatch, hexagon_pfp, w_index):
+    # one assembly of the widest window serves all three windows (w0,
+    # w0 + 1, w0 + 2); assembling each window apart made three
+    _, cycle = sector_2_1(hexagon_pfp, w_index)
+    per_call = []
+    assemblies = []
+    site_blocks = ShiftOp.site_blocks
+    windowed_kernel = holonet.fredholm.windowed_kernel
+
+    def counted_site_blocks(op, cols):
+        assemblies.append(cols)
+        return site_blocks(op, cols)
+
+    def counted_windowed_kernel(op):
+        before = len(assemblies)
+        out = windowed_kernel(op)
+        per_call.append(len(assemblies) - before)
+        return out
+
+    monkeypatch.setattr(ShiftOp, "site_blocks", counted_site_blocks)
+    monkeypatch.setattr(holonet.fredholm, "windowed_kernel", counted_windowed_kernel)
+    pi_index(cycle)
+    assert per_call == [1, 1]
+
+
+@pytest.mark.parametrize("w_index", [32, 128])
+def test_sector_arithmetic_builds_results_unvalidated(monkeypatch, hexagon_pfp, w_index):
+    """Every validating construction during `validate_module` and
+    `pi_index` comes from the constructors `stripe_op` and `finite_op`
+    (an identity, say), none from arithmetic; and the number of ShiftOp
+    products is the one the constructor-based arithmetic made."""
+    module, cycle = sector_2_1(hexagon_pfp, w_index)
+    callers, products = [], []
+    init, matmul = ShiftOp.__init__, ShiftOp.__matmul__
+
+    def counted_init(op, *args, **kwargs):
+        code = sys._getframe(1).f_code
+        if code.co_filename == holonet.shift_calculus.__file__:
+            callers.append(code.co_name)
+        init(op, *args, **kwargs)
+
+    def counted_matmul(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(ShiftOp, "__init__", counted_init)
+    monkeypatch.setattr(ShiftOp, "__matmul__", counted_matmul)
+    counts = {}
+    for stage, arg in ((validate_module, module), (pi_index, cycle)):
+        callers.clear()
+        products.clear()
+        stage(arg)
+        assert set(callers) <= {"stripe_op", "finite_op"}, (stage.__name__, callers)
+        counts[stage.__name__] = len(products)
+    assert counts == {"validate_module": 38, "pi_index": 0}

@@ -544,6 +544,26 @@ def test_windowed_kernel_probes_agree_with_kernel_window():
         assert np.array_equal(kernel, _kernel_window(op, w0, 1e-8))
 
 
+def test_windowed_kernel_takes_its_windows_through_kernel_window(monkeypatch):
+    """`windowed_kernel` takes the windows w0, w0 + 1 and w0 + 2, in turn,
+    through the module attribute `_kernel_window(op, window, sv_tol)`:
+    `_with_dense_windows` replaces that function with the dense reference,
+    and a traced bench run reads the window size from its second argument.
+    A path around it would make the reference compare the peeled windows
+    with themselves."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return _kernel_window(*args)
+
+    monkeypatch.setattr(holonet.fredholm, "_kernel_window", recorded)
+    op = stripe_op(-1, np.eye(2), Fraction(1, 3)) + finite_op({(2, 1): np.eye(2)}, 2)
+    kernel, w0 = windowed_kernel(op)
+    assert calls == [(op, w, holonet.fredholm.DENSE_KERNEL_TOL) for w in (w0, w0 + 1, w0 + 2)]
+    assert np.array_equal(kernel, _kernel_window(op, w0, holonet.fredholm.DENSE_KERNEL_TOL))
+
+
 def _with_dense_windows(monkeypatch, call, *args):
     """`call(*args)` with every kernel window taken densely, unpeeled,
     by a full SVD."""

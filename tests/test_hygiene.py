@@ -1,10 +1,12 @@
 """Source hygiene checks that need no tool beyond the standard library."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import holonet
+from holonet.shift_calculus import ShiftOp
 
 SOURCES = sorted(Path(holonet.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
@@ -197,3 +199,25 @@ def test_module_table_lists_every_module():
     rows = re.findall(r"^\| `holonet\.(\w+)` \|", readme, flags=re.MULTILINE)
     modules = [p.stem for p in SOURCES if p.stem != "__init__"]
     assert sorted(rows) == modules
+
+
+def test_bench_span_targets_resolve():
+    """`bench/spans.py` wraps holonet functions by name for a traced run:
+    each name in its LAYER_FUNCTIONS and each ShiftOp method it patches
+    must exist, so a rename fails here and not in a traced bench run."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets if isinstance(t, ast.Name)]
+                  == ["LAYER_FUNCTIONS"])
+    methods = [call.args[1].value for call in ast.walk(tree)
+               if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+               and call.func.attr == "_patch" and isinstance(call.args[0], ast.Name)
+               and call.args[0].id == "ShiftOp"]
+    assert sum(len(names) for names in layers.values()) > 20
+    assert sorted(methods) == ["__matmul__", "materialize"]
+    missing = [f"{mod}.{name}" for mod, names in layers.items() for name in names
+               if not callable(getattr(importlib.import_module(f"holonet.{mod}"), name, None))]
+    missing += [f"ShiftOp.{name}" for name in methods
+                if not callable(getattr(ShiftOp, name, None))]
+    assert missing == []
