@@ -48,7 +48,7 @@ from .operators import (
     unitarity_residual,
 )
 from .poset import Path, Poset, check_simplex, edge_simplex
-from .reports import CHECK_TOL, CONSTRUCTION_TOL, ValidationReport, relation_memo
+from .reports import CHECK_TOL, CONSTRUCTION_TOL, ValidationReport
 
 Edge = tuple[str, str]
 
@@ -121,38 +121,36 @@ def validate_bundle(b: HilbertNetBundle | CStarNetBundle,
             rep.add("inclusion-coverage", f"{e}", float("inf"), tol)
 
     if isinstance(b, HilbertNetBundle):
-        relate, measure = relation_memo(rep)
         for e, u in sorted(b.incl.items()):
             if u.shape != (b.dim, b.dim):
                 rep.add("inclusion-shape", f"{e}", float("inf"), tol)
                 continue
-            relate("inclusion-unitarity", f"{e}", tol, unitarity_residual, u)
+            rep.relate("inclusion-unitarity", f"{e}", tol, unitarity_residual, u)
         for o, o1, o2 in poset.two_chains():
             if any((x, y) not in b.incl for x, y in [(o, o2), (o1, o2), (o, o1)]):
                 continue
-            relate("chain-coherence", f"{o}<{o1}<{o2}", tol, coherence_residual,
-                   b.u(o, o2), b.u(o1, o2), b.u(o, o1))
+            rep.relate("chain-coherence", f"{o}<{o1}<{o2}", tol, coherence_residual,
+                       b.u(o, o2), b.u(o1, o2), b.u(o, o1))
         if b.grading is not None:
             for o in poset.elements:
                 if o not in b.grading:
                     rep.add("grading-coverage", o, float("inf"), tol)
                     continue
                 g = b.grading[o]
-                relate("grading-involution", o, tol, involution_residual, g)
-                relate("grading-selfadjoint", o, tol, selfadjoint_residual, g)
+                rep.relate("grading-involution", o, tol, involution_residual, g)
+                rep.relate("grading-selfadjoint", o, tol, selfadjoint_residual, g)
             for o, o1 in sorted(pairs):
                 if (o, o1) not in b.incl or o not in (b.grading or {}) or o1 not in b.grading:
                     continue
-                relate("grading-transport", f"{o}<{o1}", tol, intertwining_residual,
-                       b.u(o, o1), b.grading[o], b.grading[o1])
-        measure()
+                rep.relate("grading-transport", f"{o}<{o1}", tol, intertwining_residual,
+                           b.u(o, o1), b.grading[o], b.grading[o1])
     else:
         for e, iso in sorted(b.incl.items()):
             if iso.sizes != b.sizes:
                 rep.add("inclusion-sizes", f"{e}", float("inf"), tol)
                 continue
-            worst = max(map(unitarity_defect, iso.units), default=0.0)
-            rep.add("inclusion-unitarity", f"{e}", worst, tol)
+            rep.add("inclusion-unitarity", f"{e}",
+                    np.max([unitarity_defect(x) for x in iso.units], initial=0.0), tol)
         for o, o1, o2 in poset.two_chains():
             if any((x, y) not in b.incl or b.incl[(x, y)].sizes != b.sizes
                    for x, y in [(o, o2), (o1, o2), (o, o1)]):
@@ -252,15 +250,15 @@ class Section:
 
 
 def section_defect(b, s: Section) -> float:
-    worst = 0.0
-    for o, o1 in b.poset.strict_pairs():
-        if isinstance(b, HilbertNetBundle):
-            worst = max(worst, opnorm(b.u(o, o1) @ s.values[o] - s.values[o1]))
-        else:
-            moved = apply_iso(b.u(o, o1), s.values[o])
-            worst = max(worst, max(
-                (opnorm(x - y) for x, y in zip(moved, s.values[o1])), default=0.0))
-    return worst
+    """The largest norm by which an inclusion misses the section, NaN
+    when any norm is NaN."""
+    pairs = b.poset.strict_pairs()
+    if isinstance(b, HilbertNetBundle):
+        norms = [opnorm(b.u(o, o1) @ s.values[o] - s.values[o1]) for o, o1 in pairs]
+    else:
+        norms = [opnorm(x - y) for o, o1 in pairs
+                 for x, y in zip(apply_iso(b.u(o, o1), s.values[o]), s.values[o1])]
+    return float(np.max(norms, initial=0.0))
 
 
 def compute_sections(b: HilbertNetBundle | CStarNetBundle,
@@ -278,22 +276,13 @@ def compute_sections(b: HilbertNetBundle | CStarNetBundle,
     if isinstance(b, HilbertNetBundle):
         mats = list(hol.values()) or [np.eye(b.dim, dtype=complex)]
         basis = joint_fixed_space(mats, tol)
-        out = []
-        for i in range(basis.shape[1]):
-            x = basis[:, i]
-            values = {o: t[o] @ x for o in b.poset.elements}
-            out.append(Section(values))
-        return out
+        return [Section({o: t[o] @ x for o in b.poset.elements}) for x in basis.T]
     # C* case: fixed points of the iso action on the vectorized block space
     n = sum(k * k for k in b.sizes)
     mats = [iso_matrix(iso, b.sizes) for iso in hol.values()] or [np.eye(n, dtype=complex)]
     basis = joint_fixed_space(mats, tol)
-    out = []
-    for i in range(basis.shape[1]):
-        x = unvectorize(basis[:, i], b.sizes)
-        values = {o: apply_iso(t[o], x) for o in b.poset.elements}
-        out.append(Section(values))
-    return out
+    fixed = (unvectorize(v, b.sizes) for v in basis.T)
+    return [Section({o: apply_iso(t[o], x) for o in b.poset.elements}) for x in fixed]
 
 
 @dataclass(frozen=True)
@@ -324,7 +313,7 @@ def roundtrip_iso(b: HilbertNetBundle, pres: GroupPresentation,
     inter = {o: t[o] @ dagger(t_rebuilt[o]) for o in b.poset.elements}
     defects = residual_defects([inter[o1] @ rebuilt.u(o, o1) - b.u(o, o1) @ inter[o]
                                 for o, o1 in b.poset.strict_pairs()])
-    return RoundTrip(rebuilt, inter, max([0.0, *defects.tolist()]))
+    return RoundTrip(rebuilt, inter, float(defects.max(initial=0.0)))
 
 
 def hilbert_section_dimension_oracle(b: HilbertNetBundle, pres: GroupPresentation,

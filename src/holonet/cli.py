@@ -69,12 +69,11 @@ from .spectral import (
 
 
 def _report_summary(report) -> dict:
-    out = {"checks": len(report.entries),
-           "violations": [str(e) for e in report.violations],
-           "max_defect": float(report.max_defect)}
-    if not math.isfinite(out["max_defect"]):
+    d = report.max_defect
+    out = {"checks": report.count, "violations": [str(e) for e in report.violations],
+           "max_defect": d if math.isfinite(d) else None}
+    if not math.isfinite(d):
         # a missing entry has an infinite defect, which JSON cannot carry
-        out["max_defect"] = None
         out["max_defect_nonfinite"] = True
     return out
 
@@ -162,10 +161,10 @@ def cmd_sections(doc: InputDocument, opt) -> tuple[dict, bool]:
     secs = compute_sections(b, doc.pres, doc.frame, tol, images=images)
     oracle = hilbert_section_dimension_oracle(b, doc.pres, doc.frame, tol,
                                               images=images)
-    worst = max((section_defect(b, s) for s in secs), default=0.0)
+    worst = float(np.max([section_defect(b, s) for s in secs], initial=0.0))
     results = {"dimension": len(secs), "oracle_dimension": oracle,
                "agree": len(secs) == oracle,
-               "max_section_defect": float(worst)}
+               "max_section_defect": worst}
     return results, results["agree"] and worst <= tol
 
 

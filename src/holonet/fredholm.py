@@ -68,7 +68,6 @@ from .reports import (
     INDEX_TOL,
     SPAN_TOL,
     ValidationReport,
-    relation_memo,
 )
 from .shift_calculus import (
     ShiftOp,
@@ -169,46 +168,42 @@ def validate_module(m: FredholmModule, tol: float = CHECK_TOL) -> ValidationRepo
     norm against `tol`; compactness conditions (F squared minus one,
     commutators with observables) against `COMPACT_TOL`.
 
-    A relation whose operands are the very same objects at several
-    locations (one F, grading and set of observables shared by every
-    fiber, the one identity on every tree edge) is evaluated once and
-    reported at each of those locations.
+    Through `ValidationReport.relate`, a relation on operands shared by
+    several locations (one F for every fiber, say) is evaluated once.
     """
     out = ValidationReport()
-    relate, measure = relation_memo(out)
     rep = m.rep
     for o in rep.poset.elements:
         if o not in m.F:
             out.add("F-coverage", o, float("inf"), tol)
             continue
         f = m.F[o]
-        relate("F-selfadjoint", o, tol, selfadjoint_residual, f)
-        relate("F-square-compact", o, COMPACT_TOL, square_compact_defect, f)
+        out.relate("F-selfadjoint", o, tol, selfadjoint_residual, f)
+        out.relate("F-square-compact", o, COMPACT_TOL, square_compact_defect, f)
         for label, t in sorted(rep.samples.get(o, {}).items()):
-            relate("F-commutes-with-samples", f"{o}:{label}", COMPACT_TOL,
-                   commutator_compact_defect, f, t)
+            out.relate("F-commutes-with-samples", f"{o}:{label}", COMPACT_TOL,
+                       commutator_compact_defect, f, t)
     for e in sorted(rep.u_incl):
         o, o1 = e
         u = rep.u_incl[e]
-        relate("edge-unitarity", f"{e}", tol, unitarity_residual, u)
+        out.relate("edge-unitarity", f"{e}", tol, unitarity_residual, u)
         if o in m.F and o1 in m.F:
-            relate("F-transport", f"{e}", tol, intertwining_residual,
-                   u, m.F[o], m.F[o1])
+            out.relate("F-transport", f"{e}", tol, intertwining_residual,
+                       u, m.F[o], m.F[o1])
         for label, t in sorted(rep.samples.get(o, {}).items()):
             if rep.transported is not None:
                 target = rep.transported.get((e, label))
             else:
                 target = rep.samples.get(o1, {}).get(label)
             if target is None:
-                out.add("sample-covariance", f"{e}:{label}",
-                        float("inf"), tol)
+                out.add("sample-covariance", f"{e}:{label}", float("inf"), tol)
                 continue
-            relate("sample-covariance", f"{e}:{label}", tol,
-                   intertwining_residual, u, t, target)
+            out.relate("sample-covariance", f"{e}:{label}", tol,
+                       intertwining_residual, u, t, target)
     for o, o1, o2 in rep.poset.two_chains():
         if all((x, y) in rep.u_incl for x, y in [(o, o2), (o1, o2), (o, o1)]):
-            relate("chain-coherence", f"{o}<{o1}<{o2}", tol, coherence_residual,
-                   rep.u(o, o2), rep.u(o1, o2), rep.u(o, o1))
+            out.relate("chain-coherence", f"{o}<{o1}<{o2}", tol, coherence_residual,
+                       rep.u(o, o2), rep.u(o1, o2), rep.u(o, o1))
     if m.parity == "even":
         if rep.grading is None:
             out.add("grading-coverage", "-", float("inf"), tol)
@@ -220,20 +215,19 @@ def validate_module(m: FredholmModule, tol: float = CHECK_TOL) -> ValidationRepo
                 if o not in m.F:
                     continue
                 g = rep.grading[o]
-                relate("grading-selfadjoint", o, tol, selfadjoint_residual, g)
-                relate("grading-involution", o, tol, involution_residual, g)
-                relate("grading-anticommutes", o, tol, anticommutator_residual, g, m.F[o])
+                out.relate("grading-selfadjoint", o, tol, selfadjoint_residual, g)
+                out.relate("grading-involution", o, tol, involution_residual, g)
+                out.relate("grading-anticommutes", o, tol, anticommutator_residual, g, m.F[o])
                 for label, t in sorted(rep.samples.get(o, {}).items()):
-                    relate("grading-commutes-with-samples", f"{o}:{label}", tol,
-                           commutator, g, t)
+                    out.relate("grading-commutes-with-samples", f"{o}:{label}", tol,
+                               commutator, g, t)
             for e in sorted(rep.u_incl):
                 o, o1 = e
                 if o in (rep.grading or {}) and o1 in rep.grading:
-                    relate("grading-transport", f"{e}", tol, intertwining_residual,
-                           rep.u_incl[e], rep.grading[o], rep.grading[o1])
+                    out.relate("grading-transport", f"{e}", tol, intertwining_residual,
+                               rep.u_incl[e], rep.grading[o], rep.grading[o1])
     elif rep.grading is not None:
         out.add("parity-grading", "-", float("inf"), tol)
-    measure()
     return out
 
 

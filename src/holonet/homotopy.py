@@ -261,53 +261,46 @@ def smith_diagonal(rows: list[list[int]]) -> list[int]:
         return []
     nr, nc = len(m), len(m[0])
     diag = []
-    r = c = 0
-    while r < nr and c < nc:
-        # find a nonzero pivot in the remaining block
-        piv = None
-        for i in range(r, nr):
-            for j in range(c, nc):
-                if m[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
+    for k in range(min(nr, nc)):
+        # the first nonzero pivot of the remaining block, row by row
+        piv = next(((i, j) for i in range(k, nr) for j in range(k, nc) if m[i][j] != 0),
+                   None)
         if piv is None:
             break
         i, j = piv
-        m[r], m[i] = m[i], m[r]
+        m[k], m[i] = m[i], m[k]
         for row in m:
-            row[c], row[j] = row[j], row[c]
+            row[k], row[j] = row[j], row[k]
         # clear the pivot row and column by euclidean steps
         while True:
             again = False
-            for i in range(r + 1, nr):
-                if m[i][c] != 0:
-                    q = m[i][c] // m[r][c]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-                    if m[i][c] != 0:
-                        m[r], m[i] = m[i], m[r]
+            for i in range(k + 1, nr):
+                if m[i][k] != 0:
+                    q = m[i][k] // m[k][k]
+                    m[i] = [a - q * b for a, b in zip(m[i], m[k])]
+                    if m[i][k] != 0:
+                        m[k], m[i] = m[i], m[k]
                         again = True
-            for j in range(c + 1, nc):
-                if m[r][j] != 0:
-                    q = m[r][j] // m[r][c]
+            for j in range(k + 1, nc):
+                if m[k][j] != 0:
+                    q = m[k][j] // m[k][k]
                     for row in m:
-                        row[j] -= q * row[c]
-                    if m[r][j] != 0:
+                        row[j] -= q * row[k]
+                    if m[k][j] != 0:
                         for row in m:
-                            row[c], row[j] = row[j], row[c]
+                            row[k], row[j] = row[j], row[k]
                         again = True
             if not again:
                 break
-        diag.append(abs(m[r][c]))
-        r += 1
-        c += 1
+        diag.append(abs(m[k][k]))
     return diag
 
 
 def abelianization_rank(pres: GroupPresentation) -> int:
-    """Free rank of the abelianized group (exact)."""
-    return len(pres.generators) - len(smith_diagonal(relator_exponent_matrix(pres)))
+    """Free rank of the abelianized group (exact), read off the simplified
+    presentation: Tietze moves keep the group."""
+    simple, _ = simplify_presentation(pres)
+    return len(simple.generators) - len(smith_diagonal(relator_exponent_matrix(simple)))
 
 
 def _cyclically_reduced(letters: tuple[int, ...]) -> tuple[int, ...]:

@@ -16,21 +16,27 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def opnorm(a: np.ndarray) -> float:
-    """Operator (spectral) norm."""
+    """Operator (spectral) norm; NaN when an entry is not finite, where
+    numpy's SVD would raise."""
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.norm(a, 2)) if np.isfinite(a).all() else float("nan")
 
 
 def opnorms(stack: np.ndarray) -> np.ndarray:
     """Operator norms of a stack of matrices, one per leading index.
 
-    One numpy call for the whole stack, bitwise equal to
-    `[opnorm(a) for a in stack]`; a slice with an infinite entry gets NaN.
+    One SVD call for the whole stack, bitwise equal to
+    `[opnorm(a) for a in stack]`: a slice with a non-finite entry enters
+    it as zeros and gets NaN.
     """
     if stack.size == 0:
         return np.zeros(stack.shape[0])
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    masked = np.where(finite[:, None, None], stack, 0)
+    return np.where(finite, np.linalg.svd(masked, compute_uv=False)[:, 0], np.nan)
 
 
 def first_over(defects: np.ndarray, tol: float) -> int | None:

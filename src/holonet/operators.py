@@ -117,12 +117,11 @@ def residual_defects(residuals: list) -> np.ndarray:
         if isinstance(r, np.ndarray):
             groups.setdefault((r.dtype, r.shape[-2:]), []).append(i)
     for (_, shape), idx in groups.items():
-        norms = opnorms(np.concatenate([residuals[i].reshape((-1,) + shape) for i in idx]))
-        k = 0
-        for i in idx:
-            n = len(residuals[i]) if residuals[i].ndim == 3 else None
-            out[i] = norms[k] if n is None else norms[k:k + n].max(initial=0.0)
-            k += 1 if n is None else n
+        stacks = [residuals[i].reshape((-1,) + shape) for i in idx]
+        norms, k = opnorms(np.concatenate(stacks)), 0
+        for i, s in zip(idx, stacks):
+            out[i] = norms[k] if residuals[i].ndim == 2 else norms[k:k + len(s)].max(initial=0.0)
+            k += len(s)
     return np.array(out, dtype=float)
 
 

@@ -9,7 +9,7 @@ satisfied by construction; free presentations get independent unitaries.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -46,37 +46,37 @@ def random_connected_poset(rng: np.random.Generator, max_elements: int = 12) -> 
 
 
 def _rational_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Integer basis of the rational kernel of an integer matrix."""
+    """Integer basis of the rational kernel of an integer matrix: per free
+    column, the primitive kernel vector that is positive there and zero
+    at the other free columns.  Fraction-free (Bareiss) Gauss-Jordan: the
+    pivot rows end as `d` times the reduced row echelon form."""
     if not rows:
         return []
     ncols = len(rows[0])
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [list(row) for row in rows]
     pivots: list[int] = []
-    r = 0
+    d = 1
     for c in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        p = m[r][c]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
+            if i != r:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [(p * a - f * b) // d for a, b in zip(m[i], m[r])]
         pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+        d = p
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = d
         for i, pc in enumerate(pivots):
             v[pc] = -m[i][fc]
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // np.gcd(denom, x.denominator)
-        basis.append([int(x * denom) for x in v])
+        g = gcd(*v) if d > 0 else -gcd(*v)
+        basis.append([x // g for x in v])
     return basis
 
 

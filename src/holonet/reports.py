@@ -1,12 +1,13 @@
-"""Validation reports: a flat list of named checks with numeric defects."""
+"""Validation reports: named checks with numeric defects, kept as columns."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import residual_defects
+from .shift_calculus import ShiftOp
 
 # Every threshold of the package.  A function takes a `tol` parameter
 # only where some caller passes one; the CLI passes its --tolerance
@@ -36,59 +37,82 @@ class CheckEntry:
         return f"{self.check} @ {self.location}: defect={self.defect:.3e} tol={self.tolerance:.1e} [{status}]"
 
 
-@dataclass
 class ValidationReport:
-    entries: list[CheckEntry] = field(default_factory=list)
+    """Named checks kept as columns: check, location, tolerance and a slot
+    into a list of residuals.
 
-    def add(self, check: str, location: str, defect: float, tolerance: float) -> None:
-        self.entries.append(CheckEntry(check, location, float(defect), tolerance))
+    A residual is a matrix, a stack of them or a ShiftOp, whose norm is
+    the defect, or a defect measured already (a float).  A read measures
+    every residual added since the last one in one `residual_defects`
+    call.  Only `entries` and `violations` build `CheckEntry` objects.
+    """
+
+    def __init__(self) -> None:
+        self._checks, self._locations, self._tolerances, self._slots = [], [], [], []
+        self._measured, self._pending = np.zeros(0), []
+        # (residual, *operand ids) -> (slot, operands): holding the
+        # operands keeps their ids from being reused while the key exists
+        self._memo: dict = {}
+
+    def _push(self, check: str, location: str, tolerance: float, slot: int) -> None:
+        self._checks.append(check)
+        self._locations.append(location)
+        self._tolerances.append(tolerance)
+        self._slots.append(slot)
+
+    def add(self, check: str, location: str, defect, tolerance: float) -> None:
+        """A check of a defect (a float) or of a residual to measure."""
+        if not isinstance(defect, (np.ndarray, ShiftOp)):
+            defect = float(defect)
+        self._pending.append(defect)
+        self._push(check, location, tolerance, len(self._measured) + len(self._pending) - 1)
+
+    def relate(self, check: str, location: str, tolerance: float, residual, *ops) -> None:
+        """A check of `residual(*ops)`, computed once per residual
+        function and tuple of operand objects."""
+        key = (residual, *map(id, ops))
+        if key in self._memo:
+            self._push(check, location, tolerance, self._memo[key][0])
+        else:
+            self.add(check, location, residual(*ops), tolerance)
+            self._memo[key] = self._slots[-1], ops
+
+    def _defects(self) -> np.ndarray:
+        if self._pending:
+            self._measured = np.concatenate([self._measured, residual_defects(self._pending)])
+            self._pending = []
+        return self._measured[self._slots]
+
+    def _over(self) -> np.ndarray:
+        return ~(self._defects() <= np.array(self._tolerances))
+
+    def _build(self, index) -> list[CheckEntry]:
+        rows = list(zip(self._checks, self._locations, self._defects().tolist(), self._tolerances))
+        return [CheckEntry(*rows[i]) for i in index]
+
+    @property
+    def count(self) -> int:
+        return len(self._slots)
+
+    @property
+    def entries(self) -> list[CheckEntry]:
+        return self._build(range(self.count))
 
     @property
     def violations(self) -> list[CheckEntry]:
-        return [e for e in self.entries if not e.ok]
+        return self._build(np.flatnonzero(self._over()).tolist())
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self._over().any()
 
     @property
     def max_defect(self) -> float:
         """The largest defect, NaN when any defect is NaN."""
-        return float(np.max([e.defect for e in self.entries], initial=0.0))
+        return float(np.max(self._defects(), initial=0.0))
 
     def __str__(self) -> str:
         if self.ok:
-            return f"valid ({len(self.entries)} checks, max defect {self.max_defect:.3e})"
+            return f"valid ({self.count} checks, max defect {self.max_defect:.3e})"
         lines = [str(e) for e in self.violations]
-        return "\n".join([f"INVALID ({len(self.violations)} violations)"] + lines)
-
-
-def relation_memo(report: ValidationReport):
-    """A per-call memo of relation residuals keyed on operand identity.
-
-    Returns `(relate, measure)`.  `relate(check, location, tolerance,
-    residual, *ops)` appends an entry to `report` for `residual(*ops)`,
-    computed once per distinct tuple of operand objects.  `measure()`
-    measures every residual at once (`operators.residual_defects`) and
-    writes the defects in; until then the entries read NaN, which no
-    tolerance passes.  Keys hold the `id` of each operand: make one memo
-    per validator call, over operands it keeps alive, never a temporary.
-    """
-    slots: dict = {}
-    residuals: list = []
-    pending: list[tuple[CheckEntry, int]] = []
-
-    def relate(check: str, location: str, tolerance: float, residual, *ops) -> None:
-        key = (residual, *map(id, ops))
-        if key not in slots:
-            slots[key] = len(residuals)
-            residuals.append(residual(*ops))
-        report.entries.append(CheckEntry(check, location, float("nan"), tolerance))
-        pending.append((report.entries[-1], slots[key]))
-
-    def measure() -> None:
-        defects = residual_defects(residuals).tolist()
-        for entry, slot in pending:
-            entry.defect = defects[slot]
-
-    return relate, measure
+        return "\n".join([f"INVALID ({len(lines)} violations)"] + lines)

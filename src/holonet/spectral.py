@@ -33,7 +33,7 @@ from .operators import (
     selfadjoint_residual,
 )
 from .poset import Poset
-from .reports import CHECK_TOL, ValidationReport, relation_memo
+from .reports import CHECK_TOL, ValidationReport
 
 
 @dataclass(frozen=True)
@@ -77,25 +77,23 @@ def validate_triple(t: NetSpectralTriple, tol: float = CHECK_TOL) -> ValidationR
     edge: one-sided transport covariance of D and covariance of the
     superderivation on the matrix-unit basis of the source fiber.
 
-    A relation whose operands are the very same objects at several
-    locations (one D and grading shared by every fiber, the one identity
-    on every tree edge) is evaluated once and reported at each of them,
-    and the superderivation of the units once per (D, grading) pair.
+    Through `ValidationReport.relate`, a relation on operands shared by
+    several locations is evaluated once; the superderivation of the units
+    once per (D, grading) pair.
     """
     rep = t.rep
     report = ValidationReport()
-    relate, measure = relation_memo(report)
     for o in sorted(rep.poset.elements):
         d = t.D.get(o)
         if d is None:
             report.add("D-coverage", o, float("inf"), tol)
             continue
-        relate("D-selfadjoint", o, tol, selfadjoint_residual, d)
+        report.relate("D-selfadjoint", o, tol, selfadjoint_residual, d)
         g = (rep.grading or {}).get(o)
         if g is None:
             report.add("grading-coverage", o, float("inf"), tol)
         else:
-            relate("D-odd", o, tol, anticommutator_residual, g, d)
+            report.relate("D-odd", o, tol, anticommutator_residual, g, d)
     deltas: dict = {}
     for e in sorted(rep.poset.strict_pairs()):
         o, o1 = e
@@ -103,7 +101,7 @@ def validate_triple(t: NetSpectralTriple, tol: float = CHECK_TOL) -> ValidationR
         if d is None or d1 is None:
             continue
         u = rep.u(o, o1)
-        relate("D-transport", f"{o}<{o1}", tol, intertwining_residual, u, d, d1)
+        report.relate("D-transport", f"{o}<{o1}", tol, intertwining_residual, u, d, d1)
         g = (rep.grading or {}).get(o)
         g1 = (rep.grading or {}).get(o1)
         if g is None or g1 is None:
@@ -111,10 +109,9 @@ def validate_triple(t: NetSpectralTriple, tol: float = CHECK_TOL) -> ValidationR
         if (id(d), id(g)) not in deltas:
             (units,) = basis_stack((d.shape[0],))
             deltas[id(d), id(g)] = units, superderivation(d, g, units)
-        relate("superderivation-covariance", f"{o}<{o1}", tol,
-               _superderivation_covariance_residual, u, d1, g1,
-               *deltas[id(d), id(g)])
-    measure()
+        report.relate("superderivation-covariance", f"{o}<{o1}", tol,
+                      _superderivation_covariance_residual, u, d1, g1,
+                      *deltas[id(d), id(g)])
     return report
 
 

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 import holonet.representation
-from holonet.bundle import HilbertNetBundle, bundle_from_rep, holonomy_images
+from holonet.bundle import (
+    CStarNetBundle,
+    HilbertNetBundle,
+    Section,
+    bundle_from_rep,
+    holonomy_images,
+    holonomy_rep,
+    roundtrip_iso,
+    section_defect,
+    validate_bundle,
+)
 from holonet.cli import _report_summary
 from holonet.cstar import StarIso, apply_iso, block_diag, identity_iso, iso_map_defect
 from holonet.errors import (
@@ -361,6 +371,74 @@ def test_overflowing_unit_makes_the_morphism_defect_nan():
         (entry,) = validate_representation(r).entries
     assert np.isfinite(loop[1])
     assert np.isnan(entry.defect) and not entry.ok
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_slice_has_norm_nan_and_leaves_the_others_bitwise(bad):
+    stack = np.stack([random_unitary(np.random.default_rng(k), 3) for k in range(4)])
+    finite = opnorms(stack)
+    stack[2, 1, 0] = bad
+    got = opnorms(stack)
+    assert np.isnan(got[2]) and np.isnan(opnorm(stack[2]))
+    assert got[[0, 1, 3]].tobytes() == finite[[0, 1, 3]].tobytes()
+    assert np.isnan(opnorms(stack[2:3])).all()
+
+
+def star_chain(second_unit):
+    """A C* bundle on a 3-chain whose first inclusion carries
+    `second_unit` as the unit of its 2 x 2 block."""
+    poset = chain_poset(3)
+    ident = StarIso((1, 2), (0, 1), (np.eye(1, dtype=complex), np.eye(2, dtype=complex)))
+    incl = {e: ident for e in poset.strict_pairs()}
+    incl[min(incl)] = StarIso((1, 2), (0, 1), (np.eye(1, dtype=complex), second_unit))
+    return CStarNetBundle(poset, (1, 2), incl)
+
+
+def test_a_non_finite_inclusion_gives_a_nan_report_for_both_bundle_kinds():
+    """An SVD of a NaN matrix raised `LinAlgError` out of validate_bundle."""
+    rng = np.random.default_rng(3)
+    poset, pres, frame = random_poset_with_frame(rng, 8)
+    b = random_hilbert_bundle(poset, pres, frame, 3, rng)
+    e = min(b.incl)
+    u = b.incl[e].copy()
+    u[1, 2] = np.inf
+    nan_unit = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+    with np.errstate(invalid="ignore"):
+        for bad in (HilbertNetBundle(poset, 3, {**b.incl, e: u}), star_chain(nan_unit)):
+            report = validate_bundle(bad)
+            assert not report.ok and np.isnan(report.max_defect)
+
+
+def test_a_nan_unit_after_a_finite_one_makes_the_unitarity_entry_nan():
+    """The C* unitarity entry took the builtin max over the units, which
+    drops a NaN after a finite defect (max(0.0, nan) is 0.0)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = validate_bundle(star_chain(np.diag([1e200, 1.0]).astype(complex)))
+    first = report.entries[0]
+    assert first.check == "inclusion-unitarity" and np.isnan(first.defect)
+
+
+def test_a_nan_section_value_makes_the_section_defect_nan():
+    poset = chain_poset(3)
+    flat = HilbertNetBundle(poset, 2, {e: np.eye(2, dtype=complex)
+                                       for e in poset.strict_pairs()})
+    values = {o: np.array([1.0, 0.0], dtype=complex) for o in poset.elements}
+    assert section_defect(flat, Section(values)) == 0.0
+    values[max(poset.elements)] = np.array([np.nan, 0.0], dtype=complex)
+    assert np.isnan(section_defect(flat, Section(values)))
+
+
+def test_a_non_finite_inclusion_makes_the_roundtrip_defect_nan():
+    rng = np.random.default_rng(3)
+    poset, pres, frame = random_poset_with_frame(rng, 8)
+    b = random_hilbert_bundle(poset, pres, frame, 3, rng)
+    images = holonomy_rep(b, pres, frame)
+    e = max(set(b.incl) - set(pres.tree_edges))
+    u = b.incl[e].copy()
+    u[0, 1] = np.inf
+    with np.errstate(invalid="ignore"):
+        rt = roundtrip_iso(HilbertNetBundle(poset, 3, {**b.incl, e: u}), pres, frame, images)
+    assert np.isnan(rt.defect)
 
 
 # ------------------------------------------------------ linalg call counts

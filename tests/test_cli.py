@@ -520,6 +520,24 @@ def test_sections_tolerance_reaches_the_holonomy_relators(capsys, tmp_path):
     assert any("chain-coherence" in v for v in report["results"]["bundle"]["violations"])
 
 
+def test_a_nan_section_defect_fails_sections(capsys, monkeypatch, tmp_path):
+    """A NaN defect after a finite one used to vanish in the builtin max
+    over the sections (max(0.0, nan) is 0.0), and the command passed."""
+    doc = {"poset": {"elements": ["a", "b", "c"], "pairs": [["a", "b"], ["a", "c"]],
+                     "base": "a"},
+           "bundle": {"dimension": 2,
+                      "edges": {"a<b": encode_matrix(np.eye(2)),
+                                "a<c": encode_matrix(np.eye(2))}}}
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    defects = iter([0.0, float("nan")])
+    monkeypatch.setattr(holonet.cli, "section_defect", lambda b, s: next(defects))
+    code, out, _ = run(capsys, "sections", "--input", str(path), "--format", "text")
+    assert code == 1
+    assert "results.dimension: 2" in out
+    assert "results.max_section_defect: nan" in out and "pass: False" in out
+
+
 def test_text_format(capsys):
     code, out, _ = run(capsys, "pi1", "--input", HEXAGON, "--format", "text")
     assert code == 0

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import holonet.fredholm
+import holonet.reports
 import holonet.shift_calculus
 from holonet.bundle import holonomy_images, holonomy_rep, roundtrip_iso, validate_bundle
 from holonet.fredholm import (
     build_sector_module,
+    build_shift_module,
     equivariant_cycle,
     from_cycle,
     localize,
@@ -25,6 +27,8 @@ from holonet.poset import Path
 from holonet.randomgen import random_hilbert_bundle, random_poset_with_frame
 from holonet.shift_calculus import ShiftOp
 from holonet.spectral import EquivariantTriple, from_equivariant, validate_triple
+from holonet.standard import circle_poset
+from conftest import pfp
 
 # seeds of random_poset_with_frame(rng, 30): 24 and 111 strict pairs,
 # 11 and 87 generators, 12 and 274 relators
@@ -177,3 +181,39 @@ def test_sector_arithmetic_builds_results_unvalidated(monkeypatch, hexagon_pfp, 
         assert set(callers) <= {"stripe_op", "finite_op"}, (stage.__name__, callers)
         counts[stage.__name__] = len(products)
     assert counts == {"validate_module": 38, "pi_index": 0}
+
+
+# ------------------------------------------------------ report bookkeeping
+
+def test_validate_module_measures_shared_relations_once(monkeypatch):
+    """A shift module on a circle shares its F, grading, samples and edge
+    colours among all fibers and edges: the residuals measured do not
+    grow with the circle, while the checks do.  Reading `ok`,
+    `max_defect` and `count` builds no `CheckEntry`."""
+    measured, built = [], []
+    residual_defects, entry = holonet.reports.residual_defects, holonet.reports.CheckEntry
+
+    def counted_residual_defects(residuals):
+        measured.append(len(residuals))
+        return residual_defects(residuals)
+
+    def counted_entry(*args):
+        built.append(1)
+        return entry(*args)
+
+    monkeypatch.setattr(holonet.reports, "residual_defects", counted_residual_defects)
+    monkeypatch.setattr(holonet.reports, "CheckEntry", counted_entry)
+    counts = {}
+    for n_arcs in (16, 64):
+        poset, pres, frame = pfp(circle_poset(n_arcs))
+        module = build_shift_module(poset, pres, frame,
+                                    {1: random_unitary(np.random.default_rng(7), 4)})
+        measured.clear()
+        built.clear()
+        report = validate_module(module)
+        assert report.ok and report.max_defect <= 1e-10
+        counts[n_arcs] = sum(measured), report.count
+        assert built == []
+        assert len(report.entries) == report.count == len(built)
+    assert counts[16][0] == counts[64][0], counts
+    assert counts[16][1] < counts[64][1], counts

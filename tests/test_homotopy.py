@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holonet.randomgen
 from holonet.errors import (
     NotALoopAtBase,
     NotComparable,
@@ -324,6 +325,100 @@ def test_abelianization_rank_matches_rational_elimination():
             want = "Unknown"
         assert verdict == want
     assert max(sizes) >= 28
+
+
+def sparse_rational_rank(rows):
+    """Rank over Q: each row reduced, by integer row operations, against
+    the sparse pivot rows kept so far, each keyed by its first column."""
+    pivots = {}
+    for row in rows:
+        r = {c: x for c, x in enumerate(row) if x}
+        while r:
+            c = min(r)
+            if c not in pivots:
+                pivots[c] = r
+                break
+            p = pivots[c]
+            a, b = p[c], r[c]
+            r = {k: v for k in r.keys() | p.keys()
+                 if (v := a * r.get(k, 0) - b * p.get(k, 0))}
+    return len(pivots)
+
+
+def test_abelianization_rank_of_large_random_posets():
+    """The rank is read off the simplified presentation; here it meets
+    the rational rank of the full relator matrix, up to 180 elements and
+    thousands of relators.  Tietze moves remove every relator of these
+    presentations, so each gets three more relators on three of its
+    generators, none of which occurs only once in them."""
+    sizes, kept = [], 0
+    for seed in range(50):
+        rng = np.random.default_rng(seed + 4000)
+        _, pres, _ = random_poset_with_frame(rng, 180)
+        gens = rng.choice(len(pres.generators), size=min(3, len(pres.generators)),
+                          replace=False) + 1
+        extra = tuple(Word(tuple(int(g) * s for g in gens for s in rng.choice([-1, 1], 2)))
+                      for _ in range(3))
+        pres = GroupPresentation(pres.base, pres.generators, pres.relators + extra,
+                                 pres.tree_edges)
+        sizes.append(len(pres.relators))
+        rank = len(pres.generators) - sparse_rational_rank(relator_exponent_matrix(pres))
+        assert abelianization_rank(pres) == rank
+        kept += bool(simplify_presentation(pres)[0].relators)
+    assert max(sizes) > 2000 and kept > 25
+
+
+def fraction_kernel(rows):
+    """Integer kernel basis by Gauss-Jordan over Fraction: per free
+    column, the kernel vector that is 1 there and 0 at the other free
+    columns, scaled by the lcm of its denominators."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -m[i][fc]
+        denom = 1
+        for x in v:
+            denom = denom * x.denominator // np.gcd(denom, x.denominator)
+        basis.append([int(x * denom) for x in v])
+    return basis
+
+
+def test_random_representation_matches_the_fraction_kernel(monkeypatch):
+    assert not hasattr(holonet.randomgen, "Fraction")
+    kernels = 0
+    for seed in range(200):
+        _, pres, _ = random_poset_with_frame(np.random.default_rng(seed + 5000),
+                                             30 if seed % 8 == 0 else 12)
+        rows = relator_exponent_matrix(pres)
+        kernel = fraction_kernel(rows)
+        assert holonet.randomgen._rational_kernel(rows) == kernel
+        kernels += bool(rows)
+        got = random_representation(pres, 2, np.random.default_rng(seed))
+        with monkeypatch.context() as m:
+            m.setattr(holonet.randomgen, "_rational_kernel", lambda _: kernel)
+            want = random_representation(pres, 2, np.random.default_rng(seed))
+        assert got.keys() == want.keys()
+        assert all(got[g].tobytes() == want[g].tobytes() for g in got)
+    assert kernels > 100
 
 
 # ------------------------------- the worklist Tietze pass against the rescan
