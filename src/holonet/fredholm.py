@@ -183,6 +183,9 @@ def validate_module(m: FredholmModule, tol: float = CHECK_TOL) -> ValidationRepo
         for label, t in sorted(rep.samples.get(o, {}).items()):
             out.relate("F-commutes-with-samples", f"{o}:{label}", COMPACT_TOL,
                        commutator_compact_defect, f, t)
+    for e in sorted(rep.poset.strict_pairs()):
+        if e not in rep.u_incl:
+            out.add("edge-coverage", f"{e}", float("inf"), tol)
     for e in sorted(rep.u_incl):
         o, o1 = e
         u = rep.u_incl[e]

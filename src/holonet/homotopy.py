@@ -262,35 +262,29 @@ def smith_diagonal(rows: list[list[int]]) -> list[int]:
     nr, nc = len(m), len(m[0])
     diag = []
     for k in range(min(nr, nc)):
-        # the first nonzero pivot of the remaining block, row by row
-        piv = next(((i, j) for i in range(k, nr) for j in range(k, nc) if m[i][j] != 0),
-                   None)
-        if piv is None:
-            break
-        i, j = piv
-        m[k], m[i] = m[i], m[k]
-        for row in m:
-            row[k], row[j] = row[j], row[k]
-        # clear the pivot row and column by euclidean steps
+        # euclidean steps, each on the nonzero entry of least magnitude in
+        # the remaining block (the first one row by row): a heuristic that
+        # keeps the entries small, not a bound on their growth
         while True:
-            again = False
+            piv = min(((abs(m[i][j]), i, j) for i in range(k, nr) for j in range(k, nc)
+                       if m[i][j] != 0), default=None)
+            if piv is None:
+                return diag
+            _, i, j = piv
+            m[k], m[i] = m[i], m[k]
+            for row in m:
+                row[k], row[j] = row[j], row[k]
+            p = m[k][k]
             for i in range(k + 1, nr):
                 if m[i][k] != 0:
-                    q = m[i][k] // m[k][k]
+                    q = m[i][k] // p
                     m[i] = [a - q * b for a, b in zip(m[i], m[k])]
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        again = True
             for j in range(k + 1, nc):
                 if m[k][j] != 0:
-                    q = m[k][j] // m[k][k]
+                    q = m[k][j] // p
                     for row in m:
                         row[j] -= q * row[k]
-                    if m[k][j] != 0:
-                        for row in m:
-                            row[k], row[j] = row[j], row[k]
-                        again = True
-            if not again:
+            if not any(m[i][k] for i in range(k + 1, nr)) and not any(m[k][k + 1:]):
                 break
         diag.append(abs(m[k][k]))
     return diag

@@ -108,20 +108,22 @@ def commutator_compact_defect(a, b) -> float:
 
 def residual_defects(residuals: list) -> np.ndarray:
     """The defect of each residual, bitwise as measured one by one: a
-    matrix's norm, a stack's largest norm, a ShiftOp's `zero_defect`; a
-    float is a defect measured already.  Dense residuals of one dtype and
-    matrix shape are measured in one `opnorms` call."""
-    out = [r if isinstance(r, (float, np.ndarray)) else zero_defect(r) for r in residuals]
+    matrix's norm, a stack's largest norm, a ShiftOp's `zero_defect`, and
+    sum_k |P_k| |Q_k| for a factor pair (P, Q) of equal stacks; a float
+    is a defect measured already.  Dense residuals of one dtype and matrix
+    shape, pairs included, are measured in one `opnorms` call."""
+    dense = [np.concatenate(r) if isinstance(r, tuple) else r for r in residuals]
+    out = [r if isinstance(r, (float, np.ndarray)) else zero_defect(r) for r in dense]
     groups: dict = {}
-    for i, r in enumerate(residuals):
+    for i, r in enumerate(dense):
         if isinstance(r, np.ndarray):
             groups.setdefault((r.dtype, r.shape[-2:]), []).append(i)
     for (_, shape), idx in groups.items():
-        stacks = [residuals[i].reshape((-1,) + shape) for i in idx]
+        stacks = [dense[i].reshape((-1,) + shape) for i in idx]
         norms, k = opnorms(np.concatenate(stacks)), 0
         for i, s in zip(idx, stacks):
-            out[i] = norms[k] if residuals[i].ndim == 2 else norms[k:k + len(s)].max(initial=0.0)
-            k += len(s)
+            n, k, h = norms[k:k + len(s)], k + len(s), len(s) // 2
+            out[i] = sum(n[:h] * n[h:]) if isinstance(residuals[i], tuple) else n.max(initial=0.0)
     return np.array(out, dtype=float)
 
 

@@ -42,9 +42,10 @@ class ValidationReport:
     into a list of residuals.
 
     A residual is a matrix, a stack of them or a ShiftOp, whose norm is
-    the defect, or a defect measured already (a float).  A read measures
-    every residual added since the last one in one `residual_defects`
-    call.  Only `entries` and `violations` build `CheckEntry` objects.
+    the defect, a factor pair of stacks (see `residual_defects`), or a
+    defect measured already (a float).  A read measures every residual
+    added since the last one in one `residual_defects` call.  Only
+    `entries` and `violations` build `CheckEntry` objects.
     """
 
     def __init__(self) -> None:
@@ -62,7 +63,7 @@ class ValidationReport:
 
     def add(self, check: str, location: str, defect, tolerance: float) -> None:
         """A check of a defect (a float) or of a residual to measure."""
-        if not isinstance(defect, (np.ndarray, ShiftOp)):
+        if not isinstance(defect, (np.ndarray, ShiftOp, tuple)):
             defect = float(defect)
         self._pending.append(defect)
         self._push(check, location, tolerance, len(self._measured) + len(self._pending) - 1)

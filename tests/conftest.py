@@ -293,6 +293,13 @@ def netify(eta: BlockHom, v_images: dict[int, np.ndarray], poset: Poset,
     return NetRepresentation(net, target, pi)
 
 
+# ------------------------------------------------------------ spectral triples
+
+def superderivation(d: np.ndarray, grading: np.ndarray, t) -> np.ndarray:
+    """delta(t) = D t - (Gamma t Gamma) D, the graded commutator with D."""
+    return d @ t - grading @ t @ grading @ d
+
+
 # ------------------------------------------------------------ index values
 
 def virtual_reps_match(a: VirtualRep, b: VirtualRep) -> bool:

@@ -444,11 +444,12 @@ def test_a_non_finite_inclusion_makes_the_roundtrip_defect_nan():
 # ------------------------------------------------------ linalg call counts
 
 def test_triple_and_covariantize_make_one_linalg_call_per_location(monkeypatch):
-    """One stack per relation and location: validate_triple costs two calls
-    per distinct edge unitary (D-transport, superderivation covariance)
-    plus two for the shared D and grading; covariantize costs one per
-    strict pair (morphism), one per generator and one for the relators.
-    A per-unit loop in any of them adds 35 calls per location here."""
+    """validate_triple measures all of its residuals in one grouped stack:
+    per distinct edge unitary one D-transport matrix and the six factors
+    of the superderivation covariance bound, no matrix-unit basis.
+    covariantize costs one call per strict pair (morphism), one per
+    generator and one for the relators.  A per-unit loop of calls in
+    either adds 35 calls per location here."""
     rng = np.random.default_rng(0)
     poset, pres, frame = random_poset_with_frame(rng, 12)
     images = random_representation(pres, 3, rng)

@@ -104,6 +104,41 @@ def test_svd_calls_do_not_grow_with_the_edges(monkeypatch, stage):
     assert counts["small"] == counts["large"] <= 3, counts
 
 
+def svd_matrices(monkeypatch, f, *args):
+    """Matrices that reach `np.linalg.svd` or `np.linalg.norm(., 2)`; a
+    stack counts its slices."""
+    sizes = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counted_svd(a, *rest, **kwargs):
+        sizes.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *rest, **kwargs)
+
+    def counted_norm(x, ord=None, *rest, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            sizes.append(1)
+        return norm(x, ord, *rest, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", counted_svd)
+        m.setattr(np.linalg, "norm", counted_norm)
+        f(*args)
+    return sum(sizes)
+
+
+def test_validate_triple_measures_a_few_matrices_per_edge_unitary(monkeypatch):
+    """D-transport is one matrix and the superderivation covariance bound
+    six per distinct edge unitary (the D and grading relations of the
+    shared fibers add two); a residual per matrix unit of the 6 x 6
+    fibers would add 36."""
+    for seed in SIZES.values():
+        poset, pres, frame, b, images = random_net(seed)
+        t = triple_of(poset, pres, frame, images)
+        distinct = len({id(u) for u in t.rep.u_incl.values()})
+        count = svd_matrices(monkeypatch, lambda: validate_triple(t).ok)
+        assert count <= 8 * distinct + 8, (count, distinct)
+
+
 def test_holonomy_images_build_no_path(monkeypatch):
     for seed in SIZES.values():
         poset, pres, frame, b, _ = random_net(seed)

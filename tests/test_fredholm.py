@@ -235,6 +235,18 @@ def test_validate_detects_nonselfadjoint_f(hexagon_pfp):
     assert any(not e.ok for e in checks(report, "F-selfadjoint"))
 
 
+def test_validate_module_reports_a_missing_edge_operator(hexagon_pfp):
+    """A strict pair without an edge operator is an `edge-coverage`
+    violation; the chains through it are not checked."""
+    poset, pres, frame = hexagon_pfp
+    m = build_shift_module(poset, pres, frame, {1: random_unitary(rng_for(0), 3)})
+    e = sorted(poset.strict_pairs())[0]
+    u_incl = {k: u for k, u in m.rep.u_incl.items() if k != e}
+    report = validate_module(replace(m, rep=replace(m.rep, u_incl=u_incl)))
+    assert [(c.check, c.location) for c in report.violations] == [("edge-coverage", f"{e}")]
+    assert validate_module(m).ok
+
+
 # ---------------------------------------------------------------- localize
 
 def test_localize_requires_known_element(hexagon_pfp):

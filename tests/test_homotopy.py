@@ -1,4 +1,7 @@
+import signal
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -303,6 +306,76 @@ def rational_rank_reference(rows):
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def exact_det(rows):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    m = [row[:] for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        piv = next((i for i in range(k, len(m)) if m[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def maximal_minor_gcd(rows, rank):
+    """gcd of the rank x rank minors: the order of the torsion of the
+    cokernel, which a diagonal form of the matrix preserves."""
+    out = 0
+    for r in combinations(range(len(rows)), rank):
+        for c in combinations(range(len(rows[0])), rank):
+            out = gcd(out, exact_det([[rows[i][j] for j in c] for i in r]))
+            if out == 1:
+                return 1
+    return out
+
+
+def test_smith_diagonal_finishes_on_a_dense_matrix():
+    """The first-nonzero pivot did not finish on this matrix within 2 s;
+    the alarm turns such a regression into a failure."""
+    rows = [[0, 0, 5, -4, 5, 0], [4, -2, -4, 3, -2, -3], [-5, 1, 1, 0, 0, -1],
+            [-4, 0, 5, 1, 0, 0], [0, -6, 0, 0, 2, 0], [-2, 5, 0, 6, 0, 1],
+            [-4, -5, 2, 5, -1, -4]]
+
+    def timeout(*_):
+        raise TimeoutError("smith_diagonal took more than 2 s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(2)
+    try:
+        diag = smith_diagonal(rows)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert diag == [1, 1, 1, 1, 1, 3]
+
+
+def test_smith_diagonal_keeps_rank_and_torsion_of_random_matrices():
+    """Length is the rational rank; the product of the entries is the
+    gcd of the maximal nonzero minors.  Every other matrix is sparse, so
+    that deficient ranks occur too."""
+    rng = np.random.default_rng(17)
+    ranks = set()
+    for k in range(300):
+        a = rng.integers(-6, 7, size=(7, 6))
+        if k % 2:
+            a = a * (rng.random((7, 6)) < 0.3)
+        rows = a.tolist()
+        diag = smith_diagonal(rows)
+        rank = rational_rank_reference(rows)
+        ranks.add(rank)
+        assert len(diag) == rank, rows
+        assert prod(diag) == (maximal_minor_gcd(rows, rank) if rank else 1), rows
+    assert len(ranks) > 2
 
 
 def test_abelianization_rank_matches_rational_elimination():

@@ -6,24 +6,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import pfp, rng_for
+from conftest import pfp, rng_for, superderivation
 from holonet.errors import FiberMismatch, NotInvariant, NotSelfAdjoint
-from holonet.fredholm import flat_rep
+from holonet.fredholm import SampledRep, flat_rep
 from holonet.linalg import dagger, random_unitary
 from holonet.operators import adj, zero_defect
 from holonet.reports import ValidationReport
 from holonet.spectral import (
     EquivariantTriple,
     NetSpectralTriple,
+    _covariance_factors,
     from_equivariant,
-    superderivation,
     theta_trace,
     to_equivariant,
     validate_triple,
 )
-from holonet.standard import circle_poset
+from holonet.standard import chain_poset, circle_poset
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SY = np.array([[0.0, -1j], [1j, 0.0]])
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
@@ -230,7 +231,9 @@ def test_from_equivariant_rejects_missing_generator_images(hexagon_pfp):
 
 def reference_validate_triple(t, tol=1e-10):
     """The per-location loop: every relation recomputed at every fiber
-    and edge, whether or not its operands are shared."""
+    and edge, whether or not its operands are shared.  Superderivation
+    covariance is the bound |A| |u| + |B| |X| + |Y| |C|, each norm taken
+    alone."""
     rep = t.rep
     report = ValidationReport()
     for o in sorted(rep.poset.elements):
@@ -245,6 +248,9 @@ def reference_validate_triple(t, tol=1e-10):
         else:
             report.add("D-odd", o, zero_defect(g @ d + d @ g), tol)
     for o, o1 in sorted(rep.poset.strict_pairs()):
+        if (o, o1) not in rep.u_incl:
+            report.add("edge-coverage", f"{o}<{o1}", float("inf"), tol)
+            continue
         d, d1 = t.D.get(o), t.D.get(o1)
         if d is None or d1 is None:
             continue
@@ -254,15 +260,10 @@ def reference_validate_triple(t, tol=1e-10):
         g1 = (rep.grading or {}).get(o1)
         if g is None or g1 is None:
             continue
-        worst = 0.0
-        for i in range(d.shape[0]):
-            for j in range(d.shape[0]):
-                unit = np.zeros_like(d)
-                unit[i, j] = 1.0
-                lhs = superderivation(d1, g1, u @ unit @ adj(u))
-                rhs = u @ superderivation(d, g, unit) @ adj(u)
-                worst = max(worst, zero_defect(lhs - rhs))
-        report.add("superderivation-covariance", f"{o}<{o1}", worst, tol)
+        x = adj(u) @ g1 @ d1
+        pairs = [(d1 @ u - u @ d, u), (g1 @ u - u @ g, x), (u @ g, x - g @ d @ adj(u))]
+        report.add("superderivation-covariance", f"{o}<{o1}",
+                   sum(zero_defect(p) * zero_defect(q) for p, q in pairs), tol)
     return report
 
 
@@ -309,3 +310,97 @@ def test_validate_triple_matches_the_per_location_loop(name):
         [(e.check, e.location, float(e.defect).hex(), e.tolerance)
          for e in want.entries]
     assert got.ok == (name in ("shared", "copies", "gauged", "mixed"))
+
+
+def test_validate_triple_reports_a_missing_edge_operator(hexagon_pfp):
+    """A strict pair without an edge operator is an `edge-coverage`
+    violation, and none of that edge's other relations is checked."""
+    poset, pres, frame = hexagon_pfp
+    t = from_equivariant(replace(rotation_triple(), group=pres), poset, pres, frame)
+    o, o1 = sorted(poset.strict_pairs())[0]
+    u_incl = {e: u for e, u in t.rep.u_incl.items() if e != (o, o1)}
+    report = validate_triple(NetSpectralTriple(replace(t.rep, u_incl=u_incl), t.D))
+    assert [(c.check, c.location) for c in report.violations] == \
+        [("edge-coverage", f"{o}<{o1}")]
+    assert [c.check for c in report.entries if c.location == f"{o}<{o1}"] == \
+        ["edge-coverage"]
+
+
+# ------------------------------------- superderivation covariance bound
+
+def unit_covariance_defect(u, d, d1, g, g1):
+    """The largest superderivation covariance defect on the matrix units
+    of the source fiber, one norm per unit."""
+    worst = 0.0
+    for i, j in np.ndindex(d.shape):
+        unit = np.zeros_like(d)
+        unit[i, j] = 1.0
+        lhs = superderivation(d1, g1, u @ unit @ adj(u))
+        worst = max(worst, zero_defect(lhs - u @ superderivation(d, g, unit) @ adj(u)))
+    return worst
+
+
+def test_covariance_factors_satisfy_the_identity():
+    """delta1(u t u*) - u delta(t) u* = A t u* - B t X - Y t C for any
+    square matrices, so its norm is at most sum_k |P_k| |Q_k| |t|."""
+    rng = rng_for(11)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        u, d, d1, g, g1, t = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                              for _ in range(6))
+        (a, b, y), (u_, x, c) = _covariance_factors(u, d, d1, g, g1)
+        assert np.array_equal(u_, u)
+        lhs = superderivation(d1, g1, u @ t @ adj(u)) - u @ superderivation(d, g, t) @ adj(u)
+        rhs = a @ t @ adj(u) - b @ t @ x - y @ t @ c
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
+        bound = zero_defect(a) * zero_defect(u) + zero_defect(b) * zero_defect(x) \
+            + zero_defect(y) * zero_defect(c)
+        assert zero_defect(lhs) <= bound * zero_defect(t) * (1 + 1e-12)
+
+
+def near_covariant_triple(seed):
+    """A two-element net with a random edge unitary u and an odd D: D1 and
+    G1 are u D u* and u G u* plus Hermitian perturbations of norm between
+    1e-12 and 1e-3.  Returns the triple and its edge operands."""
+    rng = rng_for(500 + seed)
+    poset, pres, frame = pfp(chain_poset(2))
+    g = np.kron(SZ, np.eye(3))
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    d = np.block([[np.zeros((3, 3)), m], [m.conj().T, np.zeros((3, 3))]])
+    u = random_unitary(rng, 6)
+
+    def bent(x):
+        h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        h = h + h.conj().T
+        return u @ x @ adj(u) + 10.0 ** rng.uniform(-12, -3) * h / zero_defect(h)
+
+    d1, g1 = bent(d), bent(g)
+    rep = SampledRep(poset, pres, frame, {("o1", "o2"): u}, {},
+                     np.eye(6, dtype=complex), grading={"o1": g, "o2": g1})
+    return NetSpectralTriple(rep, {"o1": d, "o2": d1}), (u, d, d1, g, g1)
+
+
+def test_covariance_bound_is_never_below_the_matrix_unit_defect():
+    for seed in range(300):
+        t, ops = near_covariant_triple(seed)
+        (entry,) = checks(validate_triple(t), "superderivation-covariance")
+        assert entry.defect >= unit_covariance_defect(*ops) - 1e-14, seed
+
+
+def test_untransported_grading_fails_superderivation_covariance(hexagon_pfp):
+    """SY x 1 at one fiber anticommutes with D = SX x h as SZ x 1 does, so
+    D stays odd and transported; but the superderivations of the two
+    gradings differ, on matrix units too, and only the covariance entry
+    sees it."""
+    poset, pres, frame = hexagon_pfp
+    t = from_equivariant(replace(rotation_triple(), group=pres), poset, pres, frame)
+    grading = dict(t.rep.grading)
+    grading["U2"] = np.kron(SY, np.eye(3))
+    rep = replace(t.rep, grading=grading)
+    report = validate_triple(NetSpectralTriple(rep, t.D))
+    assert not report.ok
+    assert {c.check for c in report.violations} == {"superderivation-covariance"}
+    for c in report.violations:
+        o, o1 = c.location.split("<")
+        assert unit_covariance_defect(rep.u(o, o1), t.D[o], t.D[o1], grading[o],
+                                      grading[o1]) > 1e-10
