@@ -5,6 +5,10 @@ timing goes to stderr so stdout stays byte-identical across runs.
 Exit codes: 0 all verdicts pass, 1 a verdict failed, a computation
 rejected the data or the program failed (an "internal" error object),
 2 the input (the document or the command line) could not be used at all.
+
+Each command checks its sections before it imports the layers it
+computes with, so a process loads numpy and those layers only when its
+document and command need them.
 """
 
 from __future__ import annotations
@@ -16,36 +20,7 @@ import sys
 import time
 import traceback
 
-import numpy as np
-
-from .bundle import (
-    HilbertNetBundle,
-    compute_sections,
-    hilbert_section_dimension_oracle,
-    holonomy_rep,
-    roundtrip_iso,
-    section_defect,
-    validate_bundle,
-)
-from .charclass import ccs_of_module, ccs_of_rep
-from .errors import (
-    HolonetError,
-    InputReferenceError,
-    SchemaError,
-    UnknownCommand,
-)
-from .fredholm import (
-    ExtensionObstruction,
-    build_sector_module,
-    build_shift_module,
-    equivariant_cycle,
-    extend_localized,
-    from_cycle,
-    localize,
-    pi_index,
-    sample_words,
-    validate_module,
-)
+from .errors import HolonetError, InputReferenceError, SchemaError, UnknownCommand
 from .homotopy import simplify_presentation
 from .iodoc import (
     InputDocument,
@@ -56,16 +31,7 @@ from .iodoc import (
     parse_document,
     print_document,
 )
-from .linalg import eigenphases, turn_distance
-from .operators import operators_equal_exact, relator_defects, unitarity_defect
 from .reports import CHECK_TOL, PHASE_TOL
-from .spectral import (
-    EquivariantTriple,
-    from_equivariant,
-    theta_trace,
-    to_equivariant,
-    validate_triple,
-)
 
 
 def _report_summary(report) -> dict:
@@ -85,13 +51,15 @@ def _need(doc: InputDocument, attr: str, section: str, command: str):
     return value
 
 
-def _bundle_of(doc: InputDocument, command: str) -> HilbertNetBundle:
+def _bundle_of(doc: InputDocument, command: str):
     dim = _need(doc, "bundle_dim", "bundle", command)
+    from .bundle import HilbertNetBundle
     return HilbertNetBundle(doc.poset, dim, doc.bundle_incl or {})
 
 
 def _module_of(doc: InputDocument, command: str, tol: float):
     mod = _need(doc, "module", "module", command)
+    from .fredholm import build_sector_module, build_shift_module
     if mod["kind"] == "shift":
         return build_shift_module(doc.poset, doc.pres, doc.frame,
                                   mod["images"], tol=tol), None
@@ -107,12 +75,14 @@ def _declared_phases(doc: InputDocument, command: str) -> list:
     return phases[1]
 
 
-def _unitary_from_phases(declared) -> np.ndarray:
+def _unitary_from_phases(declared):
+    import numpy as np
     return np.diag(np.exp(2j * np.pi * np.array(
         [p.float_value() for p in declared])))
 
 
 def _virtual_summary(idx) -> dict:
+    from .linalg import eigenphases
     def blocks(bs):
         return [{"dim": b.dim,
                  "eigenphases": {str(g): [float(t) for t in eigenphases(u)]
@@ -139,6 +109,8 @@ def cmd_pi1(doc: InputDocument, opt) -> tuple[dict, bool]:
 def cmd_holonomy(doc: InputDocument, opt) -> tuple[dict, bool]:
     tol = opt.tolerance
     b = _bundle_of(doc, "holonomy")
+    from .bundle import holonomy_rep, validate_bundle
+    from .operators import unitarity_defect
     report = validate_bundle(b, tol)
     results: dict = {"bundle": _report_summary(report)}
     if not report.ok:
@@ -154,6 +126,10 @@ def cmd_holonomy(doc: InputDocument, opt) -> tuple[dict, bool]:
 def cmd_sections(doc: InputDocument, opt) -> tuple[dict, bool]:
     tol = opt.tolerance
     b = _bundle_of(doc, "sections")
+    import numpy as np
+
+    from .bundle import (compute_sections, hilbert_section_dimension_oracle, holonomy_rep,
+                         section_defect, validate_bundle)
     report = validate_bundle(b, tol)
     if not report.ok:
         return {"bundle": _report_summary(report)}, False
@@ -173,6 +149,10 @@ def cmd_rep_check(doc: InputDocument, opt) -> tuple[dict, bool]:
     if doc.rep_images is None and doc.rep_phases is None:
         raise SchemaError("rep-check needs a 'representation' section with "
                           "images or phases")
+    import numpy as np
+
+    from .linalg import eigenphases, turn_distance
+    from .operators import relator_defects, unitarity_defect
     images = dict(doc.rep_images or {})
     for g, declared in sorted((doc.rep_phases or {}).items()):
         images.setdefault(g, _unitary_from_phases(declared))
@@ -210,6 +190,7 @@ def cmd_rep_check(doc: InputDocument, opt) -> tuple[dict, bool]:
 def cmd_fredholm_verify(doc: InputDocument, opt) -> tuple[dict, bool]:
     tol = opt.tolerance
     m, sec = _module_of(doc, "fredholm-verify", tol)
+    from .fredholm import validate_module
     report = validate_module(m, tol)
     results: dict = {"parity": m.parity, "module": _report_summary(report)}
     if sec is not None:
@@ -220,6 +201,7 @@ def cmd_fredholm_verify(doc: InputDocument, opt) -> tuple[dict, bool]:
 
 def cmd_extend(doc: InputDocument, opt) -> tuple[dict, bool]:
     m, _ = _module_of(doc, "extend", opt.tolerance)
+    from .fredholm import ExtensionObstruction, extend_localized, localize, validate_module
     at = (doc.module or {}).get("at", doc.base)
     out = extend_localized(localize(m, at))
     if isinstance(out, ExtensionObstruction):
@@ -235,6 +217,7 @@ def cmd_extend(doc: InputDocument, opt) -> tuple[dict, bool]:
 
 def cmd_index(doc: InputDocument, opt) -> tuple[dict, bool]:
     m, _ = _module_of(doc, "index", opt.tolerance)
+    from .fredholm import equivariant_cycle, localize, pi_index, sample_words
     idx = pi_index(equivariant_cycle(localize(m, doc.base)))
     results = {"index": _virtual_summary(idx)}
     words = sample_words(doc.pres, seed=opt.seed)
@@ -246,6 +229,7 @@ def cmd_index(doc: InputDocument, opt) -> tuple[dict, bool]:
 
 def cmd_ccs(doc: InputDocument, opt) -> tuple[dict, bool]:
     declared = _declared_phases(doc, "ccs")
+    from .charclass import ccs_of_module, ccs_of_rep
     c = ccs_of_rep(declared, doc.pres)
     results: dict = {"rep_class": _ccs_summary(c),
                      "declared": [encode_phase(p) for p in declared]}
@@ -261,6 +245,9 @@ def cmd_ccs(doc: InputDocument, opt) -> tuple[dict, bool]:
 def cmd_shift_demo(doc: InputDocument, opt) -> tuple[dict, bool]:
     tol = opt.tolerance
     declared = _declared_phases(doc, "shift-demo")
+    from .charclass import ccs_of_module
+    from .fredholm import (build_shift_module, equivariant_cycle, localize, pi_index,
+                           validate_module)
     u = (doc.rep_images or {}).get(1)
     if u is None:
         u = _unitary_from_phases(declared)
@@ -282,6 +269,8 @@ def cmd_sector_demo(doc: InputDocument, opt) -> tuple[dict, bool]:
     if mod["kind"] != "sector":
         raise SchemaError("sector-demo needs module.kind == 'sector'")
     m, sec = _module_of(doc, "sector-demo", tol)
+    from .charclass import ccs_of_module
+    from .fredholm import equivariant_cycle, localize, pi_index, validate_module
     report = validate_module(m, tol)
     idx = pi_index(equivariant_cycle(localize(m, doc.base)))
     results: dict = {"module": _report_summary(report),
@@ -298,6 +287,7 @@ def cmd_sector_demo(doc: InputDocument, opt) -> tuple[dict, bool]:
 def cmd_spectral_verify(doc: InputDocument, opt) -> tuple[dict, bool]:
     tol = opt.tolerance
     sec = _need(doc, "triple", "triple", "spectral-verify")
+    from .spectral import EquivariantTriple, from_equivariant, theta_trace, validate_triple
     e = EquivariantTriple(sec["grading"], sec["u"], sec["samples"],
                           sec["operator"], doc.pres)
     t = from_equivariant(e, doc.poset, doc.pres, doc.frame, tol)
@@ -319,6 +309,7 @@ def cmd_roundtrip(doc: InputDocument, opt) -> tuple[dict, bool]:
 
     if doc.bundle_dim is not None:
         b = _bundle_of(doc, "roundtrip")
+        from .bundle import holonomy_rep, roundtrip_iso, validate_bundle
         report = validate_bundle(b, tol)
         if report.ok:
             images = holonomy_rep(b, doc.pres, doc.frame, tol)
@@ -331,6 +322,8 @@ def cmd_roundtrip(doc: InputDocument, opt) -> tuple[dict, bool]:
 
     if doc.module is not None:
         m, _ = _module_of(doc, "roundtrip", tol)
+        from .fredholm import equivariant_cycle, from_cycle, localize
+        from .operators import operators_equal_exact
         loc = localize(m, doc.base)
         cyc = equivariant_cycle(loc)
         loc2 = from_cycle(cyc.samples, cyc.v_images, cyc.phi, doc.poset,
@@ -344,6 +337,9 @@ def cmd_roundtrip(doc: InputDocument, opt) -> tuple[dict, bool]:
         passed = passed and same
 
     if doc.triple is not None:
+        import numpy as np
+
+        from .spectral import EquivariantTriple, from_equivariant, to_equivariant
         sec = doc.triple
         e = EquivariantTriple(sec["grading"], sec["u"], sec["samples"],
                               sec["operator"], doc.pres)

@@ -5,6 +5,8 @@ Complex numbers are [re, im] pairs, matrices are row lists of those,
 exact rationals are "p/q" strings, and exact phases are
 {"rat": "p/q", "irr": {"a1": "r/s"}}.  Parsing normalizes everything,
 so printing a parsed document and reparsing gives an equal document.
+numpy and the computational layers are imported only to decode a matrix,
+an exact phase, the irrationals or a sector module.
 """
 
 from __future__ import annotations
@@ -13,19 +15,14 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .charclass import ExactPhase, IrrationalBasis, irrational_basis, phase
 from .errors import InputReferenceError, InputSyntaxError, SchemaError
-from .fredholm import sector_window_columns
-from .homotopy import (
-    GroupPresentation,
-    PathFrame,
-    build_path_frame,
-    fundamental_presentation,
-)
+from .homotopy import GroupPresentation, PathFrame, build_path_frame, fundamental_presentation
 from .poset import Poset, build_poset
+
+if TYPE_CHECKING:
+    from .charclass import ExactPhase, IrrationalBasis
 
 TOP_KEYS = ("poset", "bundle", "representation", "module", "triple", "irrationals")
 
@@ -65,10 +62,11 @@ def decode_complex(obj, where: str) -> complex:
 
 
 def encode_complex(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+    return [float(z.real), float(z.imag)]
 
 
-def decode_matrix(obj, where: str) -> np.ndarray:
+def decode_matrix(obj, where: str):
+    import numpy as np
     _require(isinstance(obj, list) and obj, where, "expected a nonempty row list")
     width = None
     rows = []
@@ -85,6 +83,7 @@ def decode_matrix(obj, where: str) -> np.ndarray:
 
 
 def encode_matrix(m) -> list:
+    import numpy as np
     m = np.asarray(m, dtype=complex)
     return [[encode_complex(z) for z in row] for row in m]
 
@@ -98,6 +97,7 @@ def decode_fraction(obj, where: str) -> Fraction:
 
 
 def decode_phase(obj, where: str, basis: IrrationalBasis | None) -> ExactPhase:
+    from .charclass import irrational_basis, phase
     _section(obj, where, ("rat", "irr"))
     rat = decode_fraction(obj.get("rat", "0"), f"{where}.rat")
     coeffs = {}
@@ -138,7 +138,9 @@ def _decode_gen_key(key: str, pres: GroupPresentation, where: str) -> int:
     try:
         idx = int(key)
     except ValueError:
-        raise SchemaError(f"{where}: generator key {key!r} is not an integer") from None
+        idx = None
+    if idx is None or key != str(idx):
+        raise SchemaError(f"{where}: generator key {key!r} is not a canonical integer")
     if not 1 <= idx <= len(pres.generators):
         raise InputReferenceError(
             f"{where}: generator {idx} out of range, presentation has "
@@ -146,7 +148,7 @@ def _decode_gen_key(key: str, pres: GroupPresentation, where: str) -> int:
     return idx
 
 
-def _square(m: np.ndarray, dim: int | None, where: str) -> np.ndarray:
+def _square(m, dim: int | None, where: str):
     _require(m.shape[0] == m.shape[1], where, f"matrix is {m.shape}, not square")
     if dim is not None:
         _require(m.shape[0] == dim, where,
@@ -225,9 +227,21 @@ def _bounded(convert):
     return parse
 
 
+def _unique_names(pairs: list) -> dict:
+    """JSON object hook rejecting a name that occurs twice in one object,
+    where `json.loads` would keep the last value silently."""
+    seen = set()
+    for name, _ in pairs:
+        if name in seen:
+            raise InputSyntaxError(f"repeated name {name!r} in one object")
+        seen.add(name)
+    return dict(pairs)
+
+
 def parse_document(text: str) -> InputDocument:
     try:
-        data = json.loads(text, parse_constant=_reject_constant,
+        data = json.loads(text, object_pairs_hook=_unique_names,
+                          parse_constant=_reject_constant,
                           parse_float=_bounded(float), parse_int=_bounded(int))
     except json.JSONDecodeError as exc:
         raise InputSyntaxError(
@@ -278,6 +292,7 @@ def parse_document(text: str) -> InputDocument:
         for name, v in sec.items():
             _require(isinstance(v, (int, float)) and not isinstance(v, bool),
                      f"irrationals.{name}", f"expected a number, got {v!r}")
+        from .charclass import irrational_basis
         basis = irrational_basis(**{n: float(v) for n, v in sec.items()})
         raw["irrationals"] = {n: v for n, v in basis.values}
 
@@ -338,6 +353,7 @@ def parse_document(text: str) -> InputDocument:
                      and all(type(d) is int and d >= 1 for d in dims),
                      "module.dims", f"expected a list of positive integers, got {dims!r}")
             w = _count(sec.get("w_index", 0), "module.w_index", 0)
+            from .fredholm import sector_window_columns
             cols = sector_window_columns(w, sum(dims))
             _require(cols <= MAX_WINDOW_COLUMNS, "module",
                      f"w_index {w} and dims {dims} need kernel windows of "

@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
-
-from .operators import residual_defects
-from .shift_calculus import ShiftOp
 
 # Every threshold of the package.  A function takes a `tol` parameter
 # only where some caller passes one; the CLI passes its --tolerance
@@ -19,6 +15,13 @@ INDEX_TOL = 1e-9  # holonomy invariance: extension, index kernels, characters
 DENSE_KERNEL_TOL = 1e-8  # singular values at or below this span a kernel
 SPAN_TOL = 1e-9  # relative singular value of a product that adds to a span
 PHASE_TOL = 1e-9  # turns between a recovered and a declared eigenphase
+
+
+def residual_defects(residuals: list):
+    """`operators.residual_defects`, imported on the first call: loading
+    this module loads neither numpy nor another holonet module."""
+    from .operators import residual_defects
+    return residual_defects(residuals)
 
 
 @dataclass
@@ -50,7 +53,7 @@ class ValidationReport:
 
     def __init__(self) -> None:
         self._checks, self._locations, self._tolerances, self._slots = [], [], [], []
-        self._measured, self._pending = np.zeros(0), []
+        self._measured, self._pending = [], []
         # (residual, *operand ids) -> (slot, operands): holding the
         # operands keeps their ids from being reused while the key exists
         self._memo: dict = {}
@@ -63,7 +66,7 @@ class ValidationReport:
 
     def add(self, check: str, location: str, defect, tolerance: float) -> None:
         """A check of a defect (a float) or of a residual to measure."""
-        if not isinstance(defect, (np.ndarray, ShiftOp, tuple)):
+        if isinstance(defect, numbers.Real):  # numpy registers its scalars here
             defect = float(defect)
         self._pending.append(defect)
         self._push(check, location, tolerance, len(self._measured) + len(self._pending) - 1)
@@ -78,14 +81,15 @@ class ValidationReport:
             self.add(check, location, residual(*ops), tolerance)
             self._memo[key] = self._slots[-1], ops
 
-    def _defects(self) -> np.ndarray:
+    def _defects(self):
+        import numpy as np
         if self._pending:
             self._measured = np.concatenate([self._measured, residual_defects(self._pending)])
             self._pending = []
-        return self._measured[self._slots]
+        return np.asarray(self._measured, dtype=float)[self._slots]
 
-    def _over(self) -> np.ndarray:
-        return ~(self._defects() <= np.array(self._tolerances))
+    def _over(self):
+        return ~(self._defects() <= self._tolerances)
 
     def _build(self, index) -> list[CheckEntry]:
         rows = list(zip(self._checks, self._locations, self._defects().tolist(), self._tolerances))
@@ -101,7 +105,7 @@ class ValidationReport:
 
     @property
     def violations(self) -> list[CheckEntry]:
-        return self._build(np.flatnonzero(self._over()).tolist())
+        return self._build(self._over().nonzero()[0].tolist())
 
     @property
     def ok(self) -> bool:
@@ -110,7 +114,7 @@ class ValidationReport:
     @property
     def max_defect(self) -> float:
         """The largest defect, NaN when any defect is NaN."""
-        return float(np.max(self._defects(), initial=0.0))
+        return float(self._defects().max(initial=0.0))
 
     def __str__(self) -> str:
         if self.ok:

@@ -20,6 +20,7 @@ from conftest import nearly_flat_bundle
 import holonet.bundle
 import holonet.charclass
 import holonet.cli
+import holonet.fredholm
 from holonet.cli import main
 from holonet.errors import (
     CycleInOrder,
@@ -114,6 +115,45 @@ def test_generator_keys_are_range_checked():
     })
     with pytest.raises(InputReferenceError):
         parse_document(text)
+
+
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "1_0", "\u0661"])
+def test_generator_keys_must_be_canonical(capsys, tmp_path, key):
+    """int() reads each of these keys as a generator, so a second image
+    of generator 1 (or one of generator 10) was dropped without a word."""
+    text = json.dumps({
+        "poset": json.loads(Path(HEXAGON).read_text())["poset"],
+        "representation": {"dimension": 1,
+                           "images": {"1": [[[1, 0]]], key: [[[5, 0]]]}},
+    })
+    with pytest.raises(SchemaError, match="not a canonical integer"):
+        parse_document(text)
+    path = tmp_path / "keys.json"
+    path.write_text(text)
+    for command in ("rep-check", "roundtrip"):
+        code, report, _ = run_json(capsys, command, "--input", str(path))
+        assert code == 2 and report["error"]["type"] == "SchemaError"
+
+
+def test_repeated_names_are_rejected_at_any_depth(capsys, tmp_path):
+    """json.loads keeps the last of two equal names; a non-unitary image
+    ahead of hexagon's real one used to vanish and rep-check passed."""
+    data = json.loads(Path(HEXAGON).read_text())
+    real = json.dumps(data["representation"]["images"]["1"])
+    data["representation"]["images"] = {"@": 0}
+    text = json.dumps(data).replace('{"@": 0}', '{"1": [[[5.0, 0.0]]], "1": ' + real + "}")
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    code, report, _ = run_json(capsys, "rep-check", "--input", str(path))
+    assert code == 2
+    assert report["error"] == {"type": "InputSyntaxError",
+                               "message": "repeated name '1' in one object"}
+    poset = json.dumps(data["poset"])
+    for doc in ('{"poset": %s, "poset": %s}' % (poset, poset),
+                '{"poset": %s, "module": {"kind": "shift", "kind": "shift"}}' % poset,
+                '{"poset": {"elements": ["x"], "pairs": [], "pairs": []}}'):
+        with pytest.raises(InputSyntaxError, match="repeated name"):
+            parse_document(doc)
 
 
 CYCLIC = {"poset": {"elements": ["a", "b"], "pairs": [["a", "b"], ["b", "a"]]}}
@@ -531,7 +571,7 @@ def test_a_nan_section_defect_fails_sections(capsys, monkeypatch, tmp_path):
     path = tmp_path / "flat.json"
     path.write_text(json.dumps(doc))
     defects = iter([0.0, float("nan")])
-    monkeypatch.setattr(holonet.cli, "section_defect", lambda b, s: next(defects))
+    monkeypatch.setattr(holonet.bundle, "section_defect", lambda b, s: next(defects))
     code, out, _ = run(capsys, "sections", "--input", str(path), "--format", "text")
     assert code == 1
     assert "results.dimension: 2" in out
@@ -554,17 +594,49 @@ def test_module_entry_point():
     assert "elapsed_ms=" in proc.stderr
 
 
+LAYERS = ("numpy", "holonet.operators", "holonet.bundle", "holonet.fredholm",
+          "holonet.charclass", "holonet.spectral")
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+from holonet.cli import COMMANDS, main
+runs = [[c, "--format", f] for c in COMMANDS for f in ("json", "text")]
+runs += [["frobnicate"], ["pi1", "--tolerance", "nan"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([*argv, "--input", sys.argv[1]]) for argv in runs]
+print(json.dumps([codes, [m for m in sys.argv[2:] if m in sys.modules]]))
+"""
+
+
+def test_a_matrix_free_document_loads_no_numpy():
+    """chain.json holds only a poset: every command either needs nothing
+    but the poset and its presentation, or stops at a section check, so
+    no process on it imports numpy or a computational layer."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, CHAIN, *LAYERS],
+                          capture_output=True, text=True, check=True)
+    codes, loaded = json.loads(proc.stdout)
+    want = [0 if c in ("pi1", "roundtrip") else 2 for c in holonet.cli.COMMANDS]
+    assert codes == [c for c in want for _ in "jt"] + [2, 2]
+    assert loaded == []
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "holonet.cli",
+                           "pi1", "--input", CHAIN], capture_output=True, text=True)
+    assert proc.returncode == 0
+    imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "holonet.iodoc" in imported
+    assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+
+
 @pytest.mark.parametrize("command, path", [("shift-demo", HEXAGON),
                                            ("sector-demo", SECTOR)])
 def test_demos_compute_the_index_once(capsys, monkeypatch, command, path):
     calls = []
-    real = holonet.cli.pi_index
+    real = holonet.fredholm.pi_index
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(holonet.cli, "pi_index", counted)
+    monkeypatch.setattr(holonet.fredholm, "pi_index", counted)
     monkeypatch.setattr(holonet.charclass, "pi_index", counted)
     code, report, _ = run_json(capsys, command, "--input", path)
     assert code == 0
@@ -581,7 +653,6 @@ def test_bundle_commands_compute_the_holonomy_once(capsys, monkeypatch, command)
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(holonet.cli, "holonomy_rep", counted)
     monkeypatch.setattr(holonet.bundle, "holonomy_rep", counted)
     code, report, _ = run_json(capsys, command, "--input", HEXAGON)
     assert code == 0, report
