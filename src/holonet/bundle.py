@@ -1,7 +1,9 @@
-"""Net bundles over a poset: coherent unitaries (Hilbert fibers) or
-*-isomorphisms (C*-fibers) indexed by comparable pairs, their evaluation
-along paths, holonomy, flat sections, and the equivalence between net
-bundles and representations of the loop group.
+"""Net bundles over a poset: coherent unitaries (Hilbert fibers) indexed
+by comparable pairs, their validation, evaluation along paths, holonomy,
+flat sections, and the equivalence between net bundles and
+representations of the loop group.  A net bundle of *-isomorphisms
+(C*-fibers) is a holonomy carrier only: `holonomy_images` and
+`holonomy_rep` evaluate it, nothing validates it or takes its sections.
 """
 
 from __future__ import annotations
@@ -11,14 +13,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .cstar import (
-    StarIso,
-    apply_iso,
-    identity_iso,
-    iso_map_defect,
-    iso_matrix,
-    unvectorize,
-)
+from .cstar import StarIso, identity_iso
 from .errors import (
     FiberMismatch,
     InvalidRepresentation,
@@ -36,15 +31,11 @@ from .operators import (
     coherence_residual,
     compose,
     evaluate_word_ops,
-    intertwining_residual,
-    involution_residual,
     require_generators,
     require_relators,
     require_unitary,
     residual_defects,
-    selfadjoint_residual,
     transport_step,
-    unitarity_defect,
     unitarity_residual,
 )
 from .poset import Path, Poset, check_simplex, edge_simplex
@@ -58,14 +49,12 @@ class HilbertNetBundle:
     """Rank-d net bundle: a coherent unitary U_{o'o} for every o <= o'.
 
     incl[(o, o')] is the inclusion unitary for the strict pair o < o';
-    the diagonal is the identity.  Optional grading: a self-adjoint
-    unitary per element intertwined by the inclusions.
+    the diagonal is the identity.
     """
 
     poset: Poset
     dim: int
     incl: dict[Edge, np.ndarray]
-    grading: dict[str, np.ndarray] | None = None
 
     @cached_property
     def ident(self) -> np.ndarray:
@@ -84,7 +73,11 @@ class HilbertNetBundle:
 
 @dataclass(frozen=True)
 class CStarNetBundle:
-    """Net bundle of block C*-algebras: a *-isomorphism per strict pair."""
+    """Net bundle of block C*-algebras: a *-isomorphism per strict pair.
+
+    A holonomy carrier: `holonomy_images` and `holonomy_rep` evaluate
+    it; `validate_bundle` and the sections take Hilbert bundles only.
+    """
 
     poset: Poset
     sizes: tuple[int, ...]
@@ -103,9 +96,10 @@ class CStarNetBundle:
         return self.incl[(o, o1)]
 
 
-def validate_bundle(b: HilbertNetBundle | CStarNetBundle,
+def validate_bundle(b: HilbertNetBundle,
                     tol: float = CONSTRUCTION_TOL) -> ValidationReport:
-    """Check coverage, unitarity and the chain coherence U_{o''o} = U_{o''o'} U_{o'o}.
+    """Check the coverage of a Hilbert net bundle, the shape and unitarity
+    of each inclusion, and the chain coherence U_{o''o} = U_{o''o'} U_{o'o}.
 
     The report lists every violated relation with its norm defect;
     an empty violation list means the bundle is valid.
@@ -120,43 +114,16 @@ def validate_bundle(b: HilbertNetBundle | CStarNetBundle,
         if e not in b.incl:
             rep.add("inclusion-coverage", f"{e}", float("inf"), tol)
 
-    if isinstance(b, HilbertNetBundle):
-        for e, u in sorted(b.incl.items()):
-            if u.shape != (b.dim, b.dim):
-                rep.add("inclusion-shape", f"{e}", float("inf"), tol)
-                continue
-            rep.relate("inclusion-unitarity", f"{e}", tol, unitarity_residual, u)
-        for o, o1, o2 in poset.two_chains():
-            if any((x, y) not in b.incl for x, y in [(o, o2), (o1, o2), (o, o1)]):
-                continue
-            rep.relate("chain-coherence", f"{o}<{o1}<{o2}", tol, coherence_residual,
-                       b.u(o, o2), b.u(o1, o2), b.u(o, o1))
-        if b.grading is not None:
-            for o in poset.elements:
-                if o not in b.grading:
-                    rep.add("grading-coverage", o, float("inf"), tol)
-                    continue
-                g = b.grading[o]
-                rep.relate("grading-involution", o, tol, involution_residual, g)
-                rep.relate("grading-selfadjoint", o, tol, selfadjoint_residual, g)
-            for o, o1 in sorted(pairs):
-                if (o, o1) not in b.incl or o not in (b.grading or {}) or o1 not in b.grading:
-                    continue
-                rep.relate("grading-transport", f"{o}<{o1}", tol, intertwining_residual,
-                           b.u(o, o1), b.grading[o], b.grading[o1])
-    else:
-        for e, iso in sorted(b.incl.items()):
-            if iso.sizes != b.sizes:
-                rep.add("inclusion-sizes", f"{e}", float("inf"), tol)
-                continue
-            rep.add("inclusion-unitarity", f"{e}",
-                    np.max([unitarity_defect(x) for x in iso.units], initial=0.0), tol)
-        for o, o1, o2 in poset.two_chains():
-            if any((x, y) not in b.incl or b.incl[(x, y)].sizes != b.sizes
-                   for x, y in [(o, o2), (o1, o2), (o, o1)]):
-                continue
-            d = iso_map_defect(b.u(o, o2), b.u(o1, o2) @ b.u(o, o1), b.sizes)
-            rep.add("chain-coherence", f"{o}<{o1}<{o2}", d, tol)
+    for e, u in sorted(b.incl.items()):
+        if u.shape != (b.dim, b.dim):
+            rep.add("inclusion-shape", f"{e}", float("inf"), tol)
+            continue
+        rep.relate("inclusion-unitarity", f"{e}", tol, unitarity_residual, u)
+    for o, o1, o2 in poset.two_chains():
+        if any((x, y) not in b.incl for x, y in [(o, o2), (o1, o2), (o, o1)]):
+            continue
+        rep.relate("chain-coherence", f"{o}<{o1}<{o2}", tol, coherence_residual,
+                   b.u(o, o2), b.u(o1, o2), b.u(o, o1))
     return rep
 
 
@@ -243,29 +210,24 @@ def bundle_from_rep(poset: Poset, pres: GroupPresentation, frame: PathFrame,
 
 @dataclass(frozen=True)
 class Section:
-    """A flat section: one fiber value per element, intertwined by the
-    inclusions."""
+    """A flat section of a Hilbert net bundle: one fiber vector per
+    element, intertwined by the inclusions."""
 
-    values: dict[str, np.ndarray] | dict[str, tuple[np.ndarray, ...]]
+    values: dict[str, np.ndarray]
 
 
-def section_defect(b, s: Section) -> float:
+def section_defect(b: HilbertNetBundle, s: Section) -> float:
     """The largest norm by which an inclusion misses the section, NaN
     when any norm is NaN."""
-    pairs = b.poset.strict_pairs()
-    if isinstance(b, HilbertNetBundle):
-        norms = [opnorm(b.u(o, o1) @ s.values[o] - s.values[o1]) for o, o1 in pairs]
-    else:
-        norms = [opnorm(x - y) for o, o1 in pairs
-                 for x, y in zip(apply_iso(b.u(o, o1), s.values[o]), s.values[o1])]
+    norms = [opnorm(b.u(o, o1) @ s.values[o] - s.values[o1])
+             for o, o1 in b.poset.strict_pairs()]
     return float(np.max(norms, initial=0.0))
 
 
-def compute_sections(b: HilbertNetBundle | CStarNetBundle,
-                     pres: GroupPresentation, frame: PathFrame,
-                     tol: float = CHECK_TOL, images: dict | None = None
-                     ) -> list[Section]:
-    """Basis of the space of flat sections.
+def compute_sections(b: HilbertNetBundle, pres: GroupPresentation,
+                     frame: PathFrame, tol: float = CHECK_TOL,
+                     images: dict | None = None) -> list[Section]:
+    """Basis of the space of flat sections of a Hilbert net bundle.
 
     Sections correspond to holonomy fixed points in the base fiber,
     transported along the frame paths.  `images` is
@@ -273,16 +235,9 @@ def compute_sections(b: HilbertNetBundle | CStarNetBundle,
     """
     hol = images if images is not None else holonomy_rep(b, pres, frame, tol)
     t = frame_transports(b.poset, frame, b.ident, partial(transport_step, b))
-    if isinstance(b, HilbertNetBundle):
-        mats = list(hol.values()) or [np.eye(b.dim, dtype=complex)]
-        basis = joint_fixed_space(mats, tol)
-        return [Section({o: t[o] @ x for o in b.poset.elements}) for x in basis.T]
-    # C* case: fixed points of the iso action on the vectorized block space
-    n = sum(k * k for k in b.sizes)
-    mats = [iso_matrix(iso, b.sizes) for iso in hol.values()] or [np.eye(n, dtype=complex)]
+    mats = list(hol.values()) or [np.eye(b.dim, dtype=complex)]
     basis = joint_fixed_space(mats, tol)
-    fixed = (unvectorize(v, b.sizes) for v in basis.T)
-    return [Section({o: apply_iso(t[o], x) for o in b.poset.elements}) for x in fixed]
+    return [Section({o: t[o] @ x for o in b.poset.elements}) for x in basis.T]
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     BasisMismatch,
     InexactPhase,
     NotInfiniteCyclic,
     PhaseRecoveryFailed,
 )
-from .fredholm import FredholmModule, RepBlock, VirtualRep, equivariant_cycle, localize, pi_index
+from .fredholm import FredholmModule, VirtualRep, equivariant_cycle, localize, pi_index
 from .homotopy import GroupPresentation, simplify_presentation
 from .linalg import eigenphases, turn_distance
 from .reports import PHASE_TOL
@@ -199,42 +197,25 @@ def ccs_of_module(m: FredholmModule, declared,
     return CCSClass(idx.dim, total.mod_q().irr, basis)
 
 
-def combine(x, y, mode: str):
-    """Direct sum or tensor product, on classes or on virtual reps.
+def combine(x: CCSClass, y: CCSClass, mode: str) -> CCSClass:
+    """Direct sum or tensor product of two classes.
 
-    On classes the tensor rule is rank-weighted: the odd part of a
-    product is d * odd' + d' * odd, and ranks multiply.
+    The tensor rule is rank-weighted: the odd part of a product is
+    d * odd' + d' * odd, and ranks multiply.
     """
     if mode not in ("sum", "tensor"):
         raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(x, CCSClass) and isinstance(y, CCSClass):
-        if x.basis != y.basis:
-            raise BasisMismatch("classes declared over different bases")
-        cx, cy = dict(x.odd), dict(y.odd)
-        names = set(cx) | set(cy)
-        if mode == "sum":
-            coords = {n: cx.get(n, Fraction(0)) + cy.get(n, Fraction(0))
-                      for n in names}
-            return CCSClass(x.rank + y.rank, _normal_coords(coords), x.basis)
-        coords = {n: x.rank * cy.get(n, Fraction(0))
-                  + y.rank * cx.get(n, Fraction(0)) for n in names}
-        return CCSClass(x.rank * y.rank, _normal_coords(coords), x.basis)
-    if isinstance(x, VirtualRep) and isinstance(y, VirtualRep):
-        if x.group != y.group:
-            raise BasisMismatch("virtual reps over different presentations")
-        if mode == "sum":
-            return VirtualRep(x.plus + y.plus, x.minus + y.minus, x.group)
-        same = [_kron_block(a, b) for a in x.plus for b in y.plus]
-        same += [_kron_block(a, b) for a in x.minus for b in y.minus]
-        mixed = [_kron_block(a, b) for a in x.plus for b in y.minus]
-        mixed += [_kron_block(a, b) for a in x.minus for b in y.plus]
-        return VirtualRep(tuple(same), tuple(mixed), x.group)
-    raise BasisMismatch(
-        f"cannot combine {type(x).__name__} with {type(y).__name__}")
-
-
-def _kron_block(a: RepBlock, b: RepBlock) -> RepBlock:
-    if set(a.images) != set(b.images):
-        raise BasisMismatch("rep blocks have different generator sets")
-    return RepBlock(a.dim * b.dim,
-                    {g: np.kron(a.images[g], b.images[g]) for g in a.images})
+    if not (isinstance(x, CCSClass) and isinstance(y, CCSClass)):
+        raise BasisMismatch(
+            f"cannot combine {type(x).__name__} with {type(y).__name__}")
+    if x.basis != y.basis:
+        raise BasisMismatch("classes declared over different bases")
+    cx, cy = dict(x.odd), dict(y.odd)
+    names = set(cx) | set(cy)
+    if mode == "sum":
+        coords = {n: cx.get(n, Fraction(0)) + cy.get(n, Fraction(0))
+                  for n in names}
+        return CCSClass(x.rank + y.rank, _normal_coords(coords), x.basis)
+    coords = {n: x.rank * cy.get(n, Fraction(0))
+              + y.rank * cx.get(n, Fraction(0)) for n in names}
+    return CCSClass(x.rank * y.rank, _normal_coords(coords), x.basis)

@@ -171,6 +171,7 @@ def cmd_rep_check(doc: InputDocument, opt) -> tuple[dict, bool]:
         passed = passed and all(d <= tol for d in defects)
     else:
         results["relator_defects"] = "not evaluated: missing generator images"
+        passed = False
     if doc.rep_phases:
         matches = {}
         for g, declared in sorted(doc.rep_phases.items()):

@@ -51,20 +51,6 @@ def element_sub(x: BlockElement, y: BlockElement) -> BlockElement:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def vectorize(x: BlockElement) -> np.ndarray:
-    """Concatenated blocks, one row per unit when x is stacked."""
-    return np.concatenate([b.reshape(b.shape[:-2] + (-1,)) for b in x], axis=-1)
-
-
-def unvectorize(v: np.ndarray, sizes: tuple[int, ...]) -> BlockElement:
-    blocks = []
-    at = 0
-    for n in sizes:
-        blocks.append(v[at:at + n * n].reshape(n, n))
-        at += n * n
-    return tuple(blocks)
-
-
 @dataclass(frozen=True)
 class StarIso:
     """*-isomorphism of a block algebra: target slot k receives source
@@ -128,7 +114,3 @@ def iso_map_defect(a: StarIso, b: StarIso, sizes: tuple[int, ...]) -> float:
     t = basis_stack(sizes)
     return element_norm(element_sub(apply_iso(a, t), apply_iso(b, t)))
 
-
-def iso_matrix(iso: StarIso, sizes: tuple[int, ...]) -> np.ndarray:
-    """Matrix of the iso acting on the vectorized block space."""
-    return vectorize(apply_iso(iso, basis_stack(sizes))).T

@@ -753,23 +753,13 @@ def sector_window_columns(w_index: int, total: int) -> int:
     return (stabilization_window(_pinned_shift(w_index)) + 2) * total
 
 
-def _sector_blocks(sector_dims: tuple[int, ...]) -> list[tuple[int, int]]:
-    out, at = [], 0
-    for d in sector_dims:
-        out.append((at, at + d))
-        at += d
-    return out
-
-
-def _embed_sector(t: ShiftOp, block: tuple[int, int], total: int) -> ShiftOp:
-    """Color-1 operator -> doubled total-color operator in one sector."""
-    lo, hi = block
-    # the diagonal of the sector block, in both halves of the doubled colour
-    diag = np.r_[lo:hi, total + lo:total + hi]
+def _embed_sector(t: ShiftOp, total: int) -> ShiftOp:
+    """Color-1 operator -> doubled total-color operator, repeated in every
+    colour of both halves of the doubling."""
 
     def lift(m: np.ndarray) -> np.ndarray:
         out = np.zeros((2 * total, 2 * total), dtype=complex)
-        out[diag, diag] = m[0, 0]
+        np.fill_diagonal(out, m[0, 0])
         return out
 
     return map_color(t, lift)
@@ -802,10 +792,8 @@ def build_sector_module(poset: Poset, pres: GroupPresentation,
     if not sector_dims or any(d <= 0 for d in sector_dims):
         raise FiberMismatch("sector dimensions must be positive")
     total = sum(sector_dims)
-    blocks = _sector_blocks(sector_dims)
-    mask = np.ones((total, total), dtype=bool)
-    for lo, hi in blocks:
-        mask[lo:hi, lo:hi] = False
+    sector = np.repeat(np.arange(len(sector_dims)), sector_dims)
+    mask = sector[:, None] != sector[None, :]  # the entries across sectors
     for g, m in sorted(rho_images.items()):
         if m.shape != (total, total):
             raise FiberMismatch(f"generator {g} image has shape {m.shape}")
@@ -815,13 +803,8 @@ def build_sector_module(poset: Poset, pres: GroupPresentation,
                 f"generator {g} image leaks across sectors ({leak:.3e})")
     require_unitary_rep(pres, rho_images, total, tol)
 
-    samples: dict[str, ShiftOp] = {}
-    for label, t in sorted(_default_sector_samples(w_index).items()):
-        total_op = None
-        for block in blocks:
-            lifted = _embed_sector(t, block, total)
-            total_op = lifted if total_op is None else total_op + lifted
-        samples[label] = total_op
+    samples = {label: _embed_sector(t, total)
+               for label, t in sorted(_default_sector_samples(w_index).items())}
 
     colors = {g: stripe_op(0, _double_color(m))
               for g, m in rho_images.items()}

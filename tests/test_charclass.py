@@ -31,8 +31,6 @@ from holonet.errors import (
 )
 from holonet.fredholm import (
     FredholmModule,
-    RepBlock,
-    VirtualRep,
     build_sector_module,
     build_shift_module,
     equivariant_cycle,
@@ -191,25 +189,6 @@ def test_combine_rejects_bad_inputs(basis):
         combine(c, CCSClass(1, (), irrational_basis(a1=GOLDEN)), "sum")
     with pytest.raises(BasisMismatch):
         combine(c, 3, "sum")
-
-
-def test_virtual_rep_combination(hexagon_pfp):
-    _, pres, _ = hexagon_pfp
-    rng = rng_for(7)
-    u = np.diag(np.exp(2j * np.pi * rng.random(2)))
-    v = np.diag(np.exp(2j * np.pi * rng.random(3)))
-    a = VirtualRep((RepBlock(2, {1: u}),), (RepBlock(3, {1: v}),), pres)
-    b = VirtualRep((RepBlock(3, {1: v}),), (), pres)
-    s = combine(a, b, "sum")
-    assert s.dim == a.dim + b.dim
-    t = combine(a, b, "tensor")
-    # virtual characters are multiplicative under tensor
-    for w in ((1,), (1, 1)):
-        assert abs(t.character(w) - a.character(w) * b.character(w)) < 1e-12
-    chain = chain_poset(2)
-    other = pfp(chain)[1]
-    with pytest.raises(BasisMismatch):
-        combine(a, VirtualRep((), (), other), "sum")
 
 
 # --------------------------------------------------------- module classes

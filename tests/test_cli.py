@@ -521,6 +521,54 @@ def test_invalid_bundle_fails_verdict(capsys, tmp_path):
     assert report["results"]["bundle"]["violations"]
 
 
+def failing_verdict(capsys, *argv) -> dict:
+    """Run a command in both formats; each run exits 1 with `pass`
+    false, and the JSON run prints one strict object, returned."""
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 1 and "pass: False" in out.splitlines()
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 1 and report["pass"] is False
+    return report
+
+
+def test_an_extension_obstruction_fails_extend(capsys, tmp_path):
+    # diag(1.5, 1) passes the unitarity gate at tolerance 2
+    path = _variant(tmp_path, HEXAGON, ("module", "images", "1"),
+                    encode_matrix(np.diag([1.5, 1.0])))
+    report = failing_verdict(capsys, "extend", "--input", path, "--tolerance", "2")
+    assert report["results"] == {"at": "U1", "extended": False,
+                                 "obstruction": {"generator": 1, "defect": 2.5}}
+
+
+def test_an_invalid_bundle_fails_roundtrip(capsys, tmp_path):
+    data = json.loads(Path(HEXAGON).read_text())
+    key = sorted(data["bundle"]["edges"])[0]
+    edge = 2.0 * np.array(data["bundle"]["edges"][key])
+    path = _variant(tmp_path, HEXAGON, ("bundle", "edges", key), edge.tolist())
+    report = failing_verdict(capsys, "roundtrip", "--input", path)
+    results = report["results"]
+    assert results["bundle_defect"].startswith(
+        "bundle invalid: inclusion-unitarity @ ('V12', 'U1')")
+    assert results["document"] and results["module_exact"] and results["triple_exact"]
+
+
+def test_a_generator_without_an_image_fails_rep_check(capsys, tmp_path):
+    """rep-check passed a representation with generator images missing,
+    whose relators it could not evaluate."""
+    doc = {"poset": {"elements": ["a", "b", "c", "d", "e", "t"],
+                     "pairs": [["a", "d"], ["b", "d"], ["c", "d"], ["a", "e"],
+                               ["b", "e"], ["c", "e"], ["d", "t"], ["e", "t"],
+                               ["a", "t"], ["b", "t"], ["c", "t"]]},
+           "representation": {"dimension": 1, "images": {"1": [[[-1.0, 0.0]]]}}}
+    assert len(parse_document(json.dumps({"poset": doc["poset"]})).pres.generators) == 6
+    path = tmp_path / "one_image.json"
+    path.write_text(json.dumps(doc))
+    report = failing_verdict(capsys, "rep-check", "--input", str(path))
+    assert report["results"] == {
+        "unitarity_defects": {"1": 0.0},
+        "relator_defects": "not evaluated: missing generator images"}
+
+
 def test_tolerance_overrides_check_class(capsys, tmp_path):
     doc = {"poset": {"elements": ["a"], "pairs": []},
            "representation": {"dimension": 1,

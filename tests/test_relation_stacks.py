@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from holonet.bundle import (
-    CStarNetBundle,
     HilbertNetBundle,
     holonomy_rep,
     roundtrip_iso,
     validate_bundle,
 )
-from holonet.cstar import StarIso, iso_map_defect
 from holonet.errors import NotCovariant, RelationDefect
 from holonet.fredholm import from_cycle
 from holonet.linalg import opnorm, opnorms, random_unitary
@@ -66,47 +64,17 @@ def reference_validate_bundle(b, tol=CONSTRUCTION_TOL):
     for e in sorted(pairs):
         if e not in b.incl:
             rep.add("inclusion-coverage", f"{e}", float("inf"), tol)
-    if isinstance(b, HilbertNetBundle):
-        for e, u in sorted(b.incl.items()):
-            if u.shape != (b.dim, b.dim):
-                rep.add("inclusion-shape", f"{e}", float("inf"), tol)
-                continue
-            rep.add("inclusion-unitarity", f"{e}",
-                    zero_defect(adj(u) @ u - identity_like(u)), tol)
-        for o, o1, o2 in b.poset.two_chains():
-            if any((x, y) not in b.incl for x, y in [(o, o2), (o1, o2), (o, o1)]):
-                continue
-            rep.add("chain-coherence", f"{o}<{o1}<{o2}",
-                    zero_defect(b.u(o, o2) - b.u(o1, o2) @ b.u(o, o1)), tol)
-        if b.grading is not None:
-            for o in b.poset.elements:
-                if o not in b.grading:
-                    rep.add("grading-coverage", o, float("inf"), tol)
-                    continue
-                g = b.grading[o]
-                rep.add("grading-involution", o,
-                        zero_defect(g @ g - identity_like(g)), tol)
-                rep.add("grading-selfadjoint", o, zero_defect(g - adj(g)), tol)
-            for o, o1 in sorted(pairs):
-                if (o, o1) not in b.incl or o not in b.grading or o1 not in b.grading:
-                    continue
-                u = b.u(o, o1)
-                rep.add("grading-transport", f"{o}<{o1}",
-                        zero_defect(u @ b.grading[o] - b.grading[o1] @ u), tol)
-    else:
-        for e, iso in sorted(b.incl.items()):
-            if iso.sizes != b.sizes:
-                rep.add("inclusion-sizes", f"{e}", float("inf"), tol)
-                continue
-            worst = max((zero_defect(adj(u) @ u - identity_like(u))
-                         for u in iso.units), default=0.0)
-            rep.add("inclusion-unitarity", f"{e}", worst, tol)
-        for o, o1, o2 in b.poset.two_chains():
-            if any((x, y) not in b.incl or b.incl[(x, y)].sizes != b.sizes
-                   for x, y in [(o, o2), (o1, o2), (o, o1)]):
-                continue
-            rep.add("chain-coherence", f"{o}<{o1}<{o2}",
-                    iso_map_defect(b.u(o, o2), b.u(o1, o2) @ b.u(o, o1), b.sizes), tol)
+    for e, u in sorted(b.incl.items()):
+        if u.shape != (b.dim, b.dim):
+            rep.add("inclusion-shape", f"{e}", float("inf"), tol)
+            continue
+        rep.add("inclusion-unitarity", f"{e}",
+                zero_defect(adj(u) @ u - identity_like(u)), tol)
+    for o, o1, o2 in b.poset.two_chains():
+        if any((x, y) not in b.incl for x, y in [(o, o2), (o1, o2), (o, o1)]):
+            continue
+        rep.add("chain-coherence", f"{o}<{o1}<{o2}",
+                zero_defect(b.u(o, o2) - b.u(o1, o2) @ b.u(o, o1)), tol)
     return rep
 
 
@@ -131,16 +99,13 @@ def reference_grading_gate(grading, phi, v_images, samples, tol):
 # ------------------------------------------------------------------ inputs
 
 def bundle_cases():
-    """Generic, graded and mixed real/complex Hilbert bundles, bundles
-    with a misshapen or an infinite inclusion, and C* bundles."""
+    """Generic and mixed real/complex Hilbert bundles, and bundles with a
+    misshapen or an infinite inclusion."""
     for seed in range(5):
         rng = np.random.default_rng(800 + seed)
         poset, pres, frame = random_poset_with_frame(rng, 12)
         b = random_hilbert_bundle(poset, pres, frame, 3, rng)
         yield "random", b
-        grading = {o: w @ np.diag([1.0, -1.0, 1.0]) @ w.conj().T
-                   for o, w in ((o, random_unitary(rng, 3)) for o in poset.elements[1:])}
-        yield "graded", HilbertNetBundle(poset, 3, b.incl, grading)
         mixed = {e: random_orthogonal(rng, 3) if k % 2 else u
                  for k, (e, u) in enumerate(sorted(b.incl.items()))}
         yield "mixed", HilbertNetBundle(poset, 3, mixed)
@@ -148,13 +113,6 @@ def bundle_cases():
                      for e in ((o, o1), (o1, o2), (o, o2))}
         for e in sorted(set(b.incl) - in_chains)[:1]:
             yield "misshapen", HilbertNetBundle(poset, 3, {**b.incl, e: np.eye(2)})
-        sizes = (1, 1, 2)
-        incl = {e: StarIso(sizes, tuple(int(i) for i in rng.permutation(2)) + (2,),
-                           tuple(random_unitary(rng, n) for n in sizes))
-                for e in poset.strict_pairs()}
-        if incl:
-            incl[sorted(incl)[-1]] = StarIso((1, 2), (0, 1), (np.eye(1), np.eye(2)))
-        yield "cstar", CStarNetBundle(poset, sizes, incl)
     # positive real entries and one infinite one: every residual through
     # the infinite inclusion is finite or infinite, never NaN, so its
     # norm is NaN in both measurements
@@ -196,8 +154,7 @@ def test_residual_defects_equal_the_single_measurements():
     assert residual_defects([]).shape == (0,)
 
 
-@pytest.mark.parametrize("kind", ["random", "graded", "mixed", "misshapen",
-                                  "cstar", "infinite"])
+@pytest.mark.parametrize("kind", ["random", "mixed", "misshapen", "infinite"])
 def test_validate_bundle_matches_the_single_item_loop(kind):
     cases = [b for name, b in bundle_cases() if name == kind]
     assert cases

@@ -22,7 +22,6 @@ from holonet.representation import (
     identity_hom,
     identity_representation,
     iso_from_hom,
-    net_of_bundle,
     validate_representation,
 )
 from conftest import hom_from_iso, netify, pfp
@@ -83,13 +82,6 @@ def test_iso_from_hom_rejects_multiplicity():
 
 
 # -------------------------------------------------------------------- nets
-
-def test_net_of_bundle_valid():
-    rng = np.random.default_rng(3)
-    poset, pres, frame = random_poset_with_frame(rng, 8)
-    b = random_hilbert_bundle(poset, pres, frame, 3, rng)
-    assert validate_bundle(as_net_bundle(net_of_bundle(b))).ok
-
 
 def test_as_net_bundle_requires_constant_iso_fibers(chain3):
     fibers = {"o1": (1, 1), "o2": (2,), "o3": (2,)}
