@@ -1,9 +1,10 @@
 """Net bundles over a poset: coherent unitaries (Hilbert fibers) indexed
 by comparable pairs, their validation, evaluation along paths, holonomy,
 flat sections, and the equivalence between net bundles and
-representations of the loop group.  A net bundle of *-isomorphisms
-(C*-fibers) is a holonomy carrier only: `holonomy_images` and
-`holonomy_rep` evaluate it, nothing validates it or takes its sections.
+representations of the loop group.  The path product and
+`holonomy_images` take any carrier of edge operators: a bundle, a
+`fredholm.SampledRep`, or a `representation.NetOfAlgebras` whose
+inclusions are block permutations.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .cstar import StarIso, identity_iso
 from .errors import (
     FiberMismatch,
     InvalidRepresentation,
@@ -71,31 +71,6 @@ class HilbertNetBundle:
         return self.incl[(o, o1)]
 
 
-@dataclass(frozen=True)
-class CStarNetBundle:
-    """Net bundle of block C*-algebras: a *-isomorphism per strict pair.
-
-    A holonomy carrier: `holonomy_images` and `holonomy_rep` evaluate
-    it; `validate_bundle` and the sections take Hilbert bundles only.
-    """
-
-    poset: Poset
-    sizes: tuple[int, ...]
-    incl: dict[Edge, StarIso]
-
-    @cached_property
-    def ident(self) -> StarIso:
-        """The identity on a fiber: one object per bundle."""
-        return identity_iso(self.sizes)
-
-    def u(self, o: str, o1: str) -> StarIso:
-        if o == o1:
-            return self.ident
-        if (o, o1) not in self.incl:
-            raise UnknownElement(f"no inclusion stored for {o!r} <= {o1!r}")
-        return self.incl[(o, o1)]
-
-
 def validate_bundle(b: HilbertNetBundle,
                     tol: float = CONSTRUCTION_TOL) -> ValidationReport:
     """Check the coverage of a Hilbert net bundle, the shape and unitarity
@@ -128,9 +103,9 @@ def validate_bundle(b: HilbertNetBundle,
 
 
 def evaluate_path(x, p: Path):
-    """Evaluate the edge operators `x.u` of a bundle or a `SampledRep`
-    along a path: one `transport_step` per segment, in traversal order,
-    after checking every segment against the poset."""
+    """Evaluate the edge operators `x.u` of a carrier along a path: one
+    `transport_step` per segment, in traversal order, after checking
+    every segment against the poset."""
     for s in p.simplices:
         check_simplex(x.poset, s)
     out = x.ident
@@ -163,12 +138,11 @@ def holonomy_images(x, pres: GroupPresentation, frame: PathFrame) -> dict:
     return out
 
 
-def holonomy_rep(b: HilbertNetBundle | CStarNetBundle, pres: GroupPresentation,
-                 frame: PathFrame, tol: float = CHECK_TOL):
-    """Images of the presentation generators under the holonomy.
-
-    Returns {generator index: unitary} (Hilbert) or {index: StarIso} (C*).
-    Relators are verified to evaluate to the identity.
+def holonomy_rep(b: HilbertNetBundle, pres: GroupPresentation,
+                 frame: PathFrame, tol: float = CHECK_TOL) -> dict[int, np.ndarray]:
+    """Images of the presentation generators under the holonomy of a
+    Hilbert net bundle: {generator index: unitary}.  Relators are
+    verified to evaluate to the identity.
     """
     images = holonomy_images(b, pres, frame)
     require_relators(pres, images, b.ident, tol, RelatorNotSatisfied)

@@ -20,7 +20,8 @@ import sys
 import time
 import traceback
 
-from .errors import HolonetError, InputReferenceError, SchemaError, UnknownCommand
+from .errors import (FiberMismatch, HolonetError, InputReferenceError, SchemaError,
+                     UnknownCommand)
 from .homotopy import simplify_presentation
 from .iodoc import (
     InputDocument,
@@ -246,6 +247,9 @@ def cmd_ccs(doc: InputDocument, opt) -> tuple[dict, bool]:
 def cmd_shift_demo(doc: InputDocument, opt) -> tuple[dict, bool]:
     tol = opt.tolerance
     declared = _declared_phases(doc, "shift-demo")
+    n = len(doc.pres.generators)
+    if n != 1:
+        raise FiberMismatch(f"shift-demo needs a loop group with one generator, got {n}")
     from .charclass import ccs_of_module
     from .fredholm import (build_shift_module, equivariant_cycle, localize, pi_index,
                            validate_module)

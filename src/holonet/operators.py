@@ -1,18 +1,21 @@
 """Uniform operations over dense matrices, shift-type operators and
-*-isomorphisms, and the one layer of word and path products built on them.
+block permutations, and the one layer of word and path products built
+on them.
 
 Fredholm modules come in two flavors: finite rank fibers (plain numpy
-arrays) and shift-type fibers (ShiftOp); C* net bundles carry StarIso
-fibers.  All three compose with `@` and take adjoints with `adj`, so the
-verification code, the word product and the transport step treat them
-the same way.  In finite dimensions every operator is compact, so the
-compactness defect of a dense operator is zero by definition.
+arrays) and shift-type fibers (ShiftOp); nets of algebras carry
+`representation.BlockHom` fibers, block permutations when the net is a
+net bundle.  All three compose with `@` and take adjoints with `adj`
+(for a block permutation, its inverse `.H`), so the verification code,
+the word product and the transport step treat them the same way.  In
+finite dimensions every operator is compact, so the compactness defect
+of a dense operator is zero by definition.
 
-Identity rule: every carrier (a bundle or a sampled representation)
-holds one identity object, `x.ident`, which its tree edges and diagonal
-`x.u(o, o)` return.  The word product, the transport step and
-`conjugate` skip each product in which an operand *is* that object and
-pass the other operand on by reference.  A product with an exact
+Identity rule: every carrier (a bundle, a net of algebras or a sampled
+representation) holds one identity object, `x.ident`, which its tree
+edges and diagonal `x.u(o, o)` return.  The word product, the transport
+step and `conjugate` skip each product in which an operand *is* that
+object and pass the other operand on by reference.  A product with an exact
 identity reproduces its operand up to the sign of a zero, so the results
 agree with the full products under `op_equal` and `np.array_equal`.
 """
@@ -21,14 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cstar import StarIso, iso_map_defect
 from .errors import FiberMismatch
 from .linalg import dagger, first_over, opnorm, opnorms
 from .shift_calculus import ShiftOp, identity_op, op_equal
 
 
 def adj(x):
-    """Adjoint of a matrix or ShiftOp; inverse of a StarIso."""
+    """Adjoint of a matrix or ShiftOp; inverse of a block permutation."""
     if isinstance(x, np.ndarray):
         return dagger(x)
     return x.H
@@ -185,8 +187,6 @@ def relator_defects(pres, images: dict, ident) -> np.ndarray:
     words = [evaluate_word_ops(r.letters, images, ident) for r in pres.relators]
     if isinstance(ident, np.ndarray):
         return opnorms(np.array(words).reshape((-1,) + ident.shape) - ident)
-    if isinstance(ident, StarIso):
-        return np.array([iso_map_defect(w, ident, ident.sizes) for w in words])
     return np.array([zero_defect(w - ident) for w in words])
 
 

@@ -2,21 +2,23 @@
 Hilbert net bundles.
 
 A net assigns a block algebra to every poset element and a unital
-injective *-homomorphism to every comparable pair; a representation
-intertwines those inclusions with the adjoint action of the bundle
-unitaries.  When the net inclusions are isomorphisms (a net bundle in
-the C* sense), loops act on the base fiber and every representation
-covariantizes to a pair (base homomorphism, holonomy unitaries).
+injective *-homomorphism (`BlockHom`) to every comparable pair; a
+representation intertwines those inclusions with the adjoint action of
+the bundle unitaries.  When the fibers are constant and every inclusion
+is a block permutation (a net bundle in the C* sense), the net is a
+carrier like the Hilbert bundles: loops act on the base fiber through
+`holonomy_images`, and every representation covariantizes to a pair
+(base homomorphism, holonomy unitaries).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bundle import CStarNetBundle, HilbertNetBundle, holonomy_images, holonomy_rep
-from .cstar import BlockElement, StarIso, apply_iso, basis_stack, block_diag
+from .bundle import HilbertNetBundle, holonomy_images, holonomy_rep
 from .errors import FiberMismatch, InvalidRepresentation, NotANetBundle
 from .homotopy import GroupPresentation, PathFrame
 from .linalg import dagger, first_over
@@ -25,6 +27,33 @@ from .poset import Poset
 from .reports import CHECK_TOL, ValidationReport
 
 Edge = tuple[str, str]
+BlockElement = tuple[np.ndarray, ...]
+
+
+def basis_stack(sizes: tuple[int, ...]) -> BlockElement:
+    """Matrix units of the block algebra, block by block, as one stacked
+    element: unit t has block k equal to `out[k][t]`."""
+    total = sum(n * n for n in sizes)
+    out, at = [], 0
+    for n in sizes:
+        blocks = np.zeros((total, n, n), dtype=complex)
+        blocks[at:at + n * n] = np.eye(n * n).reshape(n * n, n, n)
+        out.append(blocks)
+        at += n * n
+    return tuple(out)
+
+
+def block_diag(blocks: list[np.ndarray]) -> np.ndarray:
+    """Block-diagonal matrix, or stack of them when the blocks carry a
+    leading stack axis."""
+    n = sum(b.shape[-1] for b in blocks)
+    out = np.zeros(blocks[0].shape[:-2] + (n, n), dtype=complex)
+    at = 0
+    for b in blocks:
+        k = b.shape[-1]
+        out[..., at:at + k, at:at + k] = b
+        at += k
+    return out
 
 
 @dataclass(frozen=True)
@@ -33,7 +62,9 @@ class BlockHom:
 
     Determined by a multiplicity matrix (rows: target blocks, columns:
     source blocks) and one unitary per target block aligning the
-    standard multiplicity embedding.
+    standard multiplicity embedding.  A block permutation of one
+    algebra is a *-isomorphism: it composes with `@` and inverts with
+    `.H`, and any other hom raises NotANetBundle there.
     """
 
     src_sizes: tuple[int, ...]
@@ -58,6 +89,43 @@ class BlockHom:
             if all(row[j] == 0 for row in self.mult):
                 raise FiberMismatch(f"source block {j} is killed (not injective)")
 
+    @cached_property
+    def src(self) -> tuple[int, ...]:
+        """The source block of each target block, when self is a block
+        permutation.  An injective unital hom between algebras of equal
+        sizes is one: equal dimensions make it onto, so each row of the
+        multiplicity matrix is a single copy."""
+        if self.src_sizes != self.dst_sizes:
+            raise NotANetBundle("source and target block sizes differ")
+        return tuple(row.index(1) for row in self.mult)
+
+    def __matmul__(self, inner: BlockHom) -> BlockHom:
+        """self after inner: target block k receives source block
+        inner.src[self.src[k]], conjugated by units[k] @ inner.units[self.src[k]]."""
+        src, isrc = self.src, inner.src
+        if inner.dst_sizes != self.src_sizes:
+            raise NotANetBundle("the homs act on different block algebras")
+        return _block_permutation(self.dst_sizes, tuple(isrc[s] for s in src),
+                                  tuple(u @ inner.units[s] for u, s in zip(self.units, src)))
+
+    @property
+    def H(self) -> BlockHom:
+        """The inverse *-isomorphism: block src[k] goes back to k by units[k]*."""
+        back = tuple(sorted(range(len(self.src)), key=self.src.__getitem__))
+        return _block_permutation(self.dst_sizes, back,
+                                  tuple(dagger(self.units[k]) for k in back))
+
+
+def _block_permutation(sizes: tuple[int, ...], src: tuple[int, ...],
+                       units: tuple[np.ndarray, ...]) -> BlockHom:
+    """The block permutation whose target block k receives source block
+    src[k] conjugated by units[k]; its `src` is cached from the caller."""
+    n = len(sizes)
+    h = BlockHom(sizes, sizes, tuple(tuple(int(j == s) for j in range(n)) for s in src),
+                 units)
+    h.__dict__["src"] = src
+    return h
+
 
 def apply_hom(h: BlockHom, x: BlockElement) -> BlockElement:
     """h applied to x, unit by unit when x is stacked."""
@@ -71,38 +139,32 @@ def apply_hom(h: BlockHom, x: BlockElement) -> BlockElement:
 
 
 def identity_hom(sizes: tuple[int, ...]) -> BlockHom:
-    n = len(sizes)
-    mult = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return BlockHom(sizes, sizes, mult,
-                    tuple(np.eye(k, dtype=complex) for k in sizes))
-
-
-def iso_from_hom(h: BlockHom) -> StarIso:
-    """Invert the encoding when the hom is an isomorphism."""
-    if h.src_sizes != h.dst_sizes:
-        raise NotANetBundle("source and target block sizes differ")
-    src = []
-    for i, row in enumerate(h.mult):
-        hits = [j for j, m in enumerate(row) if m]
-        if len(hits) != 1 or row[hits[0]] != 1:
-            raise NotANetBundle(f"target block {i} is not a single source copy")
-        src.append(hits[0])
-    if sorted(src) != list(range(len(h.src_sizes))):
-        raise NotANetBundle("multiplicity matrix is not a permutation")
-    return StarIso(h.dst_sizes, tuple(src), h.units)
+    return _block_permutation(sizes, tuple(range(len(sizes))),
+                              tuple(np.eye(k, dtype=complex) for k in sizes))
 
 
 @dataclass(frozen=True)
 class NetOfAlgebras:
-    """Fiber block sizes per element, inclusion hom per strict pair."""
+    """Fiber block sizes per element, inclusion hom per strict pair.
+
+    A carrier like the bundles: `u(o, o1)` is the inclusion, and the
+    diagonal is `ident`, one identity object per net."""
 
     poset: Poset
     fibers: dict[str, tuple[int, ...]]
     incl: dict[Edge, BlockHom]
 
-    def hom(self, o: str, o1: str) -> BlockHom:
+    @cached_property
+    def ident(self) -> BlockHom:
+        """The identity on the fiber, which must be the same everywhere."""
+        sizes = {self.fibers[o] for o in self.poset.elements}
+        if len(sizes) != 1:
+            raise NotANetBundle(f"fibers are not constant: {sorted(sizes)}")
+        return identity_hom(next(iter(sizes)))
+
+    def u(self, o: str, o1: str) -> BlockHom:
         if o == o1:
-            return identity_hom(self.fibers[o])
+            return self.ident
         return self.incl[(o, o1)]
 
 
@@ -113,16 +175,6 @@ def net_of_bundle(b: HilbertNetBundle) -> NetOfAlgebras:
     fibers = {o: sizes for o in b.poset.elements}
     incl = {e: BlockHom(sizes, sizes, ((1,),), (b.incl[e],)) for e in b.incl}
     return NetOfAlgebras(b.poset, fibers, incl)
-
-
-def as_net_bundle(net: NetOfAlgebras) -> CStarNetBundle:
-    """Reinterpret the net as a C* net bundle; inclusions must be isos."""
-    sizes_set = {net.fibers[o] for o in net.poset.elements}
-    if len(sizes_set) != 1:
-        raise NotANetBundle(f"fibers are not constant: {sorted(sizes_set)}")
-    sizes = next(iter(sizes_set))
-    incl = {e: iso_from_hom(h) for e, h in net.incl.items()}
-    return CStarNetBundle(net.poset, sizes, incl)
 
 
 @dataclass(frozen=True)
@@ -157,7 +209,7 @@ def validate_representation(r: NetRepresentation,
     for o, o1 in sorted(r.net.poset.strict_pairs()):
         rep.add("morphism", f"{o}<{o1}",
                 r.target.u(o, o1) @ images[o] @ dagger(r.target.u(o, o1))
-                - r.pi_matrix(o1, apply_hom(r.net.hom(o, o1), basis[o])), tol)
+                - r.pi_matrix(o1, apply_hom(r.net.u(o, o1), basis[o])), tol)
     return rep
 
 
@@ -172,20 +224,24 @@ def covariantize(r: NetRepresentation, pres: GroupPresentation,
                  frame: PathFrame) -> tuple[BlockHom, dict[int, np.ndarray]]:
     """Base-fiber homomorphism plus holonomy unitaries on the generators.
 
-    The net must be a net bundle so that loops act on the base fiber;
-    the covariance identity pi(g.t) = U_g pi(t) U_g* is verified on the
-    fiber basis for every generator.  Every check runs at CHECK_TOL.
+    The net must be a net bundle (constant fibers, block permutations
+    as inclusions, else NotANetBundle before any holonomy is evaluated)
+    so that loops act on the base fiber; the covariance identity
+    pi(g.t) = U_g pi(t) U_g* is verified on the fiber basis for every
+    generator.  Every check runs at CHECK_TOL.
     """
     report = validate_representation(r, CHECK_TOL)
     if not report.ok:
         raise InvalidRepresentation(str(report))
-    cb = as_net_bundle(r.net)
+    r.net.ident  # NotANetBundle unless the fibers are constant
+    for h in r.net.incl.values():
+        h.src  # NotANetBundle unless h is a block permutation
     images = holonomy_rep(r.target, pres, frame, CHECK_TOL)
     pi_base = r.pi[pres.base]
     t = basis_stack(r.net.fibers[pres.base])
     pi_t = apply_hom(pi_base, t)[0]
-    acts = holonomy_images(cb, pres, frame)
-    residuals = [apply_hom(pi_base, apply_iso(act, t))[0]
+    acts = holonomy_images(r.net, pres, frame)
+    residuals = [apply_hom(pi_base, apply_hom(act, t))[0]
                  - images[idx] @ pi_t @ dagger(images[idx])
                  for idx, act in acts.items()]
     d = residual_defects([m for stack in residuals for m in stack])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from holonet.bundle import HilbertNetBundle, bundle_from_rep
-from holonet.cstar import StarIso, apply_iso, basis_stack, identity_iso
 from holonet.errors import (
     FiberMismatch,
     HolonetError,
@@ -22,12 +21,19 @@ from holonet.homotopy import (
     edge_loop_word,
     fundamental_presentation,
 )
-from holonet.linalg import dagger, first_over, opnorms
-from holonet.operators import evaluate_word_ops, require_relators
+from holonet.linalg import dagger, first_over, opnorms, random_unitary
+from holonet.operators import evaluate_word_ops
 from holonet.poset import OneSimplex, Path, Poset, check_simplex, edge_simplex
 from holonet.randomgen import random_hilbert_bundle, random_poset_with_frame
 from holonet.reports import CHECK_TOL, INDEX_TOL
-from holonet.representation import BlockHom, NetOfAlgebras, NetRepresentation, apply_hom
+from holonet.representation import (
+    BlockHom,
+    NetOfAlgebras,
+    NetRepresentation,
+    apply_hom,
+    basis_stack,
+    identity_hom,
+)
 from holonet.shift_calculus import finite_op, stripe_op
 from holonet.standard import chain_poset, hexagon_poset, with_top
 
@@ -246,38 +252,52 @@ def path_to_word(pres: GroupPresentation, poset: Poset, p: Path) -> Word:
 
 # ------------------------------------------------------ covariant C* nets
 
-def hom_from_iso(iso: StarIso) -> BlockHom:
-    n = len(iso.sizes)
-    mult = tuple(tuple(1 if j == iso.src[i] else 0 for j in range(n))
-                 for i in range(n))
-    return BlockHom(iso.sizes, iso.sizes, mult, iso.units)
+def block_permutation(src: tuple[int, ...], units) -> BlockHom:
+    """The block permutation whose target block k receives source block
+    src[k], conjugated by units[k]."""
+    sizes = tuple(u.shape[0] for u in units)
+    mult = tuple(tuple(int(j == s) for j in range(len(src))) for s in src)
+    return BlockHom(sizes, sizes, mult, tuple(units))
+
+
+def random_block_permutation(rng, sizes=(1, 1, 2)) -> BlockHom:
+    """The first two blocks (of equal size) kept or swapped at random,
+    random units."""
+    src = tuple(int(k) for k in rng.permutation(2)) + (2,)
+    return block_permutation(src, [random_unitary(rng, k) for k in sizes])
 
 
 def netify(eta: BlockHom, v_images: dict[int, np.ndarray], poset: Poset,
            pres: GroupPresentation, frame: PathFrame,
-           action: dict[int, StarIso] | None = None,
+           action: dict[int, BlockHom] | None = None,
            tol: float = CHECK_TOL) -> NetRepresentation:
     """Spread a covariant pair (eta, V) out over the poset.
 
-    The loop group acts on the source algebra by `action` (identity by
-    default, the Hilbert-space representation case); the target bundle
-    is rebuilt from V, the net from the action, and eta is installed as
-    the fiber homomorphism everywhere.  covariantize inverts this
-    construction on the nose.
+    The loop group acts on the source algebra by `action`, block
+    permutations (identity by default, the Hilbert-space representation
+    case); the target bundle is rebuilt from V, the net from the action,
+    and eta is installed as the fiber homomorphism everywhere.  Each
+    relator of the action is measured on the matrix units: its defect is
+    the largest block norm by which it moves a unit.  covariantize
+    inverts this construction on the nose.
     """
     if len(eta.dst_sizes) != 1:
         raise FiberMismatch("eta must land in a single matrix block")
     dim = eta.dst_sizes[0]
     sizes = eta.src_sizes
     if action is None:
-        action = {idx: identity_iso(sizes) for idx in v_images}
+        action = {idx: identity_hom(sizes) for idx in v_images}
     if set(action) != set(v_images):
         raise NotCovariant("action and V must cover the same generators")
-    require_relators(pres, action, identity_iso(sizes), tol, RelatorNotSatisfied)
     t = basis_stack(sizes)
+    for r in pres.relators:
+        w = apply_hom(evaluate_word_ops(r.letters, action, identity_hom(sizes)), t)
+        d = float(np.max([opnorms(a - b) for a, b in zip(w, t)], initial=0.0))
+        if not d <= tol:
+            raise RelatorNotSatisfied(f"relator {r} has defect {d:.3e}")
     eta_t = apply_hom(eta, t)[0]
     for idx, u in v_images.items():
-        d = opnorms(apply_hom(eta, apply_iso(action[idx], t))[0] - u @ eta_t @ dagger(u))
+        d = opnorms(apply_hom(eta, apply_hom(action[idx], t))[0] - u @ eta_t @ dagger(u))
         k = first_over(d, tol)
         if k is not None:
             raise NotCovariant(
@@ -286,8 +306,7 @@ def netify(eta: BlockHom, v_images: dict[int, np.ndarray], poset: Poset,
     incl = {}
     for e in poset.strict_pairs():
         w = edge_loop_word(pres, poset, frame, e[0], e[1])
-        incl[e] = hom_from_iso(evaluate_word_ops(w.letters, action,
-                                                 identity_iso(sizes)))
+        incl[e] = evaluate_word_ops(w.letters, action, identity_hom(sizes))
     net = NetOfAlgebras(poset, {o: sizes for o in poset.elements}, incl)
     pi = {o: eta for o in poset.elements}
     return NetRepresentation(net, target, pi)

@@ -17,7 +17,6 @@ from holonet.bundle import (
     validate_bundle,
 )
 from holonet.cli import _report_summary
-from holonet.cstar import StarIso, apply_iso, block_diag, identity_iso, iso_map_defect
 from holonet.errors import (
     HolonetError,
     InvalidRepresentation,
@@ -38,7 +37,7 @@ from holonet.representation import (
     NetOfAlgebras,
     NetRepresentation,
     apply_hom,
-    as_net_bundle,
+    block_diag,
     covariantize,
     identity_hom,
     identity_representation,
@@ -46,7 +45,7 @@ from holonet.representation import (
 )
 from holonet.spectral import EquivariantTriple, from_equivariant, validate_triple
 from holonet.standard import chain_poset
-from conftest import hom_from_iso, netify
+from conftest import netify
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -66,11 +65,13 @@ def basis_elements(sizes):
     return out
 
 
-def reference_iso_map_defect(a, b, sizes):
+def reference_map_defect(a, b, sizes):
+    """Largest block norm by which the block permutations a and b differ
+    on a matrix unit."""
     worst = 0.0
     for t in basis_elements(sizes):
         worst = max(worst, max((opnorm(x - y) for x, y in
-                                zip(apply_iso(a, t), apply_iso(b, t))), default=0.0))
+                                zip(apply_hom(a, t), apply_hom(b, t))), default=0.0))
     return worst
 
 
@@ -78,7 +79,7 @@ def reference_morphisms(r):
     out = []
     for o, o1 in sorted(r.net.poset.strict_pairs()):
         u = r.target.u(o, o1)
-        h = r.net.hom(o, o1)
+        h = r.net.u(o, o1)
         worst = 0.0
         for t in basis_elements(r.net.fibers[o]):
             lhs = u @ r.pi_matrix(o, t) @ dagger(u)
@@ -91,8 +92,8 @@ def reference_morphisms(r):
 def reference_require_relators(pres, images, ident, tol, error):
     for r in pres.relators:
         w = evaluate_word_ops(r.letters, images, ident)
-        if isinstance(w, StarIso):
-            d = reference_iso_map_defect(w, ident, ident.sizes)
+        if isinstance(w, BlockHom):
+            d = reference_map_defect(w, ident, ident.src_sizes)
         else:
             d = zero_defect(w - ident)
         if d > tol:
@@ -105,14 +106,16 @@ def reference_covariantize(r, pres, frame, tol):
     report = validate_representation(r, tol)
     if not report.ok:
         raise InvalidRepresentation(str(report))
-    cb = as_net_bundle(r.net)
+    r.net.ident  # NotANetBundle unless the fibers are constant
+    for h in r.net.incl.values():
+        h.src  # NotANetBundle unless h is a block permutation
     images = holonomy_images(r.target, pres, frame)
     reference_require_relators(pres, images, r.target.ident, tol, RelatorNotSatisfied)
     pi_base = r.pi[pres.base]
-    for idx, act in holonomy_images(cb, pres, frame).items():
+    for idx, act in holonomy_images(r.net, pres, frame).items():
         u = images[idx]
         for t in basis_elements(r.net.fibers[pres.base]):
-            lhs = apply_hom(pi_base, apply_iso(act, t))[0]
+            lhs = apply_hom(pi_base, apply_hom(act, t))[0]
             rhs = u @ apply_hom(pi_base, t)[0] @ dagger(u)
             if opnorm(lhs - rhs) > tol:
                 raise InvalidRepresentation(
@@ -124,19 +127,19 @@ def reference_covariantize(r, pres, frame, tol):
 def reference_netify(eta, v_images, poset, pres, frame, action, tol):
     """netify with its per-unit loop and the relator loop."""
     sizes = eta.src_sizes
-    reference_require_relators(pres, action, identity_iso(sizes), tol, RelatorNotSatisfied)
+    reference_require_relators(pres, action, identity_hom(sizes), tol, RelatorNotSatisfied)
     for idx, u in v_images.items():
         for t in basis_elements(sizes):
-            lhs = apply_hom(eta, apply_iso(action[idx], t))[0]
+            lhs = apply_hom(eta, apply_hom(action[idx], t))[0]
             rhs = u @ apply_hom(eta, t)[0] @ dagger(u)
             if opnorm(lhs - rhs) > tol:
                 raise NotCovariant(
                     f"eta does not intertwine generator {idx} "
                     f"(defect {opnorm(lhs - rhs):.3e})")
     target = bundle_from_rep(poset, pres, frame, v_images, eta.dst_sizes[0], tol)
-    incl = {e: hom_from_iso(evaluate_word_ops(
-        edge_loop_word(pres, poset, frame, *e).letters, action, identity_iso(sizes)))
-        for e in poset.strict_pairs()}
+    incl = {e: evaluate_word_ops(edge_loop_word(pres, poset, frame, *e).letters,
+                                 action, identity_hom(sizes))
+            for e in poset.strict_pairs()}
     return NetRepresentation(NetOfAlgebras(poset, {o: sizes for o in poset.elements}, incl),
                              target, {o: eta for o in poset.elements})
 
@@ -188,7 +191,8 @@ def covariant_pair(rng, pres):
     mult_space = random_representation(pres, 2, rng)
     inner = random_representation(pres, 2, rng)
     phase = random_representation(pres, 1, rng)
-    action = {g: StarIso((2, 1), (0, 1), (inner[g], np.eye(1, dtype=complex)))
+    action = {g: BlockHom((2, 1), (2, 1), ((1, 0), (0, 1)),
+                          (inner[g], np.eye(1, dtype=complex)))
               for g in inner}
     v = {g: w @ block_diag([np.kron(mult_space[g], inner[g]), phase[g]]) @ dagger(w)
          for g in inner}
@@ -254,25 +258,6 @@ def test_validate_representation_matches_the_unit_loop():
     assert cases >= 18
 
 
-def test_iso_map_defect_matches_the_unit_loop():
-    rng = np.random.default_rng(9)
-    for sizes in ((2, 1, 1), (1, 2, 1, 2), (3,)):
-        for _ in range(6):
-            def random_iso():
-                src = list(range(len(sizes)))
-                for n in set(sizes):
-                    slots = [k for k in src if sizes[k] == n]
-                    for k, s in zip(slots, rng.permutation(slots)):
-                        src[k] = int(s)
-                return StarIso(sizes, tuple(src),
-                               tuple(random_unitary(rng, n) for n in sizes))
-            a, b = random_iso(), random_iso()
-            near = (a @ b) @ b.H
-            for x, y in ((a, b), (a, near), (near, a), (a, identity_iso(sizes))):
-                assert float(iso_map_defect(x, y, sizes)).hex() == \
-                    float(reference_iso_map_defect(x, y, sizes)).hex()
-
-
 def test_covariantize_outcomes_match_the_unit_loop(monkeypatch):
     """Tolerances between the rounding of the edges and that of the loops
     make the generator check fail on units past the first.  covariantize
@@ -321,16 +306,12 @@ def test_require_relators_outcomes_match_the_relator_loop():
         ident = np.eye(3, dtype=complex)
         defects = sorted(zero_defect(evaluate_word_ops(r.letters, dense, ident) - ident)
                          for r in pres.relators)
-        isos = {k: StarIso((1, 1, 2), tuple(int(s) for s in rng.permutation(2)) + (2,),
-                           tuple(random_unitary(rng, n) for n in (1, 1, 2)))
-                for k in dense}
-        for images, unit in ((dense, ident), (isos, identity_iso((1, 1, 2)))):
-            for tol in (CHECK_TOL, defects[len(defects) // 2], defects[-1], 10.0):
-                got = outcome(require_relators, pres, images, unit, tol, RelatorNotSatisfied)
-                want = outcome(reference_require_relators, pres, images, unit, tol,
-                               RelatorNotSatisfied)
-                assert got == want
-                seen += got is not None
+        for tol in (CHECK_TOL, defects[len(defects) // 2], defects[-1], 10.0):
+            got = outcome(require_relators, pres, dense, ident, tol, RelatorNotSatisfied)
+            want = outcome(reference_require_relators, pres, dense, ident, tol,
+                           RelatorNotSatisfied)
+            assert got == want
+            seen += got is not None
     assert seen > 0
 
 
@@ -364,7 +345,7 @@ def test_overflowing_unit_makes_the_morphism_defect_nan():
     target = HilbertNetBundle(poset, 2, {e: big for e in poset.strict_pairs()})
     net = NetOfAlgebras(poset, {o: (2,) for o in poset.elements},
                         {e: identity_hom((2,)) for e in poset.strict_pairs()})
-    r = NetRepresentation(net, target, {o: net.hom(o, o) for o in poset.elements})
+    r = NetRepresentation(net, target, {o: net.u(o, o) for o in poset.elements})
     with np.errstate(over="ignore", invalid="ignore"):
         (loop,) = reference_morphisms(r)
         (entry,) = validate_representation(r).entries

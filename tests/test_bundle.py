@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from holonet.bundle import (
-    CStarNetBundle,
     HilbertNetBundle,
     bundle_from_rep,
     compute_sections,
@@ -17,34 +16,41 @@ from holonet.bundle import (
     section_defect,
     validate_bundle,
 )
-from holonet.cstar import (
-    StarIso,
-    apply_iso,
-    compose_iso,
-    element_norm,
-    element_sub,
-    identity_iso,
-    inverse_iso,
-    iso_map_defect,
-)
 from holonet.errors import (
     FiberMismatch,
+    NotANetBundle,
     RelatorNotSatisfied,
     UnknownElement,
 )
 from holonet.fredholm import SampledRep, build_shift_module
 from holonet.homotopy import Word, frame_transports
-from holonet.linalg import dagger, random_unitary
+from holonet.linalg import dagger, opnorm, random_unitary
 from holonet.operators import adj, evaluate_word_ops, transport_step
 from holonet.randomgen import (
     random_hilbert_bundle,
     random_poset_with_frame,
     random_representation,
 )
-from holonet.representation import covariantize, identity_representation
+from holonet.representation import (
+    BlockHom,
+    NetOfAlgebras,
+    apply_hom,
+    basis_stack,
+    covariantize,
+    identity_hom,
+    identity_representation,
+)
 from holonet.shift_calculus import ShiftOp, op_equal, stripe_op
 from holonet.standard import chain_poset, hexagon_poset, with_top
-from conftest import edge_loop_path, homotopic_variant, nearly_flat_bundle, pfp, random_loop
+from conftest import (
+    block_permutation,
+    edge_loop_path,
+    homotopic_variant,
+    nearly_flat_bundle,
+    pfp,
+    random_block_permutation,
+    random_loop,
+)
 
 TOL = 1e-10
 
@@ -54,70 +60,124 @@ def trivial_bundle(poset, dim):
     return HilbertNetBundle(poset, dim, {e: eye.copy() for e in poset.strict_pairs()})
 
 
-# ---------------------------------------------------------------- StarIso
+# ------------------------------------------------------ block permutations
 
 def test_star_iso_validates_shapes():
-    with pytest.raises(Exception):
-        StarIso((2, 1), (0, 1), (np.eye(3, dtype=complex), np.eye(1, dtype=complex)))
+    with pytest.raises(FiberMismatch):
+        BlockHom((2, 1), (2, 1), ((1, 0), (0, 1)),
+                 (np.eye(3, dtype=complex), np.eye(1, dtype=complex)))
+
+
+def sources(h):
+    """The source block of each target block, read off the multiplicities."""
+    return tuple(row.index(1) for row in h.mult)
+
+
+def reference_product(outer, inner):
+    """outer after inner, spelled out: target block k receives source block
+    inner's source of outer's source of k, by the product of the units."""
+    src = sources(outer)
+    return block_permutation(tuple(sources(inner)[s] for s in src),
+                             [outer.units[k] @ inner.units[s] for k, s in enumerate(src)])
+
+
+def reference_inverse(h):
+    """The inverse spelled out: block src[k] goes back to k by units[k]*."""
+    src, units = [0] * len(h.mult), [None] * len(h.mult)
+    for k, s in enumerate(sources(h)):
+        src[s], units[s] = k, dagger(h.units[k])
+    return block_permutation(tuple(src), units)
+
+
+def word_reference(letters, images, sizes):
+    """The word product over block permutations spelled out with the
+    reference product and inverse, last letter first."""
+    out = identity_hom(sizes)
+    for l in reversed(letters):
+        m = images[abs(l)]
+        out = reference_product(m if l > 0 else reference_inverse(m), out)
+    return out
+
+
+def random_elements(rng, sizes):
+    """The matrix units as one stacked element, and a random element."""
+    return (basis_stack(sizes),
+            tuple(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+                  for k in sizes))
+
+
+def assert_close(x, y):
+    for p, q in zip(x, y, strict=True):
+        assert np.max(np.abs(p - q)) < 1e-14
 
 
 def test_iso_compose_inverse_roundtrip():
     rng = np.random.default_rng(3)
     sizes = (2, 2, 1)
-    iso = StarIso(sizes, (1, 0, 2), (random_unitary(rng, 2),
-                                     random_unitary(rng, 2),
-                                     random_unitary(rng, 1)))
-    both = compose_iso(inverse_iso(iso), iso)
-    assert iso_map_defect(both, identity_iso(sizes), sizes) < 1e-14
+    for t in random_elements(rng, sizes):
+        for _ in range(10):
+            a = random_block_permutation(rng, sizes)
+            assert_close(apply_hom(a.H @ a, t), t)
+            assert_close(apply_hom(a @ a.H, t), t)
 
 
-def word_iso_reference(letters, images, sizes):
-    """The word product over *-isomorphisms spelled out with
-    compose_iso and inverse_iso, last letter first."""
-    out = identity_iso(sizes)
-    for l in reversed(letters):
-        m = images[abs(l)]
-        out = compose_iso(m if l > 0 else inverse_iso(m), out)
-    return out
+def test_block_permutations_compose_as_maps():
+    rng = np.random.default_rng(5)
+    sizes = (2, 2, 1)
+    for t in random_elements(rng, sizes):
+        for _ in range(10):
+            a, b = random_block_permutation(rng, sizes), random_block_permutation(rng, sizes)
+            assert_close(apply_hom(a @ b, t), apply_hom(a, apply_hom(b, t)))
 
 
 def test_star_iso_protocol_matches_compose_and_inverse():
     rng = np.random.default_rng(7)
     sizes = (2, 2, 1)
-
-    def random_iso():
-        return StarIso(sizes, tuple(int(i) for i in rng.permutation(2)) + (2,),
-                       tuple(random_unitary(rng, k) for k in sizes))
-
     for _ in range(10):
-        a, b = random_iso(), random_iso()
-        assert same_bits(a @ b, compose_iso(a, b))
-        assert same_bits(adj(a), inverse_iso(a))
-        assert same_bits(a.H, inverse_iso(a))
-    images = {1: random_iso(), 2: random_iso(), 3: random_iso()}
+        a, b = random_block_permutation(rng, sizes), random_block_permutation(rng, sizes)
+        assert same_bits(a @ b, reference_product(a, b))
+        assert same_bits(adj(a), reference_inverse(a))
+        assert same_bits(a.H, reference_inverse(a))
+    images = {g: random_block_permutation(rng, sizes) for g in (1, 2, 3)}
     for _ in range(20):
         letters = tuple(int(g) * int(s) for g, s in
                         zip(rng.integers(1, 4, size=rng.integers(0, 7)),
                             rng.choice([-1, 1], size=7)))
-        assert same_bits(evaluate_word_ops(letters, images, identity_iso(sizes)),
-                         word_iso_reference(letters, images, sizes))
+        assert same_bits(evaluate_word_ops(letters, images, identity_hom(sizes)),
+                         word_reference(letters, images, sizes))
 
 
 def test_apply_iso_is_star_homomorphism():
     rng = np.random.default_rng(4)
     sizes = (2, 2)
-    iso = StarIso(sizes, (1, 0), (random_unitary(rng, 2), random_unitary(rng, 2)))
+    iso = block_permutation((1, 0), (random_unitary(rng, 2), random_unitary(rng, 2)))
     x = tuple(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
               for k in sizes)
     y = tuple(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
               for k in sizes)
     xy = tuple(a @ b for a, b in zip(x, y))
-    lhs = apply_iso(iso, xy)
-    rhs = tuple(a @ b for a, b in zip(apply_iso(iso, x), apply_iso(iso, y)))
-    assert element_norm(element_sub(lhs, rhs)) < 1e-12
-    star = apply_iso(iso, tuple(dagger(a) for a in x))
-    assert element_norm(element_sub(
-        star, tuple(dagger(a) for a in apply_iso(iso, x)))) < 1e-12
+    rhs = tuple(a @ b for a, b in zip(apply_hom(iso, x), apply_hom(iso, y)))
+    for p, q in zip(apply_hom(iso, xy), rhs):
+        assert opnorm(p - q) < 1e-12
+    star = apply_hom(iso, tuple(dagger(a) for a in x))
+    for p, q in zip(star, apply_hom(iso, x)):
+        assert opnorm(p - dagger(q)) < 1e-12
+
+
+def test_only_block_permutations_compose_and_invert():
+    eye = np.eye(2, dtype=complex)
+    double = BlockHom((1,), (2,), ((2,),), (eye,))
+    spread = BlockHom((1, 2), (3,), ((1, 1),), (np.eye(3, dtype=complex),))
+    for h in (double, spread):
+        with pytest.raises(NotANetBundle, match="sizes differ"):
+            h.H
+        with pytest.raises(NotANetBundle, match="sizes differ"):
+            h @ h
+        with pytest.raises(NotANetBundle, match="sizes differ"):
+            identity_hom(h.dst_sizes) @ h
+    swap = block_permutation((1, 0), (np.eye(1, dtype=complex),) * 2)
+    with pytest.raises(NotANetBundle, match="different block algebras"):
+        BlockHom((2,), (2,), ((1,),), (eye,)) @ swap
 
 
 # ------------------------------------------------------------- validation
@@ -205,43 +265,49 @@ def test_path_evaluation_is_homotopy_invariant():
 
 
 def same_bits(a, b) -> bool:
-    if isinstance(a, StarIso):
-        return (a.sizes == b.sizes and a.src == b.src
+    if isinstance(a, BlockHom):
+        return (a.src_sizes == b.src_sizes and a.dst_sizes == b.dst_sizes
+                and a.mult == b.mult
                 and all(same_bits(x, y) for x, y in zip(a.units, b.units)))
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def cstar_step_reference(b):
-    """The C* transport step spelled out with compose_iso and inverse_iso."""
-    return lambda t, s: compose_iso(
-        compose_iso(inverse_iso(b.u(s.face0, s.support)), b.u(s.face1, s.support)), t)
+def net_step_reference(net):
+    """The transport step of a net of block permutations, spelled out
+    with the reference product and inverse."""
+    return lambda t, s: reference_product(
+        reference_product(reference_inverse(net.u(s.face0, s.support)),
+                          net.u(s.face1, s.support)), t)
+
+
+def random_net(rng, poset, sizes=(1, 1, 2)) -> NetOfAlgebras:
+    """A random block permutation on every strict pair."""
+    return NetOfAlgebras(poset, {o: sizes for o in poset.elements},
+                         {e: random_block_permutation(rng, sizes)
+                          for e in poset.strict_pairs()})
 
 
 def test_frame_transports_match_path_evaluation_bitwise():
-    # generic bundles: a random unitary (or *-isomorphism) on every edge,
-    # so no frame transport is the identity
+    # generic carriers: a random unitary (or block permutation) on every
+    # edge, so no frame transport is the identity
     for seed in range(6):
         rng = np.random.default_rng(seed + 90)
         poset, pres, frame = random_poset_with_frame(rng, 14)
         hilbert = HilbertNetBundle(poset, 3, {e: random_unitary(rng, 3)
                                               for e in poset.strict_pairs()})
-        sizes = (1, 1, 2)
-        cstar = CStarNetBundle(poset, sizes, {
-            e: StarIso(sizes, tuple(rng.permutation(2)) + (2,),
-                       tuple(random_unitary(rng, k) for k in sizes))
-            for e in poset.strict_pairs()})
-        for b in (hilbert, cstar):
+        net = random_net(rng, poset)
+        for b in (hilbert, net):
             t = frame_transports(poset, frame, b.ident, partial(transport_step, b))
             assert set(t) == set(poset.elements)
             for o in poset.elements:
                 assert same_bits(t[o], evaluate_path(b, frame.to(o)))
-        step = cstar_step_reference(cstar)
+        step = net_step_reference(net)
         loops = [edge_loop_path(poset, frame, *e) for e in pres.generators]
         for p in [frame.to(o) for o in poset.elements] + loops:
-            want = identity_iso(sizes)
+            want = identity_hom((1, 1, 2))
             for s in p.simplices:
                 want = step(want, s)
-            assert same_bits(evaluate_path(cstar, p), want)
+            assert same_bits(evaluate_path(net, p), want)
 
 
 # ------------------------------------------------- holonomy and roundtrip
@@ -267,15 +333,10 @@ def test_holonomy_rep_rejects_broken_relators():
     poset, pres, frame = pfp(chain_poset(3))
     assert len(pres.relators) == 1
     rng = np.random.default_rng(19)
-    sizes = (1, 2)
-    hilbert = HilbertNetBundle(poset, 2, {e: random_unitary(rng, 2)
-                                          for e in poset.strict_pairs()})
-    cstar = CStarNetBundle(poset, sizes, {
-        e: StarIso(sizes, (0, 1), tuple(random_unitary(rng, k) for k in sizes))
-        for e in poset.strict_pairs()})
-    for b in (hilbert, cstar):
-        with pytest.raises(RelatorNotSatisfied, match="has defect"):
-            holonomy_rep(b, pres, frame)
+    b = HilbertNetBundle(poset, 2, {e: random_unitary(rng, 2)
+                                    for e in poset.strict_pairs()})
+    with pytest.raises(RelatorNotSatisfied, match="has defect"):
+        holonomy_rep(b, pres, frame)
 
 
 def test_bundle_from_rep_rejects_nonunitary_and_broken_relators(hexagon_pfp):
@@ -330,8 +391,8 @@ def test_holonomy_images_follow_edge_loops(hexagon_pfp):
 
 def test_holonomy_images_match_the_edge_loop_paths_bitwise():
     """Images read off the frame transports equal the evaluation of each
-    generator's edge loop as a path, bit for bit: on generic Hilbert and
-    C* bundles, a dense sampled representation, and the shift-class
+    generator's edge loop as a path, bit for bit: on a generic Hilbert
+    bundle and net of block permutations, a dense sampled representation, and the shift-class
     representations of a shift module (flat, and gauged by a colour
     unitary on every edge)."""
     checked = 0
@@ -340,16 +401,12 @@ def test_holonomy_images_match_the_edge_loop_paths_bitwise():
         poset, pres, frame = random_poset_with_frame(rng, 12)
         if not pres.generators:
             continue
-        sizes = (1, 1, 2)
         u_images = random_representation(pres, 2, rng)
         shift = build_shift_module(poset, pres, frame, u_images).rep
         carriers = [
             HilbertNetBundle(poset, 3, {e: random_unitary(rng, 3)
                                         for e in poset.strict_pairs()}),
-            CStarNetBundle(poset, sizes, {
-                e: StarIso(sizes, tuple(int(k) for k in rng.permutation(2)) + (2,),
-                           tuple(random_unitary(rng, k) for k in sizes))
-                for e in poset.strict_pairs()}),
+            random_net(rng, poset),
             SampledRep(poset, pres, frame,
                        {e: random_unitary(rng, 2) for e in poset.strict_pairs()},
                        {}, np.eye(2, dtype=complex)),
@@ -406,18 +463,20 @@ def test_section_count_matches_spectral_oracle():
             assert np.linalg.matrix_rank(mat) == len(secs)
 
 
-# -------------------------------------------------------------- C* bundles
+# ------------------------------------------------------------ nets of algebras
 
 def test_cstar_conjugation_holonomy():
     rng = np.random.default_rng(31)
     u = random_unitary(rng, 2)
-    iso = StarIso((2,), (0,), (u,))
+    iso = block_permutation((0,), (u,))
     poset = hexagon_poset()
     _, pres, frame = pfp(poset)
-    b = CStarNetBundle(poset, (2,), {e: identity_iso((2,)) if e in pres.tree_edges else iso
-                                     for e in poset.strict_pairs()})
-    images = holonomy_rep(b, pres, frame)
-    assert iso_map_defect(images[1], iso, (2,)) < 1e-14
+    net = NetOfAlgebras(poset, {o: (2,) for o in poset.elements},
+                        {e: identity_hom((2,)) if e in pres.tree_edges else iso
+                         for e in poset.strict_pairs()})
+    images = holonomy_images(net, pres, frame)
+    t = basis_stack((2,))
+    assert np.max(np.abs(apply_hom(images[1], t)[0] - apply_hom(iso, t)[0])) < 1e-14
 
 
 def test_a_given_tolerance_reaches_the_relator_check():

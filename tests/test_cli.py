@@ -287,6 +287,25 @@ def test_shift_demo_recovers_phase(capsys):
     assert abs(plus[0]["eigenphases"]["1"][0] - 0.6180339887498949) < 1e-9
 
 
+def test_shift_demo_needs_one_generator(capsys, tmp_path):
+    """A second loop at the base (W13 below U1 and U3) gives two
+    generators; shift-demo reads generator 1 only, so it says so."""
+    data = json.loads(Path(HEXAGON).read_text())
+    del data["bundle"], data["triple"]
+    data["poset"]["elements"].append("W13")
+    data["poset"]["pairs"] += [["W13", "U1"], ["W13", "U3"]]
+    path = tmp_path / "two_generators.json"
+    path.write_text(json.dumps(data))
+    message = "shift-demo needs a loop group with one generator, got 2"
+    code, out, _ = run(capsys, "shift-demo", "--input", str(path), "--format", "text")
+    assert code == 1
+    assert f"error.message: {message}" in out.splitlines()
+    assert "error.type: FiberMismatch" in out.splitlines()
+    code, report, _ = run_json(capsys, "shift-demo", "--input", str(path))
+    assert code == 1 and report["pass"] is False
+    assert report["error"] == {"type": "FiberMismatch", "message": message}
+
+
 def test_sector_demo(capsys):
     code, report, _ = run_json(capsys, "sector-demo", "--input", SECTOR)
     assert code == 0

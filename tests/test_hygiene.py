@@ -1,6 +1,7 @@
 """Source hygiene checks that need no tool beyond the standard library."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -199,6 +200,53 @@ def test_module_table_lists_every_module():
     rows = re.findall(r"^\| `holonet\.(\w+)` \|", readme, flags=re.MULTILINE)
     modules = [p.stem for p in SOURCES if p.stem != "__init__"]
     assert sorted(rows) == modules
+
+
+# Backticked names of the module table that are not holonet names: the
+# builtin `id` (reports keys its memo by it), the parameter name `tol`, and
+# `TOP`, the name of the element that `standard.with_top` adjoins.
+TABLE_PROSE = {"id", "tol", "TOP"}
+
+
+def stale_table_names(readme: str) -> list[str]:
+    """Backticked dotted names in the README module rows that are not a
+    holonet module, a module-level name, a class attribute or a dataclass
+    field.  A name that starts with a module resolves attribute by
+    attribute; any other name resolves part by part."""
+    modules = {p.stem: importlib.import_module(f"holonet.{p.stem}")
+               for p in SOURCES if p.stem != "__init__"}
+    known = set(modules)
+    for mod in modules.values():
+        known.update(vars(mod))
+        for obj in vars(mod).values():
+            if isinstance(obj, type) and obj.__module__ == mod.__name__:
+                known.update(dir(obj))
+                if dataclasses.is_dataclass(obj):
+                    known.update(f.name for f in dataclasses.fields(obj))
+    rows = [line for line in readme.splitlines()
+            if re.match(r"^\| `holonet\.\w+` \|", line)]
+    stale = []
+    for tick in sorted({t for line in rows for t in re.findall(r"`([^`\n]+)`", line)}):
+        if not DOTTED.fullmatch(tick) or tick in TABLE_PROSE:
+            continue
+        parts = tick.removeprefix("holonet.").split(".")
+        if parts[0] in modules:
+            obj, ok = modules[parts[0]], True
+            for part in parts[1:]:
+                ok = ok and hasattr(obj, part)
+                obj = getattr(obj, part, None)
+        else:
+            ok = all(part in known for part in parts)
+        if not ok:
+            stale.append(tick)
+    return stale
+
+
+def test_module_table_names_exist():
+    readme = (ROOT / "README.md").read_text()
+    assert stale_table_names(readme) == []
+    planted = readme + "| `holonet.bundle` | `StarIso`, `holonet.cstar`, `bundle.nothing` |\n"
+    assert stale_table_names(planted) == ["StarIso", "bundle.nothing", "holonet.cstar"]
 
 
 def test_bench_span_targets_resolve():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from holonet.bundle import HilbertNetBundle, bundle_from_rep, validate_bundle
-from holonet.cstar import StarIso
 from holonet.errors import (
     FiberMismatch,
     InvalidRepresentation,
@@ -17,14 +16,12 @@ from holonet.representation import (
     NetOfAlgebras,
     NetRepresentation,
     apply_hom,
-    as_net_bundle,
     covariantize,
     identity_hom,
     identity_representation,
-    iso_from_hom,
     validate_representation,
 )
-from conftest import hom_from_iso, netify, pfp
+from conftest import block_permutation, netify, pfp
 
 
 # ---------------------------------------------------------------- BlockHom
@@ -65,32 +62,66 @@ def test_apply_hom_is_star_homomorphism():
                           - dagger(apply_hom(h, x)[0])) < 1e-12
 
 
-def test_hom_iso_roundtrip():
+def test_block_permutation_source_blocks():
     rng = np.random.default_rng(2)
-    iso = StarIso((2, 2, 1), (1, 0, 2),
-                  (random_unitary(rng, 2), random_unitary(rng, 2),
-                   random_unitary(rng, 1)))
-    back = iso_from_hom(hom_from_iso(iso))
-    assert back.src == iso.src
-    assert all(np.array_equal(a, b) for a, b in zip(back.units, iso.units))
+    h = block_permutation((1, 0, 2), (random_unitary(rng, 2), random_unitary(rng, 2),
+                                      random_unitary(rng, 1)))
+    assert h.src == (1, 0, 2)
+    assert h.H.src == (1, 0, 2) and (h @ h).src == (0, 1, 2)
+    assert identity_hom((2, 2, 1)).src == (0, 1, 2)
 
 
-def test_iso_from_hom_rejects_multiplicity():
+def test_multiplicity_is_not_a_block_permutation():
     h = BlockHom((1, 2), (3,), ((1, 1),), (np.eye(3, dtype=complex),))
     with pytest.raises(NotANetBundle):
-        iso_from_hom(h)
+        h.src
 
 
 # -------------------------------------------------------------------- nets
 
-def test_as_net_bundle_requires_constant_iso_fibers(chain3):
+def varying_net(chain3):
     fibers = {"o1": (1, 1), "o2": (2,), "o3": (2,)}
     diag = BlockHom((1, 1), (2,), ((1, 1),), (np.eye(2, dtype=complex),))
     ident = identity_hom((2,))
-    net = NetOfAlgebras(chain3, fibers,
-                        {("o1", "o2"): diag, ("o1", "o3"): diag, ("o2", "o3"): ident})
-    with pytest.raises(NotANetBundle):
-        as_net_bundle(net)
+    return NetOfAlgebras(chain3, fibers,
+                         {("o1", "o2"): diag, ("o1", "o3"): diag, ("o2", "o3"): ident})
+
+
+def test_net_identity_requires_constant_fibers(chain3):
+    net = varying_net(chain3)
+    assert net.u("o1", "o2") is net.incl[("o1", "o2")]
+    with pytest.raises(NotANetBundle, match="fibers are not constant"):
+        net.ident
+    with pytest.raises(NotANetBundle, match="fibers are not constant"):
+        net.u("o2", "o2")
+    constant = NetOfAlgebras(chain3, {o: (2,) for o in chain3.elements}, {})
+    assert constant.u("o1", "o1") is constant.ident is constant.ident
+
+
+def test_covariantize_requires_a_net_bundle_before_any_holonomy(chain3):
+    """A varying net and a net with a multiplicity inclusion are both
+    rejected before the target's holonomy, whose relator fails here."""
+    poset, pres, frame = pfp(chain3)
+    assert len(pres.relators) == 1
+    rng = np.random.default_rng(23)
+    target = HilbertNetBundle(poset, 2, {e: random_unitary(rng, 2)
+                                         for e in poset.strict_pairs()})
+    net = varying_net(poset)
+    pi = {o: identity_hom((2,)) if net.fibers[o] == (2,) else
+          BlockHom((1, 1), (2,), ((1, 1),), (np.eye(2, dtype=complex),))
+          for o in poset.elements}
+    r = NetRepresentation(net, target, pi)
+    with pytest.raises(InvalidRepresentation):
+        covariantize(r, pres, frame)
+    # the same net with its inclusions carried by the target, so that it
+    # validates: a morphism that fails only as a net bundle
+    incl = {e: BlockHom(h.src_sizes, h.dst_sizes, h.mult,
+                        (target.incl[e] @ h.units[0],))
+            for e, h in net.incl.items()}
+    r = NetRepresentation(NetOfAlgebras(poset, net.fibers, incl), target, pi)
+    assert validate_representation(r).ok
+    with pytest.raises(NotANetBundle, match="fibers are not constant"):
+        covariantize(r, pres, frame)
 
 
 # --------------------------------------------------------- representations
@@ -172,32 +203,32 @@ def test_netify_with_nontrivial_action(hexagon_pfp):
     # the flip of two scalar blocks is implemented by a swap unitary
     poset, pres, frame = hexagon_pfp
     eta = BlockHom((1, 1), (2,), ((1, 1),), (np.eye(2, dtype=complex),))
-    swap_iso = StarIso((1, 1), (1, 0),
-                       (np.eye(1, dtype=complex), np.eye(1, dtype=complex)))
+    swap = block_permutation((1, 0), (np.eye(1, dtype=complex),) * 2)
     v = {1: np.array([[0, 1], [1, 0]], dtype=complex)}
-    r = netify(eta, v, poset, pres, frame, action={1: swap_iso})
+    r = netify(eta, v, poset, pres, frame, action={1: swap})
     assert validate_representation(r).ok
     for e in poset.strict_pairs():
         if e not in pres.tree_edges:
-            assert as_net_bundle(r.net).u(*e).src == (1, 0)
+            assert r.net.u(*e).src == (1, 0)
+    pi_base, images = covariantize(r, pres, frame)
+    assert pi_base is eta
+    assert images.keys() == v.keys() and np.array_equal(images[1], v[1])
 
 
 def test_netify_rejects_noncovariant(hexagon_pfp):
     poset, pres, frame = hexagon_pfp
     eta = BlockHom((1, 1), (2,), ((1, 1),), (np.eye(2, dtype=complex),))
-    swap_iso = StarIso((1, 1), (1, 0),
-                       (np.eye(1, dtype=complex), np.eye(1, dtype=complex)))
+    swap = block_permutation((1, 0), (np.eye(1, dtype=complex),) * 2)
     with pytest.raises(NotCovariant):
         netify(eta, {1: np.eye(2, dtype=complex)}, poset, pres, frame,
-               action={1: swap_iso})
+               action={1: swap})
 
 
 def test_netify_rejects_action_breaking_relator(chain3):
     poset, pres, frame = pfp(chain3)
     assert len(pres.relators) == 1
     eta = BlockHom((1, 1), (2,), ((1, 1),), (np.eye(2, dtype=complex),))
-    swap_iso = StarIso((1, 1), (1, 0),
-                       (np.eye(1, dtype=complex), np.eye(1, dtype=complex)))
+    swap = block_permutation((1, 0), (np.eye(1, dtype=complex),) * 2)
     with pytest.raises(RelatorNotSatisfied):
         netify(eta, {1: np.array([[0, 1], [1, 0]], dtype=complex)},
-               poset, pres, frame, action={1: swap_iso})
+               poset, pres, frame, action={1: swap})
