@@ -13,7 +13,7 @@ the two kernels of the off-diagonal corner of F.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -115,15 +115,13 @@ class SampledRep:
 
 def flat_rep(poset: Poset, pres: GroupPresentation, frame: PathFrame,
              images: dict[int, object], ident, samples_at: dict[str, object],
-             grading_at=None,
-             transported_of=None) -> SampledRep:
+             grading_at=None) -> SampledRep:
     """Holonomy-flat rep from loop-group images: tree edges act as the
     exact identity, generator edges by their image, everything else by
     the image of its tree-collapsed loop word.
 
-    The samples (and grading) are constant across fibers; pass
-    `transported_of` (a function of an edge operator and a sample) when
-    the observables are not inclusion-invariant.
+    The samples (and grading) are constant across fibers and recorded as
+    inclusion-invariant (`transported` is None).
     """
     u_incl = {}
     for e in poset.strict_pairs():
@@ -131,13 +129,7 @@ def flat_rep(poset: Poset, pres: GroupPresentation, frame: PathFrame,
         u_incl[e] = evaluate_word_ops(w.letters, images, ident)
     samples = {o: dict(samples_at) for o in poset.elements}
     grading = {o: grading_at for o in poset.elements} if grading_at is not None else None
-    transported = None
-    if transported_of is not None:
-        transported = {(e, l): transported_of(u, t)
-                       for e, u in u_incl.items()
-                       for l, t in samples_at.items()}
-    return SampledRep(poset, pres, frame, u_incl, samples, ident,
-                      grading, transported)
+    return SampledRep(poset, pres, frame, u_incl, samples, ident, grading)
 
 
 # ---------------------------------------------------------------- modules
@@ -322,15 +314,20 @@ def from_cycle(samples: dict[str, object], v_images: dict[int, object],
                tol: float = CHECK_TOL) -> LocalizedModule:
     """Rebuild a localized module at the frame base from cycle data.
 
-    Every generator needs an image (FiberMismatch otherwise); the images
-    must be unitary and kill the relators within `tol` (NotCovariant
-    otherwise); phi must be a symmetry up to compacts relative to the
-    observables, and an even grading must satisfy its relations within
-    `tol` (RelationDefect otherwise).  Passing the data of
-    equivariant_cycle straight back reproduces the same operator objects.
+    Every generator needs an image of phi's shape or colour dimensions
+    (FiberMismatch otherwise); the images must be unitary and kill the
+    relators within `tol` (NotCovariant otherwise); phi must be a
+    symmetry up to compacts relative to the observables, and an even
+    grading must satisfy its relations within `tol` (RelationDefect
+    otherwise).  An observable is transported along an edge by
+    conjugation.  Passing the data of equivariant_cycle straight back
+    reproduces the same operator objects.
     """
     ident = identity_like(phi)
     require_generators(pres, v_images)
+    for g, v in sorted(v_images.items()):
+        if _space(v) != _space(phi):
+            raise FiberMismatch(f"generator {g} image has {_space(v)}, phi has {_space(phi)}")
     require_unitary(v_images, tol, NotCovariant)
     require_relators(pres, v_images, ident, tol, NotCovariant)
     for label, t in sorted(samples.items()):
@@ -355,10 +352,15 @@ def from_cycle(samples: dict[str, object], v_images: dict[int, object],
             raise RelationDefect(f"grading relations fail: defect {d.max():.3e}")
     elif grading is not None:
         raise RelationDefect("odd cycle must not carry a grading")
-    rep = flat_rep(poset, pres, frame, v_images, ident, samples,
-                   grading_at=grading,
-                   transported_of=partial(conjugate, ident=ident))
-    return LocalizedModule(rep, frame.base, phi, parity)
+    rep = flat_rep(poset, pres, frame, v_images, ident, samples, grading_at=grading)
+    transported = {(e, l): conjugate(u, t, ident)
+                   for e, u in rep.u_incl.items() for l, t in samples.items()}
+    return LocalizedModule(replace(rep, transported=transported), frame.base, phi, parity)
+
+
+def _space(x) -> str:
+    """The space an operator acts on, as a FiberMismatch names it."""
+    return f"colours {x.d_out}x{x.d_in}" if isinstance(x, ShiftOp) else f"shape {np.shape(x)}"
 
 
 # ------------------------------------------------------------- the index
@@ -629,37 +631,39 @@ def pi_index(cycle: EquivariantCycle) -> VirtualRep:
     return VirtualRep(plus, minus, cycle.group)
 
 
-# ----------------------------------------------------- shift construction
+# ---------------------------------------------------- doubled-fiber modules
 
-def _unit(i: int, j: int) -> np.ndarray:
-    m = np.zeros((2, 2), dtype=complex)
-    m[i, j] = 1.0
-    return m
+def _embed_sector(t: ShiftOp, total: int) -> ShiftOp:
+    """Color-1 operator -> doubled total-color operator, repeated in every
+    colour of both halves of the doubling."""
 
+    def lift(m: np.ndarray) -> np.ndarray:
+        out = np.zeros((2 * total, 2 * total), dtype=complex)
+        np.fill_diagonal(out, m[0, 0])
+        return out
 
-def _doubling_f(d: int) -> ShiftOp:
-    """Off-diagonal symmetry: shift up-right, co-shift down-left."""
-    eye = np.eye(d, dtype=complex)
-    return (stripe_op(1, np.kron(_unit(0, 1), eye))
-            + stripe_op(-1, np.kron(_unit(1, 0), eye)))
-
-
-def _doubling_grading(d: int) -> ShiftOp:
-    return stripe_op(0, np.kron(np.diag([1.0, -1.0]), np.eye(d)))
+    return map_color(t, lift)
 
 
-def _double_color(m: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(2, dtype=complex), m)
-
-
-def _default_shift_samples(d: int) -> dict[str, ShiftOp]:
-    eye2d = np.eye(2 * d, dtype=complex)
-    return {
-        "one": identity_op(2 * d),
-        "site00": finite_op({(0, 0): eye2d.copy()}, 2 * d),
-        "site01": finite_op({(0, 1): eye2d.copy()}, 2 * d),
-        "site11": finite_op({(1, 1): eye2d.copy()}, 2 * d),
-    }
+def _doubled_module(poset: Poset, pres: GroupPresentation, frame: PathFrame,
+                    images: dict[int, np.ndarray], total: int, sw: ShiftOp,
+                    samples: dict[str, ShiftOp]) -> FredholmModule:
+    """Even module on the doubled space, `total` colours per half: the
+    images act on the colours of both halves, the grading is +1 on the
+    upper half and -1 on the lower, each one-colour sample is repeated in
+    every colour, and F = sw up-right plus sw* down-left, so the kernel
+    of its odd corner is the cokernel of the isometry `sw` in every
+    colour."""
+    eye = np.eye(total, dtype=complex)
+    colors = {g: stripe_op(0, np.kron(np.eye(2, dtype=complex), m))
+              for g, m in images.items()}
+    rep = flat_rep(poset, pres, frame, colors, identity_op(2 * total),
+                   {label: _embed_sector(t, total) for label, t in sorted(samples.items())},
+                   grading_at=stripe_op(0, np.kron(np.diag([1.0, -1.0]), eye)))
+    up, down = np.kron([[0, 1], [0, 0]], eye), np.kron([[0, 0], [1, 0]], eye)
+    f = (map_color(sw, lambda m: m[0, 0] * up)
+         + map_color(sw.H, lambda m: m[0, 0] * down))
+    return FredholmModule(rep, {o: f for o in poset.elements}, "even")
 
 
 def build_shift_module(poset: Poset, pres: GroupPresentation,
@@ -667,19 +671,20 @@ def build_shift_module(poset: Poset, pres: GroupPresentation,
                        tol: float = CHECK_TOL) -> FredholmModule:
     """Even module whose index is the given loop-group representation.
 
-    The fiber is the doubled semi-infinite space with d colors per half;
-    the edge unitaries act on colors only, F shifts one half against the
-    other, and the kernel of its odd corner is the d-dimensional summand
-    at site zero carrying exactly the u-action.
+    The doubled-fiber module of the unilateral shift, d colours per half
+    for d x d images: F shifts one half against the other, and the
+    kernel of its odd corner is the d-dimensional summand at site zero
+    carrying exactly the u-action.  Observables: the one and the site
+    blocks (0, 0), (0, 1) and (1, 1).  The images go through
+    `require_unitary_rep` (FiberMismatch, InvalidRepresentation,
+    RelatorNotSatisfied).
     """
     d = next(iter(u_images.values())).shape[0] if u_images else 1
     require_unitary_rep(pres, u_images, d, tol)
-    colors = {g: stripe_op(0, _double_color(m)) for g, m in u_images.items()}
-    ident = identity_op(2 * d)
-    rep = flat_rep(poset, pres, frame, colors, ident, _default_shift_samples(d),
-                   grading_at=_doubling_grading(d))
-    f = _doubling_f(d)
-    return FredholmModule(rep, {o: f for o in poset.elements}, "even")
+    one = np.eye(1, dtype=complex)
+    samples = {"one": identity_op(1), "site00": finite_op({(0, 0): one}, 1),
+               "site01": finite_op({(0, 1): one}, 1), "site11": finite_op({(1, 1): one}, 1)}
+    return _doubled_module(poset, pres, frame, u_images, d, shift_op(1), samples)
 
 
 # ---------------------------------------------------- sector construction
@@ -753,27 +758,6 @@ def sector_window_columns(w_index: int, total: int) -> int:
     return (stabilization_window(_pinned_shift(w_index)) + 2) * total
 
 
-def _embed_sector(t: ShiftOp, total: int) -> ShiftOp:
-    """Color-1 operator -> doubled total-color operator, repeated in every
-    colour of both halves of the doubling."""
-
-    def lift(m: np.ndarray) -> np.ndarray:
-        out = np.zeros((2 * total, 2 * total), dtype=complex)
-        np.fill_diagonal(out, m[0, 0])
-        return out
-
-    return map_color(t, lift)
-
-
-def _default_sector_samples(w_index: int) -> dict[str, ShiftOp]:
-    sw = _pinned_shift(w_index)
-    return {
-        "one": identity_op(1),
-        "charge-shift": sw,
-        "vacuum-corner": finite_op({(w_index, w_index): np.eye(1, dtype=complex)}, 1),
-    }
-
-
 def build_sector_module(poset: Poset, pres: GroupPresentation,
                         frame: PathFrame, sector_dims: tuple[int, ...],
                         rho_images: dict[int, np.ndarray],
@@ -782,11 +766,12 @@ def build_sector_module(poset: Poset, pres: GroupPresentation,
     """Even module of a superselection sector with multiplicity blocks.
 
     The holonomy images must be block-diagonal along `sector_dims`
-    (CentralityViolated otherwise) and kill the relators.  Observables
-    are the one, the pinned charge shift and the vacuum corner at
-    `w_index`, as scalar-colour shift operators repeated in every
-    multiplicity block; F pins the cyclic vector at `w_index`, so the
-    index carries exactly the block action.
+    (CentralityViolated otherwise) and pass `require_unitary_rep`.  The
+    module is the doubled-fiber module of the shift pinned at `w_index`,
+    which is both F's isometry and the charge-shift observable, so the
+    index carries exactly the block action.  Observables: the one, the
+    charge shift and the vacuum corner at `w_index`, as scalar-colour
+    shift operators repeated in every multiplicity block.
     """
     sector_dims = tuple(int(d) for d in sector_dims)
     if not sector_dims or any(d <= 0 for d in sector_dims):
@@ -802,23 +787,10 @@ def build_sector_module(poset: Poset, pres: GroupPresentation,
             raise CentralityViolated(
                 f"generator {g} image leaks across sectors ({leak:.3e})")
     require_unitary_rep(pres, rho_images, total, tol)
-
-    samples = {label: _embed_sector(t, total)
-               for label, t in sorted(_default_sector_samples(w_index).items())}
-
-    colors = {g: stripe_op(0, _double_color(m))
-              for g, m in rho_images.items()}
-    ident = identity_op(2 * total)
-    rep = flat_rep(poset, pres, frame, colors, ident, samples,
-                   grading_at=_doubling_grading(total))
-
     sw = _pinned_shift(w_index)
-    eye = np.eye(total, dtype=complex)
-    up, down = np.kron(_unit(0, 1), eye), np.kron(_unit(1, 0), eye)
-    f = (map_color(sw, lambda m: m[0, 0] * up)
-         + map_color(sw.H, lambda m: m[0, 0] * down))
-    module = FredholmModule(rep, {o: f for o in poset.elements}, "even")
-
+    samples = {"one": identity_op(1), "charge-shift": sw,
+               "vacuum-corner": finite_op({(w_index, w_index): np.eye(1, dtype=complex)}, 1)}
+    module = _doubled_module(poset, pres, frame, rho_images, total, sw, samples)
     images = list(rho_images.values()) or [np.eye(total, dtype=complex)]
     return SectorModule(module, total, algebra_dimension(images))
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import holonomy_images
+from .bundle import holonomy_images, require_unitary_rep
 from .errors import FiberMismatch, NotInvariant, NotSelfAdjoint
 from .fredholm import SampledRep, flat_rep
 from .homotopy import GroupPresentation, PathFrame
@@ -34,7 +34,6 @@ from .operators import (
     adj,
     anticommutator_residual,
     intertwining_residual,
-    require_generators,
     selfadjoint_defect,
     selfadjoint_residual,
 )
@@ -158,11 +157,13 @@ def from_equivariant(e: EquivariantTriple, poset: Poset,
     With a holonomy-flat representation the frame sections are exact
     identities, so the constant family IS the section-transported one,
     and converting back returns the very same matrices.  Every generator
-    needs an image (FiberMismatch otherwise).
+    needs an image of D's shape (FiberMismatch otherwise), unitary
+    within `tol` (InvalidRepresentation otherwise), and the relators
+    must hold within `tol` (RelatorNotSatisfied otherwise).
     """
-    require_generators(pres, e.u_images)
-    _require_equivariant(e, tol)
     dim = e.D.shape[0]
+    require_unitary_rep(pres, e.u_images, dim, tol)
+    _require_equivariant(e, tol)
     rep = flat_rep(poset, pres, frame, dict(e.u_images),
                    np.eye(dim, dtype=complex), dict(e.samples),
                    grading_at=e.grading)

@@ -71,6 +71,7 @@ from holonet.operators import (
     adj,
     commutator,
     compact_defect,
+    conjugate,
     identity_like,
     operators_equal_exact,
     transport_step,
@@ -93,6 +94,9 @@ from holonet.randomgen import (
     random_representation,
 )
 from holonet.standard import chain_poset, circle_poset, hexagon_poset, with_top
+
+
+SX_DENSE = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def checks(report, name):
@@ -701,6 +705,36 @@ def test_module_constructors_reject_missing_generator_images():
             build()
 
 
+def test_from_cycle_rejects_images_off_phis_space(hexagon_pfp):
+    poset, pres, frame = hexagon_pfp
+    one = identity_op(1)
+    # a non-unitary image of the wrong shape is a shape fault first
+    for v, phi, eta in ((2.0 * np.eye(3, dtype=complex), SX_DENSE, np.eye(2, dtype=complex)),
+                        (identity_op(2), one, one),
+                        (np.eye(1, dtype=complex), one, one)):
+        with pytest.raises(FiberMismatch, match="generator 1 image has"):
+            from_cycle({"one": eta}, {1: v}, phi, poset, pres, frame, parity="odd")
+
+
+def test_from_cycle_transports_observables_by_conjugation_bitwise(hexagon_pfp):
+    poset, pres, frame = hexagon_pfp
+    m = build_shift_module(poset, pres, frame, {1: random_unitary(rng_for(21), 2)})
+    cyc = equivariant_cycle(localize(m, frame.base))
+    v = random_unitary(rng_for(22), 2)
+    for loc in (from_cycle(cyc.samples, cyc.v_images, cyc.phi, poset, pres, frame,
+                           grading=cyc.grading),
+                from_cycle({"one": np.eye(2, dtype=complex), "v": v}, {1: v}, SX_DENSE,
+                           poset, pres, frame, parity="odd")):
+        rep, samples = loc.rep, loc.rep.samples[frame.base]
+        assert set(rep.transported) == {(e, l) for e in rep.u_incl for l in samples}
+        for (e, l), got in rep.transported.items():
+            want = conjugate(rep.u_incl[e], samples[l], rep.ident)
+            if isinstance(got, ShiftOp):
+                assert same_bits(got, want)
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
 def test_from_cycle_checks_at_the_given_tolerance(hexagon_pfp):
     poset, pres, frame = hexagon_pfp
     ident = np.eye(2, dtype=complex)
@@ -728,6 +762,50 @@ def test_shift_module_with_exact_permutation_is_exact(hexagon_pfp):
     report = validate_module(m)
     assert report.ok
     assert report.max_defect == 0.0
+
+
+def _unit(i, j):
+    m = np.zeros((2, 2), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_shift_module_matches_the_doubling_formulas_bitwise(d):
+    poset, pres, frame = pfp(hexagon_poset())
+    u = random_unitary(rng_for(30 + d), d)
+    m = build_shift_module(poset, pres, frame, {1: u})
+    eye, eye2d = np.eye(d, dtype=complex), np.eye(2 * d, dtype=complex)
+    f = (stripe_op(1, np.kron(_unit(0, 1), eye))
+         + stripe_op(-1, np.kron(_unit(1, 0), eye)))
+    grading = stripe_op(0, np.kron(np.diag([1.0, -1.0]), np.eye(d)))
+    samples = {"one": identity_op(2 * d),
+               "site00": finite_op({(0, 0): eye2d.copy()}, 2 * d),
+               "site01": finite_op({(0, 1): eye2d.copy()}, 2 * d),
+               "site11": finite_op({(1, 1): eye2d.copy()}, 2 * d)}
+    color = stripe_op(0, np.kron(np.eye(2, dtype=complex), u))
+    rep = m.rep
+    assert same_bits(rep.ident, identity_op(2 * d)) and rep.transported is None
+    for o in poset.elements:
+        assert same_bits(m.F[o], f) and same_bits(rep.grading[o], grading)
+        assert list(rep.samples[o]) == list(samples)
+        assert all(same_bits(rep.samples[o][l], t) for l, t in samples.items())
+    for e, x in rep.u_incl.items():
+        if e in pres.gen_index:
+            assert same_bits(x, color)
+        else:
+            assert x is rep.ident
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_sector_module_at_site_zero_has_the_shift_module_F(d):
+    poset, pres, frame = pfp(hexagon_poset())
+    u = {1: random_unitary(rng_for(40 + d), d)}
+    shift = build_shift_module(poset, pres, frame, u)
+    sector = build_sector_module(poset, pres, frame, (d,), u, w_index=0).module
+    for o in poset.elements:
+        assert same_bits(sector.F[o], shift.F[o])
+        assert same_bits(sector.rep.grading[o], shift.rep.grading[o])
 
 
 # ------------------------------------------------------ sector construction

@@ -227,6 +227,13 @@ def test_from_equivariant_rejects_missing_generator_images(hexagon_pfp):
         from_equivariant(e, poset, pres, frame)
 
 
+def test_from_equivariant_rejects_an_image_off_the_shape_of_d(hexagon_pfp):
+    poset, pres, frame = hexagon_pfp
+    e = replace(rotation_triple(), u_images={1: np.eye(3, dtype=complex)}, group=pres)
+    with pytest.raises(FiberMismatch, match=r"generator 1 image has shape \(3, 3\)"):
+        from_equivariant(e, poset, pres, frame)
+
+
 # ------------------------------------- validate_triple against the loop
 
 def reference_validate_triple(t, tol=1e-10):
