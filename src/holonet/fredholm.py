@@ -56,6 +56,7 @@ from .operators import (
     selfadjoint_defect,
     selfadjoint_residual,
     square_compact_defect,
+    stripe_part,
     transport_step,
     unitarity_residual,
     zero_defect,
@@ -71,6 +72,7 @@ from .reports import (
 )
 from .shift_calculus import (
     ShiftOp,
+    WindowAssembly,
     color_corner,
     dense_blocks,
     finite_op,
@@ -323,6 +325,9 @@ def from_cycle(samples: dict[str, object], v_images: dict[int, object],
     conjugation.  Passing the data of equivariant_cycle straight back
     reproduces the same operator objects.
     """
+    if (phi.d_out != phi.d_in if isinstance(phi, ShiftOp)
+            else np.ndim(phi) != 2 or phi.shape[0] != phi.shape[1]):
+        raise FiberMismatch(f"phi must be square, it has {_space(phi)}")
     ident = identity_like(phi)
     require_generators(pres, v_images)
     for g, v in sorted(v_images.items()):
@@ -330,17 +335,18 @@ def from_cycle(samples: dict[str, object], v_images: dict[int, object],
             raise FiberMismatch(f"generator {g} image has {_space(v)}, phi has {_space(phi)}")
     require_unitary(v_images, tol, NotCovariant)
     require_relators(pres, v_images, ident, tol, NotCovariant)
-    for label, t in sorted(samples.items()):
-        checks = [
-            ("symmetry", (phi - adj(phi)) @ t),
-            ("square", (phi @ phi - ident) @ t),
-            ("commutator", commutator(phi, t)),
-        ]
-        for name, x in checks:
-            d = compact_defect(x)
-            if not d <= COMPACT_TOL:
-                raise RelationDefect(
-                    f"{name} relation fails on {label!r}: defect {d:.3e}")
+    if isinstance(phi, ShiftOp):
+        # a compact defect is a stripe weight, which no finite part enters
+        p = stripe_part(phi)
+        symmetry, square = selfadjoint_residual(p), involution_residual(p)
+        for label, t in sorted(samples.items()):
+            s = stripe_part(t)
+            for name, x in (("symmetry", symmetry @ s), ("square", square @ s),
+                            ("commutator", commutator(p, s))):
+                d = compact_defect(x)
+                if not d <= COMPACT_TOL:
+                    raise RelationDefect(
+                        f"{name} relation fails on {label!r}: defect {d:.3e}")
     if parity == "even":
         if grading is None:
             raise RelationDefect("even cycle needs a grading")
@@ -433,26 +439,29 @@ def _shift_grading_split(g: ShiftOp) -> tuple[list[int], list[int]]:
             [i for i in range(len(d)) if d[i] < 0])
 
 
-def _pass_through(op: ShiftOp, blocks: dict[tuple[int, int], np.ndarray],
+def _pass_through(op: ShiftOp, a: WindowAssembly, blocks: dict[tuple[int, int], np.ndarray],
                   sv_tol: float) -> set[tuple[int, int]]:
-    """The pairs (r, s) of a window whose block is the only nonzero block
-    of row r and of column s, square, with smallest singular value above
-    `sv_tol`.  The pairs share no row or column, so one pass finds all."""
+    """The pass-through pairs among `blocks`, the touched blocks of a
+    window, and the representatives of the bulk classes of `a` that pass.
+    A pair (r, s) is a block that is the only nonzero block of row r and
+    of column s, square, with smallest singular value above `sv_tol`; a
+    bulk block always is the only one of its row and column.  The pairs
+    share no row or column, so one pass finds all."""
     rows = Counter(r for r, _ in blocks)
     cols = Counter(s for _, s in blocks)
-    single = [(r, s) for r, s in blocks if rows[r] == 1 == cols[s]]
-    if op.d_out != op.d_in or not single:
+    candidates = {rs: blocks[rs] for rs in blocks if rows[rs[0]] == 1 == cols[rs[1]]}
+    candidates.update((rs, m) for rs, m in a.bulk.items() if m is not None)
+    if op.d_out != op.d_in or not candidates:
         return set()
     # a phase does not change singular values: a block that one stripe
     # fills alone has the smallest singular value of its colour matrix
     offsets = Counter(k for k, _ in op.stripes)
     alone = {k: m for (k, _), m in op.stripes.items() if offsets[k] == 1}
-    mixed = {(r, s) for r, s in single if (r, s) in op.finite or r - s not in alone}
-    mats = np.stack([*alone.values(), *(blocks[rs] for rs in mixed)])
-    good = np.linalg.svd(mats, compute_uv=False)[:, -1] > sv_tol
-    invertible = dict(zip([*alone, *mixed], good.tolist()))
-    return {(r, s) for r, s in single
-            if invertible[(r, s) if (r, s) in mixed else r - s]}
+    # measured under the offset when its colour matrix decides, else the site pair
+    keys = {(r, s): r - s if r - s in alone and (r, s) not in op.finite else (r, s)
+            for r, s in candidates}
+    sv = a.smallest_sv({keys[rs]: alone.get(keys[rs], m) for rs, m in candidates.items()})
+    return {rs for rs in candidates if sv[keys[rs]] > sv_tol}
 
 
 def _kernel_window(op: ShiftOp, window: int, sv_tol: float) -> np.ndarray:
@@ -465,15 +474,35 @@ def _kernel_window(op: ShiftOp, window: int, sv_tol: float) -> np.ndarray:
     r of a pair (r, s) forces x_s = 0 and column s meets no other row,
     so the window's singular values are those of the residual and of
     the pair blocks, all above `sv_tol`.  The residual's kernel is
-    re-embedded with zeros on the peeled sites.  The blocks come from
-    `op.window_blocks`, so a window narrower than one already assembled
-    on `op` costs no assembly.
+    re-embedded with zeros on the peeled sites.
+
+    The blocks come from `op.window_assembly`, one assembly per operator
+    whatever the window.  A bulk class is decided once: if its block
+    passes, none of its columns is visited; otherwise its columns below
+    `window` enter the residual with the class block (none for an exact
+    zero, an empty column).  So the residual's rows, columns and blocks
+    are those of the full window's peel, and its cost is that of the
+    touched columns and of the classes that do not pass.
     """
-    blocks = op.window_blocks(window)
-    pairs = _pass_through(op, blocks, sv_tol)
-    rows = sorted({r for r, _ in blocks} - {r for r, _ in pairs})
-    cols = sorted(set(range(window)) - {s for _, s in pairs})
-    kernel = null_space(dense_blocks(blocks, rows, cols, op.d_out, op.d_in), sv_tol)
+    a = op.window_assembly(window)
+    blocks = {rs: m for rs, m in a.blocks.items() if rs[1] < window}
+    passing = _pass_through(op, a, blocks, sv_tol)
+    pairs = passing - a.bulk.keys()
+    peeled = {s for _, s in pairs}
+    rows = {r for r, _ in blocks} - {r for r, _ in pairs}
+    cols = [s for s in a.touched if s < window and s not in peeled]
+    touched = set(cols) | peeled
+    for (r, s), m in a.bulk.items():
+        if (r, s) in passing:
+            continue
+        for t in range(s % a.period, window, a.period):
+            if t not in touched:
+                cols.append(t)
+                if m is not None:
+                    rows.add(t + a.offset)
+                    blocks[(t + a.offset, t)] = m
+    cols.sort()
+    kernel = null_space(dense_blocks(blocks, sorted(rows), cols, op.d_out, op.d_in), sv_tol)
     out = np.zeros((window * op.d_in, kernel.shape[1]), dtype=complex)
     out[_site_rows(cols, op.d_in)] = kernel
     return out
@@ -504,16 +533,20 @@ def windowed_kernel(op: ShiftOp) -> tuple[np.ndarray, int]:
     The kernel basis is the residual's at w0, re-embedded in window
     coordinates; the probe windows w0 + 1 and w0 + 2 are taken the same
     way, and all three kernel dimensions must agree, otherwise the
-    operator is not Fredholm in this class.  The site blocks are
-    assembled once, for the widest window, and kept on `op`; the two
-    narrower windows are its first columns.  Every colour dimension takes
-    this one path: a scalar-colour operator S tensor I_d peels the same
-    sites as S, so its dense residual is only d times as wide as that of S.
+    operator is not Fredholm in this class.  The site blocks come from
+    one `op.window_assembly`, kept on `op`: for a square operator with
+    one stripe offset (every shift and sector corner) it holds the
+    columns the finite part touches and one bulk column per phase
+    residue class, whatever the window, and each class is decided once;
+    otherwise it is the widest window's columns, and the two narrower
+    windows are its first columns.  Every colour dimension takes this one
+    path: a scalar-colour operator S tensor I_d peels the same sites as
+    S, so its dense residual is only d times as wide as that of S.
     """
     if not op.stripes:
         raise NotFredholm("no shift part: every window has a kernel beyond it")
     w0 = stabilization_window(op)
-    op.window_blocks(w0 + 2)  # the one assembly the three windows share
+    op.window_assembly(w0 + 2)  # the one assembly the three windows share
     kernel, *probes = (_kernel_window(op, w, DENSE_KERNEL_TOL)
                        for w in (w0, w0 + 1, w0 + 2))
     dims = [k.shape[1] for k in (kernel, *probes)]
@@ -610,8 +643,9 @@ def pi_index(cycle: EquivariantCycle) -> VirtualRep:
     because row r forces x_s = 0 and column s meets no other row.  The
     holonomy blocks are then taken only on the kernel's support sites
     and the rows those reach.  On a sector module the dense matrices are
-    a few colours wide whatever the pinned site; only the sparse
-    assembly of the window is linear in it.
+    a few colours wide whatever the pinned site, and the window assembly
+    holds only the sites the finite part touches plus one bulk site, so
+    no part of the index but the zero-padded kernel basis is linear in it.
 
     Raises NotFredholm when the window does not stabilize and
     KernelNotInvariant when the holonomy leaks out of a kernel.

@@ -3,7 +3,8 @@
 Plain numpy SVD/eigendecompositions are used throughout.  Colour and
 fiber matrices are small, and so are the kernel windows of shift-class
 operators: pass-through sites are peeled before the dense SVD, so a
-sector's window is a few columns wide at any `w_index`.
+sector's window is a few columns wide at any `w_index`, and the blocks
+whose singular values decide the peel are measured once per operator.
 """
 
 from __future__ import annotations

@@ -44,6 +44,17 @@ def identity_like(x):
     return np.eye(x.shape[0], dtype=complex)
 
 
+def stripe_part(x):
+    """A ShiftOp without its finite part, unvalidated and sharing its
+    stripes; a dense operand as it is.  The stripes of a sum, a
+    negation, a product or an adjoint come from the stripes of the
+    operands alone, so a compact defect (the stripe weight) taken on
+    stripe parts is bit for bit the one taken on the full operators."""
+    if isinstance(x, ShiftOp):
+        return ShiftOp._normal(x.d_out, x.d_in, x.stripes, {})
+    return x
+
+
 def compact_defect(x) -> float:
     if isinstance(x, ShiftOp):
         return x.compact_defect()
@@ -100,12 +111,20 @@ def unitarity_defect(u) -> float:
 
 
 def square_compact_defect(f) -> float:
-    """How far f squared is from the identity, modulo compacts."""
-    return compact_defect(involution_residual(f))
+    """How far f squared is from the identity, modulo compacts: 0.0 for a
+    dense f, with no product formed, and for a ShiftOp the stripe weight
+    of f^2 - 1, taken on f's `stripe_part`."""
+    if not isinstance(f, ShiftOp):
+        return 0.0
+    return compact_defect(involution_residual(stripe_part(f)))
 
 
 def commutator_compact_defect(a, b) -> float:
-    return compact_defect(commutator(a, b))
+    """The compact defect of [a, b]: 0.0 for dense operands, with no
+    product formed, and otherwise taken on their `stripe_part`s."""
+    if not (isinstance(a, ShiftOp) or isinstance(b, ShiftOp)):
+        return 0.0
+    return compact_defect(commutator(stripe_part(a), stripe_part(b)))
 
 
 def residual_defects(residuals: list) -> np.ndarray:

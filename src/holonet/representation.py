@@ -119,11 +119,16 @@ class BlockHom:
 def _block_permutation(sizes: tuple[int, ...], src: tuple[int, ...],
                        units: tuple[np.ndarray, ...]) -> BlockHom:
     """The block permutation whose target block k receives source block
-    src[k] conjugated by units[k]; its `src` is cached from the caller."""
+    src[k] conjugated by units[k]; its `src` is cached from the caller.
+
+    Built without `__post_init__`: every caller passes a permutation of
+    the blocks of `sizes` and one unit of each block's size (a product or
+    inverse of validated block permutations, or the identity), which is a
+    valid block permutation, so validating it again would check nothing."""
     n = len(sizes)
-    h = BlockHom(sizes, sizes, tuple(tuple(int(j == s) for j in range(n)) for s in src),
-                 units)
-    h.__dict__["src"] = src
+    h = object.__new__(BlockHom)
+    h.__dict__.update(src_sizes=sizes, dst_sizes=sizes, units=units, src=src,
+                      mult=tuple(tuple(int(j == s) for j in range(n)) for s in src))
     return h
 
 

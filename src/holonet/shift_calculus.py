@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
@@ -103,18 +104,19 @@ class ShiftOp:
     not validated again; a result may share color matrices with its
     operands, so color matrices must not be written to.
 
-    `window_blocks` keeps the site blocks of the widest window it has
-    assembled, on the operator, for the narrower windows asked next.
+    `window_assembly` keeps the site blocks that kernel windows are built
+    from on the operator, so that every window asked of it shares one
+    assembly.
     """
 
-    __slots__ = ("d_out", "d_in", "stripes", "finite", "_window")
+    __slots__ = ("d_out", "d_in", "stripes", "finite", "_assembly")
 
     def __init__(self, d_out: int, d_in: int,
                  stripes: dict[tuple[int, Fraction], np.ndarray] | None = None,
                  finite: dict[tuple[int, int], np.ndarray] | None = None):
         self.d_out = int(d_out)
         self.d_in = int(d_in)
-        self._window = None
+        self._assembly = None
         self.stripes: dict[tuple[int, Fraction], np.ndarray] = {}
         self.finite: dict[tuple[int, int], np.ndarray] = {}
         for (k, c), m in (stripes or {}).items():
@@ -147,7 +149,7 @@ class ShiftOp:
         """The operator of dictionaries already in normal form, unchecked."""
         op = object.__new__(cls)
         op.d_out, op.d_in, op.stripes, op.finite = d_out, d_in, stripes, finite
-        op._window = None
+        op._assembly = None
         return op
 
     # ------------------------------------------------------------ queries
@@ -212,18 +214,15 @@ class ShiftOp:
                 del out[rs]
         return out
 
-    def window_blocks(self, window: int) -> dict[tuple[int, int], np.ndarray]:
-        """`site_blocks(range(window))`, from one assembly of the widest
-        window asked for so far.  A block depends on its own column only,
-        so a narrower window is the columns below `window` of a wider
-        one, bit for bit.  The dictionary may be the one kept on the
-        operator and must not be written to."""
-        if self._window is None or self._window[0] < window:
-            self._window = window, self.site_blocks(range(window))
-        widest, blocks = self._window
-        if widest == window:
-            return blocks
-        return {rs: m for rs, m in blocks.items() if rs[1] < window}
+    def window_assembly(self, window: int) -> "WindowAssembly":
+        """The `WindowAssembly` of the first `window` columns, kept on the
+        operator: one `site_blocks` call serves every window of an
+        operator with one bulk stripe offset, and otherwise every window
+        up to the widest asked for so far."""
+        a = self._assembly
+        if a is None or (a.offset is None and a.columns < window):
+            a = self._assembly = WindowAssembly(self, window)
+        return a
 
     def materialize(self, rows: int, cols: int | None = None) -> np.ndarray:
         """Dense window: the first `rows` x `cols` sites of the operator."""
@@ -320,6 +319,63 @@ class ShiftOp:
         # the adjoint of a nonzero block is nonzero
         finite = {(s, r): 0 + dagger(m) for (r, s), m in self.finite.items()}
         return ShiftOp._normal(self.d_in, self.d_out, _nonzero(stripes), finite)
+
+
+class WindowAssembly:
+    """The site blocks that the kernel windows of an operator are built from.
+
+    Take a square operator whose stripes all share one offset k (every
+    shift and sector corner).  Its *touched* columns are the columns of
+    the finite blocks, the columns r - k of the finite rows r and the
+    columns s < -k; all of them lie below max |k| + `finite_extent` + 1.
+    Every other (*bulk*) column s holds one block, at row s + k, alone in
+    its row and its column, and its value depends only on (s + k) mod q,
+    where q (`period`) is the lcm of the phase denominators.  One
+    `site_blocks` call assembles the touched columns and one
+    representative bulk column per residue class: `blocks` holds the
+    blocks of the touched columns, `bulk` maps each representative site
+    pair to its block, or to None where the stripes cancel exactly, and
+    the bulk columns of a class are the untouched columns congruent to its
+    representative mod q.  Since a block depends on its own column only,
+    these are bit for bit the blocks of any window's full assembly.
+
+    Any other operator (several offsets, non-square colours, no stripe)
+    has no bulk: `offset` is None, `touched` is every column below
+    `columns`, and `blocks` is `site_blocks(range(columns))`.
+
+    `smallest` keeps the smallest singular values measured by
+    `smallest_sv`, so that each matrix is measured once per operator.
+    """
+
+    def __init__(self, op: ShiftOp, window: int):
+        offsets = {k for k, _ in op.stripes}
+        self.offset = offsets.pop() if op.d_out == op.d_in and len(offsets) == 1 else None
+        self.smallest: dict = {}
+        if self.offset is None:
+            self.period, self.columns, self.bulk = 1, window, {}
+            self.touched = range(window)
+            self.blocks = op.site_blocks(self.touched)
+            return
+        k = self.offset
+        self.period = lcm(*(c.denominator for _, c in op.stripes))
+        self.columns = None
+        self.touched = sorted({s for _, s in op.finite}
+                              | {r - k for r, _ in op.finite if r >= k} | set(range(-k)))
+        start = self.touched[-1] + 1 if self.touched else 0
+        reps = range(start, start + self.period)
+        blocks = op.site_blocks([*self.touched, *reps])
+        self.bulk = {(s + k, s): blocks.pop((s + k, s), None) for s in reps}
+        self.blocks = blocks
+
+    def smallest_sv(self, mats: dict) -> dict:
+        """The smallest singular values kept so far, after measuring the
+        matrices of `mats` (key -> square matrix) whose keys are new, in
+        one stacked SVD."""
+        new = [key for key in mats if key not in self.smallest]
+        if new:
+            sv = np.linalg.svd(np.stack([mats[key] for key in new]), compute_uv=False)
+            self.smallest.update(zip(new, sv[:, -1].tolist()))
+        return self.smallest
 
 
 def dense_blocks(blocks: dict[tuple[int, int], np.ndarray], rows, cols,

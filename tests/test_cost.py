@@ -25,10 +25,11 @@ from holonet.fredholm import (
 from holonet.linalg import dagger, random_unitary
 from holonet.poset import Path
 from holonet.randomgen import random_hilbert_bundle, random_poset_with_frame
+from holonet.representation import BlockHom, NetOfAlgebras
 from holonet.shift_calculus import ShiftOp
 from holonet.spectral import EquivariantTriple, from_equivariant, validate_triple
 from holonet.standard import circle_poset
-from conftest import pfp
+from conftest import pfp, random_block_permutation
 
 # seeds of random_poset_with_frame(rng, 30): 24 and 111 strict pairs,
 # 11 and 87 generators, 12 and 274 relators
@@ -146,6 +147,25 @@ def test_holonomy_images_build_no_path(monkeypatch):
                        b, pres, frame) == 0
 
 
+def test_net_holonomy_validates_no_block_permutation(monkeypatch):
+    """Products and inverses of validated block permutations are block
+    permutations, so the net holonomy builds them unvalidated; each one
+    still passes the validation it skipped."""
+    for seed in SIZES.values():
+        poset, pres, frame, _, _ = random_net(seed)
+        rng = np.random.default_rng(seed)
+        sizes = (1, 1, 2)
+        net = NetOfAlgebras(poset, {o: sizes for o in poset.elements},
+                            {e: random_block_permutation(rng, sizes)
+                             for e in sorted(poset.strict_pairs())})
+        images = {}
+        assert counted(monkeypatch, BlockHom, ("__post_init__",),
+                       lambda: images.update(holonomy_images(net, pres, frame))) == 0
+        assert len(images) == len(pres.generators)
+        for h in images.values():
+            BlockHom(h.src_sizes, h.dst_sizes, h.mult, h.units)
+
+
 # ------------------------------------------------------------ sector index
 
 def sector_2_1(hexagon_pfp, w_index):
@@ -184,6 +204,41 @@ def test_one_site_block_assembly_per_windowed_kernel(monkeypatch, hexagon_pfp, w
     monkeypatch.setattr(holonet.fredholm, "windowed_kernel", counted_windowed_kernel)
     pi_index(cycle)
     assert per_call == [1, 1]
+
+
+def test_sector_window_assembly_does_not_grow_with_w_index(monkeypatch, hexagon_pfp):
+    """The columns that `windowed_kernel` hands to `site_blocks` on a
+    sector corner are its touched columns (the pinned sites and their
+    neighbours) and one representative bulk column: the same number at
+    every `w_index`, where the full window has w_index + 4 columns."""
+    site_blocks = ShiftOp.site_blocks
+    windowed_kernel = holonet.fredholm.windowed_kernel
+    columns = {}
+    for w_index in (32, 128, 1018):
+        _, cycle = sector_2_1(hexagon_pfp, w_index)
+        per_call, inside = [], []
+
+        def counted_site_blocks(op, cols):
+            cols = list(cols)
+            if inside:
+                per_call[-1] += len(cols)
+            return site_blocks(op, cols)
+
+        def counted_windowed_kernel(op):
+            per_call.append(0)
+            inside.append(op)
+            try:
+                return windowed_kernel(op)
+            finally:
+                inside.pop()
+
+        with monkeypatch.context() as m:
+            m.setattr(ShiftOp, "site_blocks", counted_site_blocks)
+            m.setattr(holonet.fredholm, "windowed_kernel", counted_windowed_kernel)
+            pi_index(cycle)
+        columns[w_index] = per_call
+    assert columns[32] == columns[128] == columns[1018], columns
+    assert len(columns[32]) == 2 and max(columns[32]) <= 8, columns
 
 
 @pytest.mark.parametrize("w_index", [32, 128])

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+import re
 
 import numpy as np
 import pytest
@@ -714,6 +715,17 @@ def test_from_cycle_rejects_images_off_phis_space(hexagon_pfp):
                         (np.eye(1, dtype=complex), one, one)):
         with pytest.raises(FiberMismatch, match="generator 1 image has"):
             from_cycle({"one": eta}, {1: v}, phi, poset, pres, frame, parity="odd")
+
+
+def test_from_cycle_rejects_a_phi_that_is_not_square(hexagon_pfp):
+    # images of phi's own space pass the image gate, so only the square
+    # gate stands between such a phi and the identity it has no way to have
+    poset, pres, frame = hexagon_pfp
+    for phi, space in ((stripe_op(0, np.ones((1, 2))), "colours 1x2"),
+                       (np.ones((1, 2), dtype=complex), "shape (1, 2)"),
+                       (np.ones(3, dtype=complex), "shape (3,)")):
+        with pytest.raises(FiberMismatch, match=re.escape(f"phi must be square, it has {space}")):
+            from_cycle({}, {1: phi}, phi, poset, pres, frame, parity="odd")
 
 
 def test_from_cycle_transports_observables_by_conjugation_bitwise(hexagon_pfp):

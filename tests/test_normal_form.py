@@ -208,10 +208,19 @@ def test_site_blocks_are_bitwise_the_reference(seed):
         a = random_op(rng, d, d) + random_op(rng, d, d).H
         cols = [int(s) for s in rng.permutation(9)[:int(rng.integers(0, 9))]]
         assert_same_blocks(a.site_blocks(cols), ref_site_blocks(a, cols))
-        # a narrower window after a wider one comes from the wider assembly
+        # a window assembly, also a narrower window after a wider one: the
+        # blocks of its touched columns and of its bulk representatives
         w = int(rng.integers(0, 10))
-        for width in (w + 2, w, w + 1, w + 2):
-            assert_same_blocks(a.window_blocks(width), ref_site_blocks(a, range(width)))
+        for op in (a, random_op(rng, d, d)):
+            for width in (w + 2, w, w + 1, w + 2):
+                got = op.window_assembly(width)
+                touched = [s for s in got.touched if s < width]
+                assert_same_blocks({rs: m for rs, m in got.blocks.items() if rs[1] < width},
+                                   ref_site_blocks(op, touched))
+                for (r, s), m in got.bulk.items():
+                    assert s not in got.touched
+                    assert_same_blocks({} if m is None else {(r, s): m},
+                                       ref_site_blocks(op, [s]))
 
 
 def test_non_integral_offsets_and_sites_are_rejected():
