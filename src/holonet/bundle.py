@@ -5,6 +5,11 @@ representations of the loop group.  The path product and
 `holonomy_images` take any carrier of edge operators: a bundle, a
 `fredholm.SampledRep`, or a `representation.NetOfAlgebras` whose
 inclusions are block permutations.
+
+A carrier's frame transports, holonomy images and relator defects are
+computed once per presentation and frame and then read back from a memo
+the carrier keeps (`_carrier_memo`), so a carrier's dicts must not
+change after it is built.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ from .operators import (
     coherence_residual,
     compose,
     evaluate_word_ops,
+    relator_defects,
     require_generators,
+    require_relator_defects,
     require_relators,
     require_unitary,
     residual_defects,
@@ -114,6 +121,26 @@ def evaluate_path(x, p: Path):
     return out
 
 
+def _carrier_memo(x, key: str, operands: tuple, make):
+    """`make()` on the first call with this key and these operand
+    objects, read back from the memo in x's `__dict__` afterwards (where
+    `ident` is cached too), so every later call returns that object.
+    The memo holds the operands, which keeps their ids from being
+    reused while their entry exists."""
+    memo = x.__dict__.setdefault("_memo", {})
+    k = (key, *map(id, operands))
+    if k not in memo:
+        memo[k] = make(), operands
+    return memo[k][0]
+
+
+def carrier_transports(x, frame: PathFrame) -> dict:
+    """`frame_transports` of the carrier x from `x.ident`, once per
+    frame; callers read the dict and never change it."""
+    return _carrier_memo(x, "transports", (frame,), lambda: frame_transports(
+        x.poset, frame, x.ident, partial(transport_step, x)))
+
+
 def holonomy_images(x, pres: GroupPresentation, frame: PathFrame) -> dict:
     """Generator index -> evaluation of its edge loop at the frame base.
 
@@ -122,30 +149,37 @@ def holonomy_images(x, pres: GroupPresentation, frame: PathFrame) -> dict:
     the hop, then the reversed segments of frame.to(o1), whose operators
     (their steps from x.ident) are formed once per element.  These are
     the products `evaluate_path` takes on the loop, in the same order, so
-    the bits are the same; no path is built, and each hop is checked once."""
-    step = partial(transport_step, x)
-    t = frame_transports(x.poset, frame, x.ident, step)
-    back: dict[str, list] = {}
-    out = {}
-    for (o, o1), idx in pres.gen_index.items():
-        if o1 not in back:
-            back[o1] = [step(x.ident, s.opposite)
-                        for s in reversed(frame.to(o1).simplices)]
-        v = step(t[o], edge_simplex(x.poset, o, o1))
-        for op in back[o1]:
-            v = compose(op, v, x.ident)
-        out[idx] = v
-    return out
+    the bits are the same; no path is built, and each hop is checked once.
+    The images are computed once per (pres, frame); each call returns a
+    fresh dict of them."""
+    def make():
+        step = partial(transport_step, x)
+        t = carrier_transports(x, frame)
+        back: dict[str, list] = {}
+        out = {}
+        for (o, o1), idx in pres.gen_index.items():
+            if o1 not in back:
+                back[o1] = [step(x.ident, s.opposite)
+                            for s in reversed(frame.to(o1).simplices)]
+            v = step(t[o], edge_simplex(x.poset, o, o1))
+            for op in back[o1]:
+                v = compose(op, v, x.ident)
+            out[idx] = v
+        return out
+    return dict(_carrier_memo(x, "holonomy", (pres, frame), make))
 
 
 def holonomy_rep(b: HilbertNetBundle, pres: GroupPresentation,
                  frame: PathFrame, tol: float = CHECK_TOL) -> dict[int, np.ndarray]:
     """Images of the presentation generators under the holonomy of a
     Hilbert net bundle: {generator index: unitary}.  Relators are
-    verified to evaluate to the identity.
+    verified to evaluate to the identity within `tol`; their defects are
+    measured once per (pres, frame) and judged at each call's `tol`.
     """
     images = holonomy_images(b, pres, frame)
-    require_relators(pres, images, b.ident, tol, RelatorNotSatisfied)
+    defects = _carrier_memo(b, "relators", (pres, frame),
+                            lambda: relator_defects(pres, images, b.ident))
+    require_relator_defects(pres, defects, tol, RelatorNotSatisfied)
     return images
 
 
@@ -208,7 +242,7 @@ def compute_sections(b: HilbertNetBundle, pres: GroupPresentation,
     `holonomy_rep(b, pres, frame, tol)` when the caller already holds it.
     """
     hol = images if images is not None else holonomy_rep(b, pres, frame, tol)
-    t = frame_transports(b.poset, frame, b.ident, partial(transport_step, b))
+    t = carrier_transports(b, frame)
     mats = list(hol.values()) or [np.eye(b.dim, dtype=complex)]
     basis = joint_fixed_space(mats, tol)
     return [Section({o: t[o] @ x for o in b.poset.elements}) for x in basis.T]
@@ -236,9 +270,7 @@ def roundtrip_iso(b: HilbertNetBundle, pres: GroupPresentation,
     if images is None:
         images = holonomy_rep(b, pres, frame)
     rebuilt = bundle_from_rep(b.poset, pres, frame, images, b.dim)
-    t = frame_transports(b.poset, frame, b.ident, partial(transport_step, b))
-    t_rebuilt = frame_transports(b.poset, frame, rebuilt.ident,
-                                 partial(transport_step, rebuilt))
+    t, t_rebuilt = carrier_transports(b, frame), carrier_transports(rebuilt, frame)
     inter = {o: t[o] @ dagger(t_rebuilt[o]) for o in b.poset.elements}
     defects = residual_defects([inter[o1] @ rebuilt.u(o, o1) - b.u(o, o1) @ inter[o]
                                 for o, o1 in b.poset.strict_pairs()])

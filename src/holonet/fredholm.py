@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .bundle import evaluate_path, holonomy_images, require_unitary_rep
+from .bundle import carrier_transports, holonomy_images, require_unitary_rep
 from .errors import (
     CentralityViolated,
     FiberMismatch,
@@ -33,7 +33,6 @@ from .homotopy import (
     GroupPresentation,
     PathFrame,
     edge_loop_word,
-    frame_transports,
 )
 from .linalg import dagger, first_over, null_space, opnorm
 from .operators import (
@@ -57,7 +56,6 @@ from .operators import (
     selfadjoint_residual,
     square_compact_defect,
     stripe_part,
-    transport_step,
     unitarity_residual,
     zero_defect,
 )
@@ -231,7 +229,8 @@ def validate_module(m: FredholmModule, tol: float = CHECK_TOL) -> ValidationRepo
 def _loop_images_at(rep: SampledRep, at: str) -> dict[int, object]:
     """Holonomy of the generator loops conjugated to base point `at`."""
     images = holonomy_images(rep, rep.pres, rep.frame)
-    w = evaluate_path(rep, rep.frame.to(at))  # rep.ident at the base
+    rep.frame.to(at)  # UnknownElement off the frame
+    w = carrier_transports(rep, rep.frame)[at]  # rep.ident at the base
     return {g: conjugate(w, v, rep.ident) for g, v in images.items()}
 
 
@@ -266,8 +265,7 @@ def extend_localized(loc: LocalizedModule) -> FredholmModule | ExtensionObstruct
         d = zero_defect(conjugate(w, loc.f, rep.ident) - loc.f)
         if not d <= INDEX_TOL:
             return ExtensionObstruction(g, d)
-    t = frame_transports(rep.poset, rep.frame, rep.ident,
-                         partial(transport_step, rep))
+    t = carrier_transports(rep, rep.frame)
     back = t[loc.at]
     f_base = loc.f if back is rep.ident else adj(back) @ loc.f @ back
     F = {}
@@ -316,14 +314,14 @@ def from_cycle(samples: dict[str, object], v_images: dict[int, object],
                tol: float = CHECK_TOL) -> LocalizedModule:
     """Rebuild a localized module at the frame base from cycle data.
 
-    Every generator needs an image of phi's shape or colour dimensions
-    (FiberMismatch otherwise); the images must be unitary and kill the
-    relators within `tol` (NotCovariant otherwise); phi must be a
-    symmetry up to compacts relative to the observables, and an even
-    grading must satisfy its relations within `tol` (RelationDefect
-    otherwise).  An observable is transported along an edge by
-    conjugation.  Passing the data of equivariant_cycle straight back
-    reproduces the same operator objects.
+    Every generator image and every sample must have phi's shape or
+    colour dimensions (FiberMismatch otherwise, before any product);
+    the images must be unitary and kill the relators within `tol`
+    (NotCovariant otherwise); phi must be a symmetry up to compacts
+    relative to the observables, and an even grading must satisfy its
+    relations within `tol` (RelationDefect otherwise).  An observable is
+    transported along an edge by conjugation.  Passing the data of
+    equivariant_cycle straight back reproduces the same operator objects.
     """
     if (phi.d_out != phi.d_in if isinstance(phi, ShiftOp)
             else np.ndim(phi) != 2 or phi.shape[0] != phi.shape[1]):
@@ -333,6 +331,9 @@ def from_cycle(samples: dict[str, object], v_images: dict[int, object],
     for g, v in sorted(v_images.items()):
         if _space(v) != _space(phi):
             raise FiberMismatch(f"generator {g} image has {_space(v)}, phi has {_space(phi)}")
+    for label, t in sorted(samples.items()):
+        if _space(t) != _space(phi):
+            raise FiberMismatch(f"sample {label!r} has {_space(t)}, phi has {_space(phi)}")
     require_unitary(v_images, tol, NotCovariant)
     require_relators(pres, v_images, ident, tol, NotCovariant)
     if isinstance(phi, ShiftOp):

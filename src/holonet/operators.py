@@ -218,7 +218,12 @@ def require_generators(pres, images: dict) -> None:
 def require_relators(pres, images: dict, ident, tol: float, error) -> None:
     """Raise `error` on the first relator of `pres` that does not evaluate
     on the generator images to `ident` within `tol`."""
-    defects = relator_defects(pres, images, ident)
+    require_relator_defects(pres, relator_defects(pres, images, ident), tol, error)
+
+
+def require_relator_defects(pres, defects, tol: float, error) -> None:
+    """Raise `error` on the first relator of `pres` whose measured defect
+    (`relator_defects`) is not within `tol`."""
     k = first_over(defects, tol)
     if k is not None:
         raise error(f"relator {pres.relators[k]} has defect {defects[k]:.3e}")

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 from holonet.bundle import (
     HilbertNetBundle,
     bundle_from_rep,
+    carrier_transports,
     compute_sections,
     evaluate_path,
     hilbert_section_dimension_oracle,
@@ -23,7 +24,12 @@ from holonet.errors import (
     UnknownElement,
 )
 from holonet.fredholm import SampledRep, build_shift_module
-from holonet.homotopy import Word, frame_transports
+from holonet.homotopy import (
+    Word,
+    build_path_frame,
+    frame_transports,
+    fundamental_presentation,
+)
 from holonet.linalg import dagger, opnorm, random_unitary
 from holonet.operators import adj, evaluate_word_ops, transport_step
 from holonet.randomgen import (
@@ -31,6 +37,7 @@ from holonet.randomgen import (
     random_poset_with_frame,
     random_representation,
 )
+from holonet.reports import CHECK_TOL
 from holonet.representation import (
     BlockHom,
     NetOfAlgebras,
@@ -490,3 +497,116 @@ def test_a_given_tolerance_reaches_the_relator_check():
             check()
     with pytest.raises(RelatorNotSatisfied, match="has defect"):
         covariantize(identity_representation(b), pres, frame)
+
+
+# ------------------------------------------------------------ carrier memo
+
+def outcome(f, *args):
+    """What a holonomy call gives: its images as bytes, or the type and
+    message of the error it raises."""
+    try:
+        images = f(*args)
+    except RelatorNotSatisfied as e:
+        return type(e), str(e)
+    return {g: v.tobytes() for g, v in images.items()}
+
+
+def memo_carriers(seed):
+    """(pres, frame, carriers): a bundle, a net of block permutations and
+    the sampled representation of a shift module over one random poset."""
+    rng = np.random.default_rng(seed)
+    poset, pres, frame = random_poset_with_frame(rng, 12)
+    assert pres.generators
+    return pres, frame, [
+        random_hilbert_bundle(poset, pres, frame, 2, rng),
+        random_net(rng, poset),
+        build_shift_module(poset, pres, frame, random_representation(pres, 2, rng)).rep]
+
+
+def equal_bits(a, b) -> bool:
+    return op_equal(a, b) if isinstance(a, ShiftOp) else same_bits(a, b)
+
+
+def test_the_memo_judges_each_call_at_its_own_tolerance():
+    # the relators hold to about 1e-8: a call at 1e-6 passes and one at
+    # CHECK_TOL raises, whichever of them filled the memo
+    _, pres, frame, b = nearly_flat_bundle()
+    tols = (1e-6, CHECK_TOL)
+    fresh = {tol: outcome(holonomy_rep, replace(b), pres, frame, tol) for tol in tols}
+    assert isinstance(fresh[1e-6], dict)
+    assert fresh[CHECK_TOL][0] is RelatorNotSatisfied
+    for order in (tols, tols[::-1]):
+        c = replace(b)
+        for tol in order + order:
+            assert outcome(holonomy_rep, c, pres, frame, tol) == fresh[tol]
+
+
+def test_editing_a_returned_dict_leaves_the_next_result():
+    pres, frame, carriers = memo_carriers(310)
+    b = carriers[0]
+    for f in (holonomy_images, holonomy_rep):
+        want = outcome(f, replace(b), pres, frame)
+        got = f(b, pres, frame)
+        got.clear()
+        got[0] = np.zeros((2, 2), dtype=complex)
+        assert outcome(f, b, pres, frame) == want
+
+
+def test_a_fresh_carrier_with_equal_fields_gives_the_same_bits():
+    for seed in (311, 312):
+        pres, frame, carriers = memo_carriers(seed)
+        for x in carriers:
+            t, images = carrier_transports(x, frame), holonomy_images(x, pres, frame)
+            assert carrier_transports(x, frame) is t
+            y = replace(x)
+            t_y, images_y = carrier_transports(y, frame), holonomy_images(y, pres, frame)
+            assert t_y is not t
+            assert t_y.keys() == t.keys() and images_y.keys() == images.keys()
+            assert all(equal_bits(t_y[o], t[o]) for o in t)
+            assert all(equal_bits(images_y[g], images[g]) for g in images)
+
+
+def test_a_carrier_keeps_one_value_per_presentation_and_frame():
+    # the holonomy at a second base point, read after the first, is the
+    # one a fresh carrier gives there
+    pres, frame, carriers = memo_carriers(316)
+    poset = carriers[0].poset
+    other = max(sorted(poset.elements), key=lambda o: len(frame.to(o).simplices))
+    pres2, frame2 = fundamental_presentation(poset, other), build_path_frame(poset, other)
+    b = carriers[0]
+    holonomy_rep(b, pres, frame)
+    for f in (holonomy_images, holonomy_rep):
+        assert outcome(f, b, pres2, frame2) == outcome(f, replace(b), pres2, frame2)
+    t2 = carrier_transports(replace(b), frame2)
+    assert all(same_bits(carrier_transports(b, frame2)[o], t2[o]) for o in t2)
+
+
+def test_replace_gives_a_carrier_with_an_empty_memo():
+    # from_cycle rebuilds its flat representation by `replace`: a carrier
+    # rebuilt with other edge operators reads none of the old values
+    pres, frame, carriers = memo_carriers(313)
+    b, _, rep = carriers
+    rng = np.random.default_rng(314)
+    other = random_hilbert_bundle(b.poset, pres, frame, 2, rng)
+    want = outcome(holonomy_rep, HilbertNetBundle(b.poset, 2, other.incl), pres, frame)
+    assert outcome(holonomy_rep, b, pres, frame) != want
+    assert outcome(holonomy_rep, replace(b, incl=other.incl), pres, frame) == want
+    holonomy_images(rep, pres, frame)
+    gauged = {e: stripe_op(0, random_unitary(rng, 4)) @ u for e, u in rep.u_incl.items()}
+    got = holonomy_images(replace(rep, u_incl=gauged), pres, frame)
+    want = holonomy_images(SampledRep(rep.poset, pres, frame, gauged, rep.samples,
+                                      rep.ident, rep.grading), pres, frame)
+    assert got.keys() == want.keys()
+    assert all(op_equal(got[g], want[g]) for g in got)
+
+
+def test_a_filled_memo_changes_neither_equality_nor_fields():
+    pres, frame, carriers = memo_carriers(315)
+    for x in carriers:
+        y = replace(x)
+        before = x == y, y == x, fields(x)
+        assert before[0] and before[1]
+        holonomy_images(x, pres, frame)
+        if isinstance(x, HilbertNetBundle):
+            holonomy_rep(x, pres, frame)
+        assert (x == y, y == x, fields(x)) == before

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -42,6 +43,9 @@ ROOT = Path(__file__).resolve().parent.parent
 HEXAGON = str(ROOT / "sample_inputs" / "hexagon.json")
 CHAIN = str(ROOT / "sample_inputs" / "chain.json")
 SECTOR = str(ROOT / "sample_inputs" / "sector.json")
+# a child process imports holonet from where this test run found it
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(holonet.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def run(capsys, *argv):
@@ -655,7 +659,7 @@ def test_text_format(capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "holonet.cli", "pi1", "--input", CHAIN],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["verdict"] == "Trivial"
     assert "elapsed_ms=" in proc.stderr
@@ -679,13 +683,14 @@ def test_a_matrix_free_document_loads_no_numpy():
     but the poset and its presentation, or stops at a section check, so
     no process on it imports numpy or a computational layer."""
     proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, CHAIN, *LAYERS],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True, env=CHILD_ENV)
     codes, loaded = json.loads(proc.stdout)
     want = [0 if c in ("pi1", "roundtrip") else 2 for c in holonet.cli.COMMANDS]
     assert codes == [c for c in want for _ in "jt"] + [2, 2]
     assert loaded == []
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "holonet.cli",
-                           "pi1", "--input", CHAIN], capture_output=True, text=True)
+                           "pi1", "--input", CHAIN], capture_output=True, text=True,
+                          env=CHILD_ENV)
     assert proc.returncode == 0
     imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")]

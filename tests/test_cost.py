@@ -4,19 +4,30 @@ windows.  Unlike a wall time, a count does not depend on the host, so a
 layer whose work grows where it should not fails here."""
 
 import sys
+from collections import Counter
 from functools import cache
 
 import numpy as np
 import pytest
 
+import holonet.bundle
 import holonet.fredholm
 import holonet.reports
 import holonet.shift_calculus
-from holonet.bundle import holonomy_images, holonomy_rep, roundtrip_iso, validate_bundle
+from holonet.bundle import (
+    compute_sections,
+    hilbert_section_dimension_oracle,
+    holonomy_images,
+    holonomy_rep,
+    roundtrip_iso,
+    validate_bundle,
+)
 from holonet.fredholm import (
+    FredholmModule,
     build_sector_module,
     build_shift_module,
     equivariant_cycle,
+    extend_localized,
     from_cycle,
     localize,
     pi_index,
@@ -25,7 +36,12 @@ from holonet.fredholm import (
 from holonet.linalg import dagger, random_unitary
 from holonet.poset import Path
 from holonet.randomgen import random_hilbert_bundle, random_poset_with_frame
-from holonet.representation import BlockHom, NetOfAlgebras
+from holonet.representation import (
+    BlockHom,
+    NetOfAlgebras,
+    covariantize,
+    identity_representation,
+)
 from holonet.shift_calculus import ShiftOp
 from holonet.spectral import EquivariantTriple, from_equivariant, validate_triple
 from holonet.standard import circle_poset
@@ -164,6 +180,48 @@ def test_net_holonomy_validates_no_block_permutation(monkeypatch):
         assert len(images) == len(pres.generators)
         for h in images.values():
             BlockHom(h.src_sizes, h.dst_sizes, h.mult, h.units)
+
+
+def test_one_frame_walk_per_carrier_and_one_relator_stack_per_bundle(monkeypatch):
+    """The circle-transport calls on one bundle and one shift module walk
+    the frame once per carrier (the bundle, its reconstruction and the
+    module's representation) and measure the bundle's relators once per
+    presentation and frame; `covariantize` after `holonomy_rep` walks
+    only the net it builds, not the bundle again."""
+    poset, pres, frame = pfp(circle_poset(16))
+    rng = np.random.default_rng(7)
+    b = random_hilbert_bundle(poset, pres, frame, 4, rng)
+    m = build_shift_module(poset, pres, frame, {1: random_unitary(rng, 4)})
+    far = max(sorted(poset.elements), key=lambda o: len(frame.to(o).simplices))
+    walks, stacks = Counter(), Counter()
+    frame_transports, relator_defects = (holonet.bundle.frame_transports,
+                                         holonet.bundle.relator_defects)
+
+    def counted_walk(poset, frame, start, step):
+        walks[id(start), id(frame)] += 1  # start is the carrier's ident
+        return frame_transports(poset, frame, start, step)
+
+    def counted_stack(pres, images, ident):
+        stacks[id(pres), id(ident)] += 1
+        return relator_defects(pres, images, ident)
+
+    monkeypatch.setattr(holonet.bundle, "frame_transports", counted_walk)
+    monkeypatch.setattr(holonet.bundle, "relator_defects", counted_stack)
+    holonomy_rep(b, pres, frame)
+    holonomy_rep(b, pres, frame)
+    compute_sections(b, pres, frame)
+    hilbert_section_dimension_oracle(b, pres, frame)
+    rt = roundtrip_iso(b, pres, frame)
+    assert isinstance(extend_localized(localize(m, far)), FredholmModule)
+    equivariant_cycle(localize(m, frame.base))
+    idents = (b.ident, rt.reconstructed.ident, m.rep.ident)
+    assert walks == Counter({(id(i), id(frame)): 1 for i in idents})
+    assert stacks == Counter({(id(pres), id(b.ident)): 1})
+    walks.clear()
+    r = identity_representation(b)
+    covariantize(r, pres, frame)
+    assert walks == Counter({(id(r.net.ident), id(frame)): 1})
+    assert stacks == Counter({(id(pres), id(b.ident)): 1})
 
 
 # ------------------------------------------------------------ sector index

@@ -728,6 +728,26 @@ def test_from_cycle_rejects_a_phi_that_is_not_square(hexagon_pfp):
             from_cycle({}, {1: phi}, phi, poset, pres, frame, parity="odd")
 
 
+def test_from_cycle_rejects_samples_off_phis_space(hexagon_pfp):
+    # a sample of another kind or shape is named, the first in label
+    # order, before any product with it could fail inside numpy
+    poset, pres, frame = hexagon_pfp
+    m = build_shift_module(poset, pres, frame, {1: random_unitary(rng_for(21), 2)})
+    cyc = equivariant_cycle(localize(m, frame.base))
+    colours = f"colours {cyc.phi.d_out}x{cyc.phi.d_in}"
+    with pytest.raises(FiberMismatch, match=re.escape(
+            f"sample 'one' has shape (1, 1), phi has {colours}")):
+        from_cycle({"one": np.eye(1, dtype=complex)}, cyc.v_images, cyc.phi,
+                   poset, pres, frame, grading=cyc.grading)
+    eye2, eye3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+    for samples, label in (({"one": eye3}, "one"),
+                           ({"a": eye2, "b": eye3}, "b"),
+                           ({"a": eye3, "b": identity_op(2)}, "a")):
+        with pytest.raises(FiberMismatch, match=re.escape(
+                f"sample {label!r} has shape (3, 3), phi has shape (2, 2)")):
+            from_cycle(samples, {1: eye2}, SX_DENSE, poset, pres, frame, parity="odd")
+
+
 def test_from_cycle_transports_observables_by_conjugation_bitwise(hexagon_pfp):
     poset, pres, frame = hexagon_pfp
     m = build_shift_module(poset, pres, frame, {1: random_unitary(rng_for(21), 2)})
@@ -1214,7 +1234,8 @@ def test_validate_module_cost_does_not_grow_with_the_circle(monkeypatch):
 
 def always_multiply(monkeypatch):
     """Patch in a transport step and a conjugation that multiply by every
-    operand, the carrier's identity object included."""
+    operand, the carrier's identity object included.  Every frame
+    transport of a carrier is taken in `holonet.bundle`."""
     def step(x, t, s):
         return adj(x.u(s.face0, s.support)) @ x.u(s.face1, s.support) @ t
 
@@ -1222,7 +1243,6 @@ def always_multiply(monkeypatch):
         return w @ a @ adj(w)
 
     monkeypatch.setattr(holonet.bundle, "transport_step", step)
-    monkeypatch.setattr(holonet.fredholm, "transport_step", step)
     monkeypatch.setattr(holonet.fredholm, "conjugate", conjugate)
 
 
@@ -1231,7 +1251,10 @@ def farthest(poset, frame):
 
 
 def module_outputs(m):
-    rep = m.rep
+    # a fresh carrier with the same fields, so no memo of one evaluation
+    # serves the other
+    rep = replace(m.rep)
+    m = replace(m, rep=rep)
     at = farthest(rep.poset, rep.frame)
     return {"F": extend_localized(localize(m, at)).F,
             "v_images": [equivariant_cycle(localize(m, o)).v_images
@@ -1240,6 +1263,7 @@ def module_outputs(m):
 
 
 def bundle_outputs(b, pres, frame):
+    b = replace(b)
     return {"holonomy": holonomy_rep(b, pres, frame),
             "sections": [s.values for s in compute_sections(b, pres, frame)]}
 
