@@ -9,13 +9,15 @@ inclusions are block permutations.
 A carrier's frame transports, holonomy images and relator defects are
 computed once per presentation and frame and then read back from a memo
 the carrier keeps (`_carrier_memo`), so a carrier's dicts must not
-change after it is built.
+change after it is built, nor the shared operators in place (the arrays
+are made read-only).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -125,20 +127,27 @@ def _carrier_memo(x, key: str, operands: tuple, make):
     """`make()` on the first call with this key and these operand
     objects, read back from the memo in x's `__dict__` afterwards (where
     `ident` is cached too), so every later call returns that object.
-    The memo holds the operands, which keeps their ids from being
-    reused while their entry exists."""
+    Its arrays (the value, or the values of a mapping) are made read-only,
+    as `ident` is, since every later caller shares them.  The memo holds
+    the operands, which keeps their ids from being reused while their
+    entry exists."""
     memo = x.__dict__.setdefault("_memo", {})
     k = (key, *map(id, operands))
     if k not in memo:
-        memo[k] = make(), operands
+        value = make()
+        for a in (value,) if isinstance(value, np.ndarray) else value.values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        memo[k] = value, operands
     return memo[k][0]
 
 
-def carrier_transports(x, frame: PathFrame) -> dict:
+def carrier_transports(x, frame: PathFrame) -> MappingProxyType:
     """`frame_transports` of the carrier x from `x.ident`, once per
-    frame; callers read the dict and never change it."""
-    return _carrier_memo(x, "transports", (frame,), lambda: frame_transports(
-        x.poset, frame, x.ident, partial(transport_step, x)))
+    frame, as a read-only view of shared operators (read-only arrays;
+    change no other operator in place)."""
+    return _carrier_memo(x, "transports", (frame,), lambda: MappingProxyType(
+        frame_transports(x.poset, frame, x.ident, partial(transport_step, x))))
 
 
 def holonomy_images(x, pres: GroupPresentation, frame: PathFrame) -> dict:
@@ -151,7 +160,7 @@ def holonomy_images(x, pres: GroupPresentation, frame: PathFrame) -> dict:
     the products `evaluate_path` takes on the loop, in the same order, so
     the bits are the same; no path is built, and each hop is checked once.
     The images are computed once per (pres, frame); each call returns a
-    fresh dict of them."""
+    fresh dict of the same shared operators, as `carrier_transports`."""
     def make():
         step = partial(transport_step, x)
         t = carrier_transports(x, frame)
@@ -175,6 +184,7 @@ def holonomy_rep(b: HilbertNetBundle, pres: GroupPresentation,
     Hilbert net bundle: {generator index: unitary}.  Relators are
     verified to evaluate to the identity within `tol`; their defects are
     measured once per (pres, frame) and judged at each call's `tol`.
+    The images are shared as in `holonomy_images`: read-only arrays.
     """
     images = holonomy_images(b, pres, frame)
     defects = _carrier_memo(b, "relators", (pres, frame),

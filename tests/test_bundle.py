@@ -552,6 +552,19 @@ def test_editing_a_returned_dict_leaves_the_next_result():
         assert outcome(f, b, pres, frame) == want
 
 
+def test_the_shared_arrays_refuse_an_edit_in_place():
+    # every later holonomy, section and relator verdict of the carrier
+    # reads these objects
+    pres, frame, carriers = memo_carriers(317)
+    b = carriers[0]
+    t = carrier_transports(b, frame)
+    with pytest.raises(TypeError):
+        t[frame.base] = b.ident
+    for a in [*t.values(), *holonomy_rep(b, pres, frame).values()]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0
+
+
 def test_a_fresh_carrier_with_equal_fields_gives_the_same_bits():
     for seed in (311, 312):
         pres, frame, carriers = memo_carriers(seed)

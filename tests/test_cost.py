@@ -5,6 +5,7 @@ layer whose work grows where it should not fails here."""
 
 import sys
 from collections import Counter
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_svd_calls_do_not_grow_with_the_edges(monkeypatch, stage):
         if stage == "validate_bundle":
             run = (validate_bundle, b)
         elif stage == "roundtrip_iso":
-            run = (roundtrip_iso, b, pres, frame, images)
+            run = (roundtrip_iso, replace(b), pres, frame, images)
         elif stage == "validate_triple":
             run = (validate_triple, triple_of(poset, pres, frame, images))
         else:
@@ -159,8 +160,9 @@ def test_validate_triple_measures_a_few_matrices_per_edge_unitary(monkeypatch):
 def test_holonomy_images_build_no_path(monkeypatch):
     for seed in SIZES.values():
         poset, pres, frame, b, _ = random_net(seed)
+        # a fresh carrier: the cached one already holds its holonomy
         assert counted(monkeypatch, Path, ("__init__",), holonomy_images,
-                       b, pres, frame) == 0
+                       replace(b), pres, frame) == 0
 
 
 def test_net_holonomy_validates_no_block_permutation(monkeypatch):
